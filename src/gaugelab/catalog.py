@@ -505,31 +505,47 @@ def get_entry(name: str) -> CatalogEntry:
     )
 
 
-def run_entry(entry: CatalogEntry):
-    """Run an entry with its own controller; IntegralResult, or the pathwise
-    quantity for path entries."""
+def run_method(
+    method: str,
+    subject,
+    bounds,
+    ctrl: ConvergenceController,
+    *,
+    gauges: Optional[Callable[[int], Gauge]] = None,
+    selectors: Optional[Tuple[TagSelectorStrategy, ...]] = None,
+):
+    """Run one integral definition on what an entry of that method builds:
+    an (f, oracle) pair for darboux, an integrand for rs and gauge, a
+    distribution function (on its own domain) for lebesgue."""
+    if method == "lebesgue":
+        return lebesgue_distribution_integrate(subject, ctrl)
+    a, b = bounds
+    if method == "darboux":
+        f, oracle = subject
+        return darboux_riemann(f, oracle, a, b, ctrl)
+    if method == "rs":
+        return rs_integrate(subject, a, b, ctrl)
+    if method == "gauge":
+        return gauge_integrate(
+            subject, a, b, ctrl, gauges=gauges, strategies=selectors or GAUGE_STRATEGIES
+        )
+    raise ArgumentError(f"no runnable method {method!r}")
+
+
+def run_entry(entry: CatalogEntry, ctrl: Optional[ConvergenceController] = None):
+    """Run an entry under `ctrl`, by default its own controller; an
+    IntegralResult, or the pathwise quantity for path entries."""
     if entry.kind == "path":
         path = entry.build()
         return _PATH_QUANTITIES[entry.expected.quantity](path, path.level)
-    ctrl = entry.controller()
-    a, b = entry.bounds
-    if entry.method == "darboux":
-        f, oracle = entry.build()
-        return darboux_riemann(f, oracle, a, b, ctrl)
-    if entry.method == "rs":
-        return rs_integrate(entry.build(), a, b, ctrl)
-    if entry.method == "gauge":
-        return gauge_integrate(
-            entry.build(),
-            a,
-            b,
-            ctrl,
-            gauges=entry.gauges,
-            strategies=entry.selectors or GAUGE_STRATEGIES,
-        )
-    if entry.method == "lebesgue":
-        return lebesgue_distribution_integrate(entry.build(), ctrl)
-    raise ArgumentError(f"entry {entry.name!r} has no runnable method")
+    return run_method(
+        entry.method,
+        entry.build(),
+        entry.bounds,
+        entry.controller() if ctrl is None else ctrl,
+        gauges=entry.gauges,
+        selectors=entry.selectors,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import json
 import os
 import shlex
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -29,20 +29,14 @@ from .catalog import (
     entry_names,
     get_entry,
     run_entry,
+    run_method,
 )
 from .divisions import RefinementSchedule
 from .errors import GaugeLabError
 from .expr import ExprError, evaluate, free_vars, parse
 from .expr import derive_extrema_oracle
 from .integrand import length_factor, make_integrand
-from .integrators import (
-    GAUGE_STRATEGIES,
-    ConvergenceController,
-    darboux_riemann,
-    gauge_integrate,
-    lebesgue_distribution_integrate,
-    rs_integrate,
-)
+from .integrators import ConvergenceController
 from .results import EXIT_CODES, IntegralResult
 from .stochastic import (
     BIT_GENERATOR,
@@ -166,24 +160,13 @@ def _parse_levels(text: str) -> Tuple[int, int]:
         ) from None
 
 
-def _controller_from_args(args, base: Optional[ConvergenceController]) -> ConvergenceController:
-    if base is None:
-        base = ConvergenceController(
-            schedule=RefinementSchedule(4, _default_stop())
-        )
-    tol = base.tolerance_abs if args.tol is None else args.tol
-    schedule = base.schedule
+def _controller_from_args(args, base: ConvergenceController) -> ConvergenceController:
+    changes = {}
+    if args.tol is not None:
+        changes["tolerance_abs"] = args.tol
     if args.levels is not None:
-        start, stop = _parse_levels(args.levels)
-        schedule = RefinementSchedule(start, stop)
-    return ConvergenceController(
-        tolerance_abs=tol,
-        tolerance_rel=base.tolerance_rel,
-        window=base.window,
-        growth_factor=base.growth_factor,
-        oscillation_gap=base.oscillation_gap,
-        schedule=schedule,
-    )
+        changes["schedule"] = RefinementSchedule(*_parse_levels(args.levels))
+    return replace(base, **changes)
 
 
 def _integrate_catalog(args, parser: _Parser) -> IntegralResult:
@@ -199,22 +182,7 @@ def _integrate_catalog(args, parser: _Parser) -> IntegralResult:
         )
     if args.expr or args.dI or args.a is not None or args.b is not None:
         parser.error("--catalog replaces --expr/--dI/--a/--b")
-    if args.tol is None and args.levels is None:
-        return run_entry(entry)
-    ctrl = _controller_from_args(args, entry.controller())
-    a, b = entry.bounds
-    if entry.method == "darboux":
-        f, oracle = entry.build()
-        return darboux_riemann(f, oracle, a, b, ctrl)
-    if entry.method == "rs":
-        return rs_integrate(entry.build(), a, b, ctrl)
-    if entry.method == "gauge":
-        return gauge_integrate(
-            entry.build(), a, b, ctrl,
-            gauges=entry.gauges,
-            strategies=entry.selectors or GAUGE_STRATEGIES,
-        )
-    return lebesgue_distribution_integrate(entry.build(), ctrl)
+    return run_entry(entry, _controller_from_args(args, entry.controller()))
 
 
 def _integrate_expr(args, parser: _Parser) -> IntegralResult:
@@ -241,23 +209,23 @@ def _integrate_expr(args, parser: _Parser) -> IntegralResult:
         parser.error(f"bounds must be numeric, got --a {a_raw!r} --b {b_raw!r}")
     if not a < b:
         parser.error(f"bounds need a < b, got a={a_raw}, b={b_raw}")
-    ctrl = _controller_from_args(args, None)
+    ctrl = _controller_from_args(
+        args, ConvergenceController(schedule=RefinementSchedule(4, _default_stop()))
+    )
 
     if args.method == "darboux":
         if args.dI not in (None, "length"):
             parser.error("darboux integrates point functions; only --dI length applies")
         oracle = derive_extrema_oracle(ast, float(a), float(b))
         f = lambda s: evaluate(ast, {"s": s})
-        return darboux_riemann(f, oracle, float(a), float(b), ctrl)
+        return run_method("darboux", (f, oracle), (float(a), float(b)), ctrl)
 
     dI = args.dI or "length"
     convention = _RULES[args.rule]
     if dI == "length":
         factor = length_factor()
-        point_batch = None
     elif dI == "dD":
         factor = dirichlet_factor()
-        point_batch = None
     elif dI.startswith("dg:"):
         g_entry = get_entry(dI[3:])
         if g_entry.kind != "distribution":
@@ -265,18 +233,13 @@ def _integrate_expr(args, parser: _Parser) -> IntegralResult:
                 f"--dI dg: wants a distribution entry; {g_entry.name!r} is {g_entry.kind}"
             )
         factor = g_entry.build().increments()
-        point_batch = None
     else:
         parser.error(f"--dI must be length, dD, or dg:<name>, got {dI!r}")
     point = (lambda s: evaluate(ast, {"s": s}, exact=True)) if exact else (
         lambda s: evaluate(ast, {"s": s})
     )
-    h = make_integrand(
-        point, factor, convention, point_batch=point_batch, name=args.expr
-    )
-    if args.method == "rs":
-        return rs_integrate(h, a, b, ctrl)
-    return gauge_integrate(h, a, b, ctrl)
+    h = make_integrand(point, factor, convention, name=args.expr)
+    return run_method(args.method, h, (a, b), ctrl)
 
 
 def cmd_integrate(args, parser: _Parser, config: RunConfig) -> int:

@@ -366,33 +366,21 @@ def bisect_refine(division: TaggedDivision, tag_rule: str = "left") -> TaggedDiv
     return TaggedDivision(division.domain, tags, new_lefts, new_rights)
 
 
-def riemann_sum(
-    h: BurkillIntegrand, division: TaggedDivision, *, compensated: bool = False
-) -> object:
+def riemann_sum(h: BurkillIntegrand, division: TaggedDivision) -> object:
     """Sum h over the division's cells in ascending order.
 
-    Deterministic for identical inputs.  `compensated=True` switches float
-    runs to exact accumulation (math.fsum); worth it only for very large
-    divisions, roughly n >= 2**20.
+    Deterministic for identical inputs.
     """
     arrays = division.as_float_arrays()
     if arrays is not None and h.batch is not None:
         values = np.asarray(h.batch(*arrays), dtype=float)
-        if compensated:
-            return math.fsum(values)
         return float(np.sum(values))
     total = 0
-    values = [] if (compensated and not division.exact) else None
     for tagged in division.iter_cells():
         s, cell = tagged.tag, tagged.cell
         try:
             value = h(s, cell)
         except Exception as exc:  # noqa: BLE001 - re-raised with cell context
             raise IntegrandEvalError(s, cell.u, cell.v, exc) from exc
-        if values is None:
-            total = total + value
-        else:
-            values.append(float(value))
-    if values is not None:
-        return math.fsum(values)
+        total = total + value
     return total

@@ -70,6 +70,18 @@ class OracleInconsistencyError(GaugeLabError):
         )
 
 
+class NonFiniteSumError(GaugeLabError):
+    """A strategy's float sum at some refinement level is infinite or NaN."""
+
+    def __init__(self, strategy: str, level: int, value: float):
+        self.strategy = strategy
+        self.level = level
+        self.value = value
+        super().__init__(
+            f"strategy {strategy!r} summed to {value!r} at level {level}"
+        )
+
+
 class MonotonicityError(GaugeLabError):
     """A distribution function failed its monotonicity spot check."""
 

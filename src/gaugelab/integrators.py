@@ -17,6 +17,7 @@ sums genuinely bracket the integral, proves its tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -30,7 +31,12 @@ from .divisions import (
     make_uniform,
     riemann_sum,
 )
-from .errors import ArgumentError, MonotonicityError, OracleInconsistencyError
+from .errors import (
+    ArgumentError,
+    MonotonicityError,
+    NonFiniteSumError,
+    OracleInconsistencyError,
+)
 from .integrand import BurkillIntegrand, IntervalFactor, increments_of, make_integrand
 from .results import IntegralResult, Status, TraceRow
 
@@ -51,9 +57,7 @@ class GridStrategy:
     def build(self, a, b, n: int) -> TaggedDivision:
         if self.family == "uniform":
             return make_uniform(a, b, n, tag_rule=self.tag_rule)
-        if self.family == "shifted-uniform":
-            return make_shifted_uniform(a, b, n, tag_rule=self.tag_rule)
-        raise ArgumentError(f"unknown grid family {self.family!r}")
+        return make_shifted_uniform(a, b, n, tag_rule=self.tag_rule)
 
 
 RS_STRATEGIES = (
@@ -141,37 +145,28 @@ class _Classifier:
         self.growth_runs = {name: 0 for name in self.names}
         self.decided: Optional[Status] = None
 
-    def observe(self, level: int, n: int, sums: dict) -> Optional[Status]:
-        ctrl = self.ctrl
+    def _record(self, level: int, n: int, sums: dict):
+        """Append the level's row and sums; return the row and its tolerance."""
         values = [sums[name] for name in self.names]
-        mn = min(values)
-        mx = max(values)
-        self.rows.append(TraceRow(level, n, mn, mx))
-        scale = max(_abs_value(v) for v in values)
-        tol = ctrl.tolerance_at(scale)
-        spread = mx - mn
-        spread_small = spread <= tol
-
-        first = not self.history[self.names[0]]
-        deltas_small = None
-        if not first:
-            deltas_small = True
-            for name in self.names:
-                prev = self.history[name][-1]
-                if not abs(sums[name] - prev) <= tol:
-                    deltas_small = False
-                    break
+        row = TraceRow(level, n, min(values), max(values))
+        self.rows.append(row)
         for name in self.names:
             self.history[name].append(sums[name])
+        return row, self.ctrl.tolerance_at(max(_abs_value(v) for v in values))
 
-        if first:
-            if self.first_level_accept and len(self.names) >= 2 and spread_small:
-                # Exact cross-family agreement on the coarsest grids is the
-                # telescoping signature: the sums do not depend on the
-                # division at all.
+    def observe(self, level: int, n: int, sums: dict) -> Optional[Status]:
+        ctrl = self.ctrl
+        row, tol = self._record(level, n, sums)
+        spread = row.spread
+        spread_small = spread <= tol
+        if len(self.rows) == 1:
+            if self.first_level_accept and spread_small:
+                # Telescoping sums agree across grid families because they
+                # do not depend on the division; at a loose tolerance other
+                # integrands can agree here by coincidence.
                 self.decided = Status.CONVERGED
-                return self.decided
-            return None
+            return self.decided
+        deltas_small = all(abs(h[-1] - h[-2]) <= tol for h in self.history.values())
 
         # stability
         if spread_small and deltas_small:
@@ -202,6 +197,12 @@ class _Classifier:
         # levels only strengthen the evidence.
         return None
 
+    def _estimate(self, status: Status):
+        if status not in (Status.CONVERGED, Status.INCONCLUSIVE):
+            return None, None
+        last = self.rows[-1]
+        return last.midpoint, _abs_value(last.spread)
+
     def result(self) -> IntegralResult:
         status = self.decided
         if status is None:
@@ -209,12 +210,7 @@ class _Classifier:
                 status = Status.OSCILLATING
             else:
                 status = Status.INCONCLUSIVE
-        last = self.rows[-1]
-        estimate = None
-        error_bound = None
-        if status in (Status.CONVERGED, Status.INCONCLUSIVE):
-            estimate = last.midpoint
-            error_bound = _abs_value(last.spread)
+        estimate, error_bound = self._estimate(status)
         return IntegralResult(
             status=status,
             estimate=estimate,
@@ -222,6 +218,56 @@ class _Classifier:
             error_bound=error_bound,
             strategy_sums={name: tuple(vals) for name, vals in self.history.items()},
         )
+
+
+class _Bracket(_Classifier):
+    """Darboux's rule: lower and upper sums bracket the integral, so the run
+    converges at the first level, the coarsest included, where U - L is
+    within tolerance, with the proven error bound (U - L) / 2."""
+
+    def __init__(self, ctrl: ConvergenceController):
+        super().__init__(ctrl, ("lower", "upper"))
+
+    def observe(self, level: int, n: int, sums: dict) -> Optional[Status]:
+        row, tol = self._record(level, n, sums)
+        if row.spread <= tol:
+            self.decided = Status.CONVERGED
+        return self.decided
+
+    def _estimate(self, status: Status):
+        if status is not Status.CONVERGED:
+            return super()._estimate(status)
+        last = self.rows[-1]
+        return 0.5 * (last.sum_max + last.sum_min), 0.5 * (last.sum_max - last.sum_min)
+
+
+class _Rows:
+    """Classification switched off: (level, sums, spread) for every level."""
+
+    def __init__(self):
+        self.rows = []
+
+    def observe(self, level: int, n: int, sums: dict) -> None:
+        values = list(sums.values())
+        self.rows.append((level, sums, max(values) - min(values)))
+
+    def result(self) -> list:
+        return self.rows
+
+
+def _ladder(schedule: RefinementSchedule, sums_at_level, classifier):
+    """The one refinement loop: `sums_at_level(level)` gives (n, {strategy:
+    sum}), the classifier observes it, and a returned status stops early.
+    A non-finite float sum raises before it is classified, as infinity agrees
+    with itself within any tolerance; exact sums are not checked."""
+    for level in schedule.levels():
+        n, sums = sums_at_level(level)
+        for name, value in sums.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NonFiniteSumError(name, level, value)
+        if classifier.observe(level, n, sums) is not None:
+            break
+    return classifier.result()
 
 
 # --------------------------------------------------------------------------
@@ -411,34 +457,59 @@ def singularity_gauge(ceiling: float, at_origin: float, origin: float = 0.0) -> 
 # --------------------------------------------------------------------------
 
 
+def _grid_sums(h: BurkillIntegrand, a, b, schedule: RefinementSchedule):
+    """Strategy callback: h summed over each rs grid at the level's cell count."""
+
+    def sums_at(level: int):
+        n = schedule.cells_for(level)
+        return n, {s.name: riemann_sum(h, s.build(a, b, n)) for s in RS_STRATEGIES}
+
+    return sums_at
+
+
+def _fine_sums(h: BurkillIntegrand, strategies: Sequence[TagSelectorStrategy], pieces_at):
+    """Strategy callback over delta-fine divisions of the (lo, hi, gauge)
+    pieces `pieces_at(level)` lists; a strategy adds its pieces' sums."""
+
+    def sums_at(level: int):
+        pieces = pieces_at(level)
+        n = 0
+        sums = {}
+        for strat in strategies:
+            total = None
+            count = 0
+            for lo, hi, gauge in pieces:
+                division = delta_fine_division(lo, hi, gauge, selectors=strat.selectors)
+                value = riemann_sum(h, division)
+                total = value if total is None else total + value
+                count += division.n
+            sums[strat.name] = total
+            n = max(n, count)
+        return n, sums
+
+    return sums_at
+
+
 def rs_integrate(
     h: BurkillIntegrand,
     a,
     b,
     ctrl: Optional[ConvergenceController] = None,
-    strategies: Sequence[GridStrategy] = RS_STRATEGIES,
 ) -> IntegralResult:
     """Constant-mesh (Riemann-Stieltjes style) probe of lim sums of h.
 
-    Each level builds one division per grid strategy with the same cell
-    count and compares the sums.  Exact agreement across distinct grid
-    families at the very first level is accepted immediately: constant point
-    factors against additive interval factors telescope, so their sums never
-    depended on the division to begin with.
+    Each level builds one division per grid strategy in RS_STRATEGIES with
+    the same cell count and compares the sums.  Agreement within
+    `ctrl.tolerance_at` across the uniform and shifted grid families at the
+    very first level is accepted at once: telescoping sums (constant point
+    factors against additive interval factors) never depended on the
+    division, but at a loose tolerance other integrands can agree there too.
     """
     ctrl = ctrl or ConvergenceController()
-    if len(strategies) < 2:
-        raise ArgumentError("constant-mesh probing needs at least two strategies")
-    families = {s.family for s in strategies}
     classifier = _Classifier(
-        ctrl, [s.name for s in strategies], first_level_accept=len(families) >= 2
+        ctrl, [s.name for s in RS_STRATEGIES], first_level_accept=True
     )
-    for level in ctrl.schedule.levels():
-        n = ctrl.schedule.cells_for(level)
-        sums = {s.name: riemann_sum(h, s.build(a, b, n)) for s in strategies}
-        if classifier.observe(level, n, sums) is not None:
-            break
-    return classifier.result()
+    return _ladder(ctrl.schedule, _grid_sums(h, a, b, ctrl.schedule), classifier)
 
 
 def gauge_integrate(
@@ -449,7 +520,6 @@ def gauge_integrate(
     *,
     gauges: Optional[Callable[[int], Gauge]] = None,
     strategies: Sequence[TagSelectorStrategy] = GAUGE_STRATEGIES,
-    depth_cap: int = 60,
 ) -> IntegralResult:
     """Gauge-fine probe: sums over delta_k-fine divisions, delta_k shrinking.
 
@@ -463,24 +533,12 @@ def gauge_integrate(
         raise ArgumentError("need at least one tag-selector strategy")
     span = float(b) - float(a)
 
-    def default_gauges(level: int) -> Gauge:
-        return Gauge.constant(span * 2.0 ** (-level))
+    def pieces_at(level: int):
+        gauge = gauges(level) if gauges else Gauge.constant(span * 2.0 ** (-level))
+        return [(a, b, gauge)]
 
-    gauge_for = gauges or default_gauges
     classifier = _Classifier(ctrl, [s.name for s in strategies])
-    for level in ctrl.schedule.levels():
-        gauge = gauge_for(level)
-        sums = {}
-        n = 0
-        for strat in strategies:
-            division = delta_fine_division(
-                a, b, gauge, selectors=strat.selectors, depth_cap=depth_cap
-            )
-            n = max(n, division.n)
-            sums[strat.name] = riemann_sum(h, division)
-        if classifier.observe(level, n, sums) is not None:
-            break
-    return classifier.result()
+    return _ladder(ctrl.schedule, _fine_sums(h, strategies, pieces_at), classifier)
 
 
 def darboux_riemann(
@@ -500,19 +558,14 @@ def darboux_riemann(
     """
     ctrl = ctrl or ConvergenceController()
     af, bf = float(a), float(b)
-    rows = []
-    history = {"lower": [], "upper": []}
-    status = Status.INCONCLUSIVE
-    estimate = None
-    error_bound = None
-    for level in ctrl.schedule.levels():
+
+    def sums_at(level: int):
         n = ctrl.schedule.cells_for(level)
         division = make_uniform(af, bf, n, tag_rule="midpoint")
         upper = 0.0
         lower = 0.0
         for s, u, v in zip(division.tags, division.lefts, division.rights):
-            cell = Interval(u, v)
-            lo, hi = oracle(cell)
+            lo, hi = oracle(Interval(u, v))
             sample = f(s)
             slack = 1e-12 * max(1.0, abs(lo), abs(hi))
             if not (lo - slack <= sample <= hi + slack):
@@ -520,50 +573,24 @@ def darboux_riemann(
             width = v - u
             lower += lo * width
             upper += hi * width
-        rows.append(TraceRow(level, n, lower, upper))
-        history["lower"].append(lower)
-        history["upper"].append(upper)
-        gap = upper - lower
-        tol = ctrl.tolerance_at(max(abs(upper), abs(lower)))
-        if gap <= tol:
-            status = Status.CONVERGED
-            estimate = 0.5 * (upper + lower)
-            error_bound = 0.5 * gap
-            break
-    if status is not Status.CONVERGED and rows:
-        estimate = rows[-1].midpoint
-        error_bound = float(rows[-1].spread)
-    return IntegralResult(
-        status=status,
-        estimate=estimate,
-        trace=tuple(rows),
-        error_bound=error_bound,
-        strategy_sums={k: tuple(v) for k, v in history.items()},
-    )
+        return n, {"lower": lower, "upper": upper}
+
+    return _ladder(ctrl.schedule, sums_at, _Bracket(ctrl))
 
 
 def oscillation_probe(
     h: BurkillIntegrand,
     a,
     b,
-    strategies: Sequence[GridStrategy] = RS_STRATEGIES,
     schedule: Optional[RefinementSchedule] = None,
 ) -> list:
-    """Raw per-strategy sums per level, no classification.
+    """Raw per-strategy sums per level over the rs grids, no classification.
 
     Returns rows (level, {strategy: sum}, spread) for side-by-side viewing
     of how division choice moves the sums.
     """
-    if len(strategies) < 2:
-        raise ArgumentError("an oscillation probe needs at least two strategies")
     schedule = schedule or RefinementSchedule()
-    rows = []
-    for level in schedule.levels():
-        n = schedule.cells_for(level)
-        sums = {s.name: riemann_sum(h, s.build(a, b, n)) for s in strategies}
-        values = list(sums.values())
-        rows.append((level, sums, max(values) - min(values)))
-    return rows
+    return _ladder(schedule, _grid_sums(h, a, b, schedule), _Rows())
 
 
 def lebesgue_distribution_integrate(
@@ -572,7 +599,7 @@ def lebesgue_distribution_integrate(
 ) -> IntegralResult:
     """Integral of the identity against dg over [c, d], i.e. a mean of g.
 
-    Runs the constant-mesh probe on u * dg first.  If that is inconclusive
+    Runs the constant-mesh probe on u * dg first.  If that does not converge
     and g declares jumps, reruns under gauges that anchor tags at the jumps,
     where sums over anchored divisions become exact once cells separate the
     jumps.
@@ -600,21 +627,9 @@ def lebesgue_distribution_integrate(
 
     span = g.d - g.c
 
-    classifier = _Classifier(ctrl, [s.name for s in ANCHORED_STRATEGIES])
-    for level in ctrl.schedule.levels():
+    def anchored_pieces(level: int):
         ceiling = span * 2.0 ** (-level)
-        sums = {}
-        n = 0
-        for strat in ANCHORED_STRATEGIES:
-            total = 0.0
-            count = 0
-            for lo, hi, anchors in pieces:
-                gauge = jump_anchoring_gauge(anchors, ceiling)
-                division = delta_fine_division(lo, hi, gauge, selectors=strat.selectors)
-                total += riemann_sum(h, division)
-                count += division.n
-            sums[strat.name] = total
-            n = max(n, count)
-        if classifier.observe(level, n, sums) is not None:
-            break
-    return classifier.result()
+        return [(lo, hi, jump_anchoring_gauge(anchors, ceiling)) for lo, hi, anchors in pieces]
+
+    classifier = _Classifier(ctrl, [s.name for s in ANCHORED_STRATEGIES])
+    return _ladder(ctrl.schedule, _fine_sums(h, ANCHORED_STRATEGIES, anchored_pieces), classifier)

@@ -5,10 +5,14 @@ suite stays fast and coverage sees the dispatch code.
 """
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from gaugelab.catalog import get_entry, run_entry
 from gaugelab.cli import EXIT_CODES, main, main_cli
+from gaugelab.divisions import RefinementSchedule
 from gaugelab.results import Status
 
 
@@ -53,6 +57,18 @@ def test_inconclusive_short_schedule(capsys, tmp_path):
     )
     assert rc == 3
     assert "inconclusive" in capsys.readouterr().out
+
+
+def test_first_level_shortcut_accepts_within_tolerance(capsys):
+    # rs accepts the coarsest level when the grid families agree within
+    # tolerance there, before any stability window: sin(40 s) at tol 0.2
+    # stops after one level of 16 cells
+    rc = main(["integrate", "--method", "rs", "--expr", "sin(40*s)",
+               "--tol", "0.2", "--no-timestamp"])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split()[:2] == ["4", "16"]
+    assert out[2] == "status: converged"
 
 
 class TestIntegrateDispatch:
@@ -287,6 +303,55 @@ class TestArtifacts:
         assert final[header.index("sum_min")] == "0"
         assert final[header.index("sum_max")] == "1"
         assert final[header.index("status")] == "oscillating"
+
+
+OVERRIDE_GOLDEN = Path(__file__).parent / "data" / "cli_override_golden.json"
+
+
+class TestCatalogOverride:
+    """--tol/--levels on a catalog entry: one run per method, artifacts
+    byte-identical to the recorded ones and to run_entry under the same
+    overridden controller."""
+
+    # method: (entry, flags, controller fields the flags override)
+    CASES = {
+        "gauge": ("inv_sqrt", ["--levels", "6:12"],
+                  {"schedule": RefinementSchedule(6, 12)}),
+        "darboux": ("step_darboux", ["--tol", "1e-3"], {"tolerance_abs": 1e-3}),
+        "lebesgue": ("twomass_step", ["--levels", "4:8"],
+                     {"schedule": RefinementSchedule(4, 8)}),
+        "rs": ("step_dD", ["--levels", "1:5"], {"schedule": RefinementSchedule(1, 5)}),
+    }
+
+    def run(self, method, monkeypatch, tmp_path):
+        name, flags, _ = self.CASES[method]
+        monkeypatch.chdir(tmp_path)
+        argv = ["integrate", "--method", method, "--catalog", name, *flags,
+                "--out", "run.csv", "--no-timestamp"]
+        return main(argv), (tmp_path / "run.csv").read_text()
+
+    @pytest.mark.parametrize("method", sorted(CASES))
+    def test_artifact_bytes(self, method, monkeypatch, tmp_path, capsys):
+        golden = json.loads(OVERRIDE_GOLDEN.read_text())[method]
+        rc, artifact = self.run(method, monkeypatch, tmp_path)
+        assert rc == golden["exit"]
+        assert artifact == golden["artifact"]
+
+    @pytest.mark.parametrize("method", sorted(CASES))
+    def test_artifact_matches_run_entry(self, method, monkeypatch, tmp_path, capsys):
+        name, _, fields = self.CASES[method]
+        entry = get_entry(name)
+        result = run_entry(entry, replace(entry.controller(), **fields))
+        rc, artifact = self.run(method, monkeypatch, tmp_path)
+        assert rc == EXIT_CODES[result.status]
+        fmt = lambda x: "%.17g" % x if isinstance(x, float) else str(x)
+        rows = [line.split(",") for line in artifact.splitlines()[3:]]
+        assert [row[:4] for row in rows] == [
+            [str(r.level), str(r.n), fmt(r.sum_min), fmt(r.sum_max)]
+            for r in result.trace
+        ]
+        estimate = "" if result.estimate is None else fmt(result.estimate)
+        assert rows[-1][4:] == [estimate, str(result.status)]
 
 
 class TestBrownian:

@@ -233,15 +233,6 @@ class TestRiemannSum:
             riemann_sum(h3_scalar, d), abs=1e-14
         )
 
-    def test_compensated_matches_plain(self):
-        h = make_integrand(
-            lambda s: s, length_factor(), "tag", point_batch=lambda xs: xs
-        )
-        d = make_uniform(0.0, 1.0, 4096, "midpoint")
-        assert riemann_sum(h, d, compensated=True) == pytest.approx(
-            riemann_sum(h, d), abs=1e-12
-        )
-
     def test_eval_failure_wrapped_with_cell_context(self):
         h = make_integrand(lambda s: 1.0 / s, length_factor(), "left-endpoint")
         d = make_uniform(0.0, 1.0, 4, "left")

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -12,6 +13,7 @@ from gaugelab.divisions import RefinementSchedule, delta_fine_division, is_fine
 from gaugelab.errors import (
     ArgumentError,
     MonotonicityError,
+    NonFiniteSumError,
     OracleInconsistencyError,
 )
 from gaugelab.integrand import (
@@ -85,13 +87,6 @@ class TestRsIntegrate:
         assert result.status is Status.CONVERGED
         assert result.estimate == pytest.approx(2.0 / 3.0, abs=1e-4)
         assert result.error_bound is not None
-
-    def test_needs_two_strategies(self):
-        h = make_integrand(None, length_factor(), "interval-only")
-        from gaugelab.integrators import RS_STRATEGIES
-
-        with pytest.raises(ArgumentError):
-            rs_integrate(h, 0.0, 1.0, strategies=RS_STRATEGIES[:1])
 
     def test_trace_rows_and_strategy_sums(self):
         h = make_integrand(
@@ -334,17 +329,48 @@ class TestLebesgueRoute:
 class TestOscillationProbe:
     def test_rows_expose_per_strategy_sums(self):
         from gaugelab.catalog import dirichlet_factor, step_at
-        from gaugelab.integrators import RS_STRATEGIES
 
         h = make_integrand(step_at(Fraction(1, 2)), dirichlet_factor(), "tag")
         rows = oscillation_probe(
-            h, Fraction(0), Fraction(1), RS_STRATEGIES,
-            schedule=RefinementSchedule(1, 6),
+            h, Fraction(0), Fraction(1), schedule=RefinementSchedule(1, 6)
         )
         assert len(rows) == 6
         for level, sums, spread in rows:
             assert spread == 1
             assert set(sums) == {"rational-left", "rational-mid", "shifted-left"}
+
+
+def _batched(point, point_batch):
+    return make_integrand(point, length_factor(), "tag", point_batch=point_batch)
+
+
+_INV_SQRT = _batched(lambda s: 1.0 / math.sqrt(s), lambda xs: 1.0 / np.sqrt(xs))
+_ALL_NAN = _batched(lambda s: math.nan, lambda xs: np.full(xs.shape, np.nan))
+
+
+def _darboux_infinite_sup():
+    f = lambda s: 1.0
+    return darboux_riemann(f, ExtremaOracle(lambda cell: (0.0, math.inf)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "run, strategy",
+    [
+        (lambda: rs_integrate(_INV_SQRT, 0.0, 1.0), "rational-left"),
+        (lambda: rs_integrate(_ALL_NAN, 0.0, 1.0), "rational-left"),
+        (lambda: gauge_integrate(_INV_SQRT, 0.0, 1.0), "left-tags"),
+        (_darboux_infinite_sup, "upper"),
+    ],
+    ids=["rs-inv-sqrt", "rs-all-nan", "gauge-inv-sqrt", "darboux-inf-sup"],
+)
+def test_non_finite_sum_raises_at_first_level(run, strategy):
+    # an infinite sum agrees with itself within any tolerance, so it must
+    # stop the ladder with a typed error instead of classifying
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteSumError) as exc:
+            run()
+    assert exc.value.strategy == strategy
+    assert exc.value.level == 4
 
 
 @settings(max_examples=15, deadline=None)
