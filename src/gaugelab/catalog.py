@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .cells import Gauge, Interval
+from .cells import Gauge
 from .divisions import RefinementSchedule
 from .errors import ArgumentError, ScalarRegimeError
 from .exact import QuadExtScalar, is_exact_scalar
@@ -75,11 +75,6 @@ def dirichlet_point(s) -> int:
     raise ScalarRegimeError(
         f"Dirichlet indicator is undefined on {type(s).__name__}"
     )
-
-
-def dirichlet_increment(cell: Interval) -> int:
-    """D(v) - D(u) over a cell with exact endpoints; one of -1, 0, 1."""
-    return dirichlet_point(cell.v) - dirichlet_point(cell.u)
 
 
 def dirichlet_factor() -> IntervalFactor:

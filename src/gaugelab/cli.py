@@ -33,7 +33,7 @@ from .catalog import (
 )
 from .divisions import RefinementSchedule
 from .errors import GaugeLabError
-from .expr import ExprError, evaluate, free_vars, parse
+from .expr import ExprError, as_function, evaluate, free_vars, parse
 from .expr import derive_extrema_oracle
 from .integrand import length_factor, make_integrand
 from .integrators import ConvergenceController
@@ -217,7 +217,7 @@ def _integrate_expr(args, parser: _Parser) -> IntegralResult:
         if args.dI not in (None, "length"):
             parser.error("darboux integrates point functions; only --dI length applies")
         oracle = derive_extrema_oracle(ast, float(a), float(b))
-        f = lambda s: evaluate(ast, {"s": s})
+        f = as_function(ast, "s")
         return run_method("darboux", (f, oracle), (float(a), float(b)), ctrl)
 
     dI = args.dI or "length"
@@ -235,10 +235,11 @@ def _integrate_expr(args, parser: _Parser) -> IntegralResult:
         factor = g_entry.build().increments()
     else:
         parser.error(f"--dI must be length, dD, or dg:<name>, got {dI!r}")
-    point = (lambda s: evaluate(ast, {"s": s}, exact=True)) if exact else (
-        lambda s: evaluate(ast, {"s": s})
-    )
-    h = make_integrand(point, factor, convention, name=args.expr)
+    if exact:
+        point, batch = (lambda s: evaluate(ast, {"s": s}, exact=True)), None
+    else:
+        point = batch = as_function(ast, "s")
+    h = make_integrand(point, factor, convention, point_batch=batch, name=args.expr)
     return run_method(args.method, h, (a, b), ctrl)
 
 
@@ -302,7 +303,7 @@ def cmd_integrate(args, parser: _Parser, config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 
-def _point_function(args, parser: _Parser, flag: str) -> Callable[[float], float]:
+def _point_function(args, parser: _Parser, flag: str) -> Callable:
     text = getattr(args, flag.lstrip("-").replace("-", "_"))
     if not text:
         parser.error(f"{args.sub} requires {flag} <expression in x>")
@@ -310,7 +311,7 @@ def _point_function(args, parser: _Parser, flag: str) -> Callable[[float], float
     unknown = free_vars(ast) - {"x"}
     if unknown:
         parser.error(f"{flag} expressions use the variable x; found {sorted(unknown)}")
-    return lambda value: evaluate(ast, {"x": value})
+    return as_function(ast, "x")
 
 
 def cmd_brownian(args, parser: _Parser, config: RunConfig) -> int:

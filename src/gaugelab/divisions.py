@@ -243,11 +243,6 @@ def _delta_fine_recursive(a, b, gauge: Gauge, selectors, depth_cap: int) -> Tagg
         visit(m, v, depth + 1)
 
     visit(a, b, 0)
-    if not (is_exact_scalar(a) and is_exact_scalar(b)) or isinstance(a, float) or isinstance(b, float):
-        tags = np.array([float(t) for t in tags])
-        lefts = np.array([float(u) for u in lefts])
-        rights = np.array([float(v) for v in rights])
-        return TaggedDivision(Interval(float(a), float(b)), tags, lefts, rights)
     return TaggedDivision(Interval(a, b), tags, lefts, rights)
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, FrozenSet, Optional, Tuple, Union
 
+import numpy as np
+
 from .errors import GaugeLabError, MonotonicityError
 from .integrators import ExtremaOracle
 
@@ -332,75 +334,77 @@ def parse(text: str) -> Expression:
 # Evaluation
 # --------------------------------------------------------------------------
 
-_MATH_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
+_NP_FUNCS = {name: getattr(np, name) for name in FUNCTIONS}
 
 
+@np.errstate(divide="raise", over="raise", invalid="raise", under="ignore")
 def evaluate(e: Expression, binding=None, *, exact: bool = False):
     """Evaluate with variables bound by `binding`.
 
-    Float mode returns floats.  Exact mode keeps every scalar in the exact
-    regime (Fraction literals, exact field operations, integer powers); the
-    transcendental functions are refused there since their values would
-    leave the field.
+    Float mode computes in numpy float64: scalars give a float, arrays give
+    an array of their shape (constants broadcast to it).  Division by zero,
+    overflow and invalid values such as log(0) raise EvalFaultError naming
+    the sub-expression, for scalars and arrays alike; underflow does not.
+    Exact mode keeps every scalar in the exact regime (Fraction literals,
+    exact field operations, integer powers); the transcendental functions
+    are refused there since their values would leave the field.
     """
     binding = binding or {}
+    if exact:
+        return _walk(e, binding, True)
+    values = {k: np.asarray(v, np.float64) if isinstance(v, np.ndarray) else np.float64(v)
+              for k, v in binding.items()}
+    out = _walk(e, values, False)
+    shapes = [v.shape for v in binding.values() if isinstance(v, np.ndarray)]
+    if not shapes:
+        return float(out)
+    shape = np.broadcast_shapes(*shapes)
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
-    def run(node):
-        if isinstance(node, Num):
-            if exact:
-                return Fraction(node.lexeme) if node.lexeme else Fraction(node.value)
-            return node.value
-        if isinstance(node, Var):
-            if node.name not in binding:
-                raise UnboundVarError(node.name)
-            return binding[node.name]
-        if isinstance(node, Neg):
-            return -run(node.operand)
-        if isinstance(node, Call):
-            if exact and node.func != "abs":
-                raise EvalFaultError(
-                    to_source(node), f"{node.func} is unavailable in exact arithmetic"
-                )
-            arg = run(node.arg)
-            try:
-                return _MATH_FUNCS[node.func](arg)
-            except (ValueError, OverflowError) as exc:
-                raise EvalFaultError(to_source(node), str(exc)) from exc
-        left = run(node.left)
-        right = run(node.right)
+
+def _walk(node, binding, exact: bool):
+    if isinstance(node, Num):
+        if exact:
+            return Fraction(node.lexeme) if node.lexeme else Fraction(node.value)
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        if node.name not in binding:
+            raise UnboundVarError(node.name)
+        return binding[node.name]
+    if isinstance(node, Neg):
+        return -_walk(node.operand, binding, exact)
+    if isinstance(node, Call):
+        if exact and node.func != "abs":
+            raise EvalFaultError(
+                to_source(node), f"{node.func} is unavailable in exact arithmetic"
+            )
+        arg = _walk(node.arg, binding, exact)
+        if exact:
+            return abs(arg)
         try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            if exact:
-                return _exact_pow(node, left, right)
-            return _float_pow(node, left, right)
-        except ZeroDivisionError as exc:
-            raise EvalFaultError(to_source(node), "division by zero") from exc
-
-    return run(e)
-
-
-def _float_pow(node, base, exponent):
+            return _NP_FUNCS[node.func](arg)
+        except FloatingPointError as exc:
+            raise EvalFaultError(to_source(node), str(exc)) from exc
+    left = _walk(node.left, binding, exact)
+    right = _walk(node.right, binding, exact)
     try:
-        out = base ** exponent
-    except (ValueError, OverflowError) as exc:
-        raise EvalFaultError(to_source(node), str(exc)) from exc
-    if isinstance(out, complex):
-        raise EvalFaultError(to_source(node), "complex result")
-    return out
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            return left / right
+        if exact:
+            return _exact_pow(node, left, right)
+        return np.power(left, right)
+    except ZeroDivisionError as exc:
+        raise EvalFaultError(to_source(node), "division by zero") from exc
+    except FloatingPointError as exc:
+        zero_divisor = node.op == "/" and bool(np.any(right == 0))
+        detail = "division by zero" if zero_divisor else str(exc)
+        raise EvalFaultError(to_source(node), detail) from exc
 
 
 def _exact_pow(node, base, exponent):
@@ -414,8 +418,8 @@ def _exact_pow(node, base, exponent):
     return out
 
 
-def as_function(e: Expression, var: str) -> Callable[[float], float]:
-    """Close the expression over one variable."""
+def as_function(e: Expression, var: str) -> Callable:
+    """Close the float expression over one variable (a scalar or an array)."""
 
     def f(value):
         return evaluate(e, {var: value})

@@ -27,6 +27,10 @@ GAUSSIAN_TRANSFORM = "inverse-cdf"
 
 _TWO53 = 1 << 53
 
+# Deepest level a path may be built or refined to: a level-26 path is
+# 512 MiB of float64, and refine_path briefly holds about three such arrays.
+MAX_LEVEL = 26
+
 
 def _standard_normals(seed_key: Tuple[int, ...], master_seed: int, count: int) -> np.ndarray:
     """Deterministic N(0,1) draws from the (master_seed, *seed_key) substream.
@@ -59,8 +63,8 @@ class DyadicPath:
     source: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ArgumentError(f"horizon must be positive, got {self.t}")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise ArgumentError(f"horizon must be finite and positive, got {self.t}")
         if self.level < 0:
             raise ArgumentError(f"level must be >= 0, got {self.level}")
         expected = (1 << self.level) + 1
@@ -113,10 +117,10 @@ def brownian_path(master_seed: int, path_id: int, t: float, level: int) -> Dyadi
     substream, so paths at different levels share every common grid value
     bitwise.
     """
-    if not t > 0:
-        raise ArgumentError(f"horizon must be positive, got {t}")
-    if level < 0:
-        raise ArgumentError(f"level must be >= 0, got {level}")
+    if not (math.isfinite(t) and t > 0):
+        raise ArgumentError(f"horizon must be finite and positive, got {t}")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ArgumentError(f"level must be in 0..MAX_LEVEL={MAX_LEVEL}, got {level}")
     z = _standard_normals((path_id, 0), master_seed, 1)
     values = np.array([0.0, math.sqrt(t) * z[0]])
     path = DyadicPath(
@@ -135,6 +139,8 @@ def refine_path(path: DyadicPath) -> DyadicPath:
     deterministic paths resample their source.
     """
     new_level = path.level + 1
+    if new_level > MAX_LEVEL:
+        raise ArgumentError(f"level {new_level} exceeds MAX_LEVEL={MAX_LEVEL}")
     if path.master_seed is not None and path.path_id is not None:
         h = path.t / path.n
         xi = _standard_normals((path.path_id, new_level), path.master_seed, path.n)
@@ -159,6 +165,10 @@ def refine_path(path: DyadicPath) -> DyadicPath:
 # --------------------------------------------------------------------------
 # Pathwise sums over level-L dyadic divisions
 # --------------------------------------------------------------------------
+#
+# Point functions (f, df, d2f and the time-dependent partials) are applied
+# once to whole arrays of path values; a scalar result broadcasts.  Only the
+# f of the change-of-variable residuals is called on scalars, at the ends.
 
 
 def _level_values(path: DyadicPath, level: int) -> np.ndarray:
@@ -170,16 +180,6 @@ def _level_values(path: DyadicPath, level: int) -> np.ndarray:
     return path.values_at_level(level)
 
 
-def _apply_pointwise(f: Callable, x: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(f(x), dtype=np.float64)
-        if out.shape == x.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(f(v)) for v in x])
-
-
 def increment_integral(path: DyadicPath, level: int) -> float:
     """Sum of x(v) - x(u) over level cells; telescopes to x(t) - x(0)."""
     x = _level_values(path, level)
@@ -189,7 +189,8 @@ def increment_integral(path: DyadicPath, level: int) -> float:
 def ito_sum(path: DyadicPath, f: Callable, level: int) -> float:
     """Sum of f(x(u)) * (x(v) - x(u)), the left-endpoint convention."""
     x = _level_values(path, level)
-    return float(np.sum(_apply_pointwise(f, x[:-1]) * np.diff(x)))
+    dx = np.diff(x)
+    return float(np.sum(np.broadcast_to(f(x[:-1]), dx.shape) * dx))
 
 
 def stratonovich_sum(path: DyadicPath, f: Callable, level: int) -> float:
@@ -205,7 +206,8 @@ def stratonovich_sum(path: DyadicPath, f: Callable, level: int) -> float:
         )
     x = _level_values(path, level)
     w = path.values_at_level(level + 1)[1::2]
-    return float(np.sum(_apply_pointwise(f, w) * np.diff(x)))
+    dx = np.diff(x)
+    return float(np.sum(np.broadcast_to(f(w), dx.shape) * dx))
 
 
 def quadratic_variation(path: DyadicPath, level: int) -> float:
@@ -242,17 +244,17 @@ def ito_formula_residual(
     dx = np.diff(x)
     left = x[:-1]
     change = float(f(float(x[-1]))) - float(f(float(x[0])))
-    drift = float(np.sum(_apply_pointwise(df, left) * dx))
-    curvature = 0.5 * float(np.sum(_apply_pointwise(d2f, left) * dx * dx))
+    drift = float(np.sum(np.broadcast_to(df(left), dx.shape) * dx))
+    curvature = 0.5 * float(np.sum(np.broadcast_to(d2f(left), dx.shape) * dx * dx))
     return change - drift - curvature
 
 
 def ito_formula_residual_time(
     path: DyadicPath,
     f: Callable[[float, float], float],
-    df_ds: Callable[[float, float], float],
-    df_dx: Callable[[float, float], float],
-    d2f_dx2: Callable[[float, float], float],
+    df_ds: Callable,
+    df_dx: Callable,
+    d2f_dx2: Callable,
     level: int,
 ) -> float:
     """Residual of the time-dependent change-of-variable discretization.
@@ -271,11 +273,9 @@ def ito_formula_residual_time(
     xu = x[:-1]
     h = path.t / (1 << level)
     change = float(f(float(times[-1]), float(x[-1]))) - float(f(0.0, float(x[0])))
-    ds_part = 0.0
-    dx_part = 0.0
-    for s, xv, d in zip(su, xu, dx):
-        ds_part += (float(df_ds(s, xv)) + 0.5 * float(d2f_dx2(s, xv))) * h
-        dx_part += float(df_dx(s, xv)) * d
+    ds_rate = np.broadcast_to(df_ds(su, xu) + 0.5 * d2f_dx2(su, xu), dx.shape)
+    ds_part = float(np.sum(ds_rate * h))
+    dx_part = float(np.sum(np.broadcast_to(df_dx(su, xu), dx.shape) * dx))
     return change - ds_part - dx_part
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gaugelab import stochastic
 from gaugelab.catalog import get_entry, run_entry
 from gaugelab.cli import EXIT_CODES, main, main_cli
 from gaugelab.divisions import RefinementSchedule
@@ -422,6 +423,33 @@ class TestBrownian:
             main_cli(["brownian", "qv", "--t", "1", "--level", "4",
                       "--paths", "2", "--seed", "-1"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("f", ["1/x", "x^0.5"])
+    def test_domain_fault_on_path_values_exits_one(self, f, capsys):
+        # level-6 paths from seed 9 start at x(0) = 0 and go negative
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["brownian", "ito", *self.COMMON, "--f", f])
+        assert exc.value.code == 1
+        assert "gaugelab: error:" in capsys.readouterr().err
+
+    def test_infinite_horizon_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["brownian", "qv", "--t", "inf", "--level", "4",
+                      "--paths", "2", "--seed", "1"])
+        assert exc.value.code == 1
+        assert "gaugelab: error:" in capsys.readouterr().err
+
+    def test_level_above_max_exits_one_before_any_draw(self, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew normals for an oversize level")
+
+        monkeypatch.setattr(stochastic, "_standard_normals", no_draws)
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["brownian", "qv", "--t", "1", "--level", "40",
+                      "--paths", "2", "--seed", "1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "gaugelab: error:" in err and "MAX_LEVEL" in err
 
 
 class TestSeries:

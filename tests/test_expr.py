@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -152,6 +153,24 @@ class TestEvaluation:
         with pytest.raises(EvalFaultError):
             evaluate(parse("10^10^10"))
 
+    def test_underflow_is_not_a_fault(self):
+        assert evaluate(parse("exp(0-800)")) == 0.0
+
+    def test_arrays_give_arrays_of_the_input_shape(self):
+        xs = np.array([[1.0, 4.0], [9.0, 16.0]])
+        assert evaluate(parse("sqrt(x)"), {"x": xs}).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert evaluate(parse("3"), {"x": xs}).tolist() == [[3.0, 3.0], [3.0, 3.0]]
+        assert type(evaluate(parse("sqrt(x)"), {"x": 4})) is float
+
+    def test_array_faults_name_the_fragment(self):
+        xs = np.array([1.0, 0.0, -1.0])
+        with pytest.raises(EvalFaultError, match="division by zero") as err:
+            evaluate(parse("1 + 1/x"), {"x": xs})
+        assert err.value.fragment == "(1 / x)"
+        with pytest.raises(EvalFaultError) as err:
+            evaluate(parse("x^0.5"), {"x": xs})
+        assert err.value.fragment == "(x ^ 0.5)"
+
 
 class TestExactEvaluation:
     def test_literals_become_fractions(self):
@@ -250,6 +269,27 @@ def test_thousand_random_asts_round_trip():
     for _ in range(1000):
         ast = _random_ast(rng)
         assert parse(to_source(ast)) == ast
+
+
+def test_array_evaluation_matches_per_element_bitwise():
+    """Over 1000 random ASTs on a grid spanning negatives and zero, array
+    evaluation equals per-element evaluation bit for bit, or both fault."""
+    rng = random.Random(12345)
+    s = np.linspace(-1.5, 2.5, 17)
+    x = np.linspace(-2.0, 2.0, 17)
+    for _ in range(1000):
+        ast = _random_ast(rng)
+        try:
+            expected = np.array(
+                [evaluate(ast, {"s": si, "x": xi}) for si, xi in zip(s, x)]
+            )
+        except EvalFaultError:
+            with pytest.raises(EvalFaultError):
+                evaluate(ast, {"s": s, "x": x})
+            continue
+        got = evaluate(ast, {"s": s, "x": x})
+        assert got.shape == s.shape, to_source(ast)
+        assert got.tobytes() == expected.tobytes(), to_source(ast)
 
 
 @settings(max_examples=60, deadline=None)

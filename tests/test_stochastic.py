@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from gaugelab import stochastic
 from gaugelab.errors import ArgumentError, EstimatorFailure
 from gaugelab.stochastic import (
     BIT_GENERATOR,
@@ -89,6 +90,30 @@ class TestBrownianPath:
     def test_declared_generator_constants(self):
         assert BIT_GENERATOR == "philox"
         assert GAUSSIAN_TRANSFORM == "inverse-cdf"
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_finite_and_positive(self, t):
+        with pytest.raises(ArgumentError, match="horizon"):
+            brownian_path(1, 1, t, 2)
+        with pytest.raises(ArgumentError, match="horizon"):
+            DyadicPath(t=t, level=0, values=np.zeros(2))
+
+    def test_levels_above_max_refused_before_any_draw(self, monkeypatch):
+        class Drew(Exception):
+            pass
+
+        def no_draws(*args):
+            raise Drew
+
+        monkeypatch.setattr(stochastic, "_standard_normals", no_draws)
+        with pytest.raises(ArgumentError, match="MAX_LEVEL"):
+            brownian_path(1, 1, 1.0, stochastic.MAX_LEVEL + 1)
+        monkeypatch.setattr(stochastic, "MAX_LEVEL", 2)
+        at_max = DyadicPath(t=1.0, level=2, values=np.zeros(5), master_seed=1, path_id=1)
+        with pytest.raises(ArgumentError, match="MAX_LEVEL"):
+            refine_path(at_max)
+        with pytest.raises(ArgumentError, match="MAX_LEVEL"):
+            refine_path(path_from_function(lambda s: s, 1.0, 2))
 
 
 class TestPathwiseSums:
@@ -187,6 +212,22 @@ class TestItoIdentities:
             8,
         )
         assert r == pytest.approx(0.0, abs=1e-12)
+
+    def test_time_variant_matches_per_point_loop(self):
+        # partials depending on both s and x, against the left-endpoint sums
+        # written out one point at a time; only the summation order differs
+        p = brownian_path(53, 3, 1.5, 9)
+        f = lambda s, x: np.exp(s) * np.sin(x)
+        df_ds = f
+        df_dx = lambda s, x: np.exp(s) * np.cos(x)
+        d2f_dx2 = lambda s, x: -np.exp(s) * np.sin(x)
+        x, times, h = p.values, p.times(), p.t / p.n
+        cells = list(zip(times[:-1], x[:-1], np.diff(x)))
+        ds_part = sum((df_ds(s, xv) + 0.5 * d2f_dx2(s, xv)) * h for s, xv, _ in cells)
+        dx_part = sum(df_dx(s, xv) * d for s, xv, d in cells)
+        expected = f(times[-1], x[-1]) - f(0.0, x[0]) - ds_part - dx_part
+        r = ito_formula_residual_time(p, f, df_ds, df_dx, d2f_dx2, 9)
+        assert r == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestMcRun:
