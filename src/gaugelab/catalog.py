@@ -13,7 +13,6 @@ is a construction-time error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
@@ -78,7 +77,7 @@ def dirichlet_point(s) -> int:
 
 
 def dirichlet_factor() -> IntervalFactor:
-    return increments_of(dirichlet_point, name="dD", exact=True)
+    return increments_of(dirichlet_point, name="dD")
 
 
 # --------------------------------------------------------------------------
@@ -89,31 +88,27 @@ def dirichlet_factor() -> IntervalFactor:
 def step_at(c, low=0, high=1) -> Callable:
     """Step function jumping from low to high just above c.
 
-    Works in both scalar regimes: with c a Fraction the comparison stays
-    exact for QuadExtScalar arguments.
+    Elementwise on float arrays, and exact on exact scalars: with c a
+    Fraction the comparison stays exact for QuadExtScalar arguments.
     """
 
     def step(s):
-        return high if s > c else low
+        return low + (high - low) * (s > c)
 
     step.__name__ = f"step({c})"
     return step
 
 
-def inv_sqrt(s: float) -> float:
-    """1/sqrt(s) with the integrable convention f(0) = 0."""
-    return 0.0 if s <= 0.0 else 1.0 / math.sqrt(s)
+def inv_sqrt(s):
+    """1/sqrt(s) with the integrable convention f(0) = 0; elementwise."""
+    safe = np.maximum(s, np.finfo(float).tiny)
+    return np.where(s <= 0.0, 0.0, 1.0 / np.sqrt(safe))
 
 
-def _inv_sqrt_batch(xs: np.ndarray) -> np.ndarray:
-    safe = np.maximum(xs, np.finfo(float).tiny)
-    return np.where(xs <= 0.0, 0.0, 1.0 / np.sqrt(safe))
-
-
-def zigzag(s: float) -> float:
+def zigzag(s):
     """Two-tooth tent on [0, 1]: slope +-2, peaks 1/2 at s = 1/4 and 3/4."""
-    r = math.fmod(s, 0.5)
-    return 0.5 - 2.0 * abs(r - 0.25)
+    r = np.fmod(s, 0.5)
+    return 0.5 - 2.0 * np.abs(r - 0.25)
 
 
 # --------------------------------------------------------------------------
@@ -170,22 +165,11 @@ def _h1() -> BurkillIntegrand:
 def _h2() -> BurkillIntegrand:
     # Pure tag integrand h(s, I) = s; no interval factor damps it, so sums
     # over n cells grow like n times the mean tag.
-    return BurkillIntegrand(
-        name="h2",
-        convention="tag",
-        rule=lambda s, cell: s,
-        batch=lambda tags, us, vs: tags,
-    )
+    return BurkillIntegrand(name="h2", convention="tag", rule=lambda s, u, v: s)
 
 
 def _h3() -> BurkillIntegrand:
-    return make_integrand(
-        lambda s: s * s,
-        length_factor(),
-        "tag",
-        point_batch=lambda xs: xs * xs,
-        name="h3",
-    )
+    return make_integrand(lambda s: s * s, length_factor(), "tag", name="h3")
 
 
 def _h4() -> BurkillIntegrand:
@@ -193,13 +177,7 @@ def _h4() -> BurkillIntegrand:
 
 
 def _h5() -> BurkillIntegrand:
-    return make_integrand(
-        lambda u: u * u,
-        length_factor(),
-        "left-endpoint",
-        point_batch=lambda xs: xs * xs,
-        name="h5",
-    )
+    return make_integrand(lambda u: u * u, length_factor(), "left-endpoint", name="h5")
 
 
 def _const_dD() -> BurkillIntegrand:
@@ -217,11 +195,7 @@ def _step_dD() -> BurkillIntegrand:
 
 def _s_dsquare() -> BurkillIntegrand:
     return make_integrand(
-        lambda s: s,
-        increments_of(lambda u: u * u, batch=lambda us: us * us, name="d(s^2)"),
-        "tag",
-        point_batch=lambda xs: xs,
-        name="s*d(s^2)",
+        lambda s: s, increments_of(lambda u: u * u, name="d(s^2)"), "tag", name="s*d(s^2)"
     )
 
 
@@ -252,13 +226,7 @@ def _twomass() -> DistributionFunction:
 
 
 def _inv_sqrt_integrand() -> BurkillIntegrand:
-    return make_integrand(
-        inv_sqrt,
-        length_factor(),
-        "tag",
-        point_batch=_inv_sqrt_batch,
-        name="1/sqrt(s)",
-    )
+    return make_integrand(inv_sqrt, length_factor(), "tag", name="1/sqrt(s)")
 
 
 def _inv_sqrt_gauges(level: int) -> Gauge:
@@ -556,7 +524,6 @@ class IntegratorFunction:
     a: object
     b: object
     fn: Callable
-    batch: Optional[Callable]
     exact: bool
     range_value: object  # g(b) - g(a), the telescoping oracle
 
@@ -564,24 +531,17 @@ class IntegratorFunction:
 def integrator_functions() -> Tuple[IntegratorFunction, ...]:
     two_mass = _twomass()
     return (
-        IntegratorFunction(
-            "identity", 0.0, 1.0, lambda u: u, lambda us: us, False, 1.0
-        ),
-        IntegratorFunction(
-            "square", 0.0, 1.0, lambda u: u * u, lambda us: us * us, False, 1.0
-        ),
+        IntegratorFunction("identity", 0.0, 1.0, lambda u: u, False, 1.0),
+        IntegratorFunction("square", 0.0, 1.0, lambda u: u * u, False, 1.0),
         IntegratorFunction(
             "twomass",
             2.0,
             5.0,
             two_mass.evaluate,
-            two_mass.batch,
             False,
             two_mass.evaluate(5.0) - two_mass.evaluate(2.0),
         ),
-        IntegratorFunction(
-            "dirichlet", Fraction(0), Fraction(1), dirichlet_point, None, True, 0
-        ),
+        IntegratorFunction("dirichlet", Fraction(0), Fraction(1), dirichlet_point, True, 0),
     )
 
 

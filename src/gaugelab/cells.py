@@ -1,14 +1,13 @@
-"""Half-open intervals, tagged cells, tagged divisions, and gauges."""
+"""Half-open intervals, tagged divisions, and gauges."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ArgumentError, GaugeContractError
-from .exact import is_exact_scalar
 
 
 @dataclass(frozen=True)
@@ -37,28 +36,12 @@ class Interval:
         return f"]{self.u}, {self.v}]"
 
 
-@dataclass(frozen=True)
-class TaggedCell:
-    """A cell with a sample point anywhere in its closure.
-
-    Tags may sit at either endpoint of the closed hull [u, v]; in particular
-    the left endpoint, which the half-open cell itself excludes, is a legal
-    tag.  That freedom is what lets a gauge force specific tags.
-    """
-
-    tag: object
-    cell: Interval
-
-    def __post_init__(self):
-        if not (self.cell.u <= self.tag <= self.cell.v):
-            raise ArgumentError(
-                f"tag {self.tag!r} outside closure of {self.cell}"
-            )
-
-
 class TaggedDivision:
     """Ordered tagged cells partitioning ]a, b].
 
+    Cell i is the triple (tags[i], lefts[i], rights[i]): the half-open cell
+    ]u, v] and a tag s anywhere in its closure [u, v], the excluded left
+    endpoint included, which is what lets a gauge force specific tags.
     Stored as parallel sequences (numpy arrays in the float regime, tuples of
     exact scalars otherwise) so large uniform divisions stay cheap.  Adjacent
     cells may share a tag: a point can legally tag the cell on each side of
@@ -67,7 +50,7 @@ class TaggedDivision:
 
     __slots__ = ("domain", "tags", "lefts", "rights", "exact")
 
-    def __init__(self, domain: Interval, tags, lefts, rights, *, validate: bool = True):
+    def __init__(self, domain: Interval, tags, lefts, rights):
         self.domain = domain
         if isinstance(tags, np.ndarray):
             self.tags = np.asarray(tags, dtype=float)
@@ -79,28 +62,7 @@ class TaggedDivision:
             self.lefts = tuple(lefts)
             self.rights = tuple(rights)
             self.exact = True
-        if validate:
-            self._validate()
-
-    @classmethod
-    def from_cells(cls, cells: Sequence[TaggedCell], domain: Optional[Interval] = None):
-        cells = list(cells)
-        if not cells:
-            raise ArgumentError("a division needs at least one cell")
-        if domain is None:
-            domain = Interval(cells[0].cell.u, cells[-1].cell.v)
-        exact = all(
-            is_exact_scalar(c.tag) and is_exact_scalar(c.cell.u) and is_exact_scalar(c.cell.v)
-            for c in cells
-        )
-        tags = [c.tag for c in cells]
-        lefts = [c.cell.u for c in cells]
-        rights = [c.cell.v for c in cells]
-        if not exact:
-            tags = np.array([float(t) for t in tags])
-            lefts = np.array([float(u) for u in lefts])
-            rights = np.array([float(v) for v in rights])
-        return cls(domain, tags, lefts, rights)
+        self._validate()
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -108,26 +70,6 @@ class TaggedDivision:
     @property
     def n(self) -> int:
         return len(self.tags)
-
-    def iter_cells(self) -> Iterator[TaggedCell]:
-        if self.exact:
-            for s, u, v in zip(self.tags, self.lefts, self.rights):
-                yield TaggedCell(s, Interval(u, v))
-            return
-        # plain floats, so point functions see Python semantics (1/0 raises,
-        # it does not return numpy inf)
-        for s, u, v in zip(self.tags.tolist(), self.lefts.tolist(), self.rights.tolist()):
-            yield TaggedCell(s, Interval(u, v))
-
-    @property
-    def cells(self) -> Tuple[TaggedCell, ...]:
-        return tuple(self.iter_cells())
-
-    def as_float_arrays(self):
-        """(tags, lefts, rights) as numpy arrays, or None in the exact regime."""
-        if self.exact:
-            return None
-        return self.tags, self.lefts, self.rights
 
     def _validate(self):
         n = len(self.tags)
@@ -179,15 +121,14 @@ class Gauge:
     fine.
     """
 
-    __slots__ = ("name", "_constant", "_fn", "_batch")
+    __slots__ = ("name", "_constant", "_fn")
 
-    def __init__(self, *, constant=None, fn=None, batch=None, name: str = "gauge"):
+    def __init__(self, *, constant=None, fn=None, name: str = "gauge"):
         if (constant is None) == (fn is None):
             raise ArgumentError("a gauge is either constant or functional")
         self.name = name
         self._constant = constant
         self._fn = fn
-        self._batch = batch
 
     @classmethod
     def constant(cls, delta, name: Optional[str] = None) -> "Gauge":
@@ -196,13 +137,10 @@ class Gauge:
         return cls(constant=delta, name=name or f"constant({delta})")
 
     @classmethod
-    def from_function(
-        cls,
-        fn: Callable,
-        batch: Optional[Callable] = None,
-        name: str = "gauge",
-    ) -> "Gauge":
-        return cls(fn=fn, batch=batch, name=name)
+    def from_function(cls, fn: Callable, name: str = "gauge") -> "Gauge":
+        """A functional gauge; `fn` is elementwise, as float divisions hand
+        it whole arrays of points."""
+        return cls(fn=fn, name=name)
 
     @property
     def is_constant(self) -> bool:
@@ -221,14 +159,14 @@ class Gauge:
         return width
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation with the same positivity contract."""
+        """Widths at an array of points in one call, with the same
+        positivity contract; a scalar width broadcasts."""
         points = np.asarray(points, dtype=float)
         if self._constant is not None:
             return np.full(points.shape, float(self._constant))
-        if self._batch is not None:
-            widths = np.asarray(self._batch(points), dtype=float)
-        else:
-            widths = np.array([float(self._fn(s)) for s in points])
+        widths = np.asarray(self._fn(points), dtype=float)
+        if widths.shape != points.shape:
+            widths = np.broadcast_to(widths, points.shape)
         bad = ~(widths > 0)
         if np.any(bad):
             i = int(np.argmax(bad))

@@ -31,7 +31,7 @@ from .catalog import (
     run_entry,
     run_method,
 )
-from .divisions import RefinementSchedule
+from .divisions import MAX_LEVEL, RefinementSchedule
 from .errors import GaugeLabError
 from .expr import ExprError, as_function, evaluate, free_vars, parse
 from .expr import derive_extrema_oracle
@@ -145,8 +145,8 @@ def _default_stop() -> int:
         value = int(raw)
     except ValueError:
         raise GaugeLabError(f"{MAX_LEVEL_ENV} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise GaugeLabError(f"{MAX_LEVEL_ENV} must be >= 0, got {value}")
+    if not 0 <= value <= MAX_LEVEL:
+        raise GaugeLabError(f"{MAX_LEVEL_ENV} must be in 0..{MAX_LEVEL}, got {value}")
     return value
 
 
@@ -236,10 +236,10 @@ def _integrate_expr(args, parser: _Parser) -> IntegralResult:
     else:
         parser.error(f"--dI must be length, dD, or dg:<name>, got {dI!r}")
     if exact:
-        point, batch = (lambda s: evaluate(ast, {"s": s}, exact=True)), None
+        point = lambda s: evaluate(ast, {"s": s}, exact=True)
     else:
-        point = batch = as_function(ast, "s")
-    h = make_integrand(point, factor, convention, point_batch=batch, name=args.expr)
+        point = as_function(ast, "s")
+    h = make_integrand(point, factor, convention, name=args.expr)
     return run_method(args.method, h, (a, b), ctrl)
 
 
@@ -409,7 +409,7 @@ def build_parser() -> _Parser:
         "pathwise stochastic sums.",
         epilog=GRAMMAR
         + f"\nenvironment: {MAX_LEVEL_ENV} overrides the default max refinement "
-        "level (22).\nexit codes: 0 converged/success, 1 usage error, "
+        f"level (22; at most {MAX_LEVEL}).\nexit codes: 0 converged/success, 1 usage error, "
         "2 diverged or oscillating, 3 inconclusive.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -437,7 +437,7 @@ def build_parser() -> _Parser:
     pi.add_argument("--a", help="left endpoint (default 0)")
     pi.add_argument("--b", help="right endpoint (default 1)")
     pi.add_argument("--tol", type=float, help="stability tolerance override")
-    pi.add_argument("--levels", help="refinement schedule START:STOP")
+    pi.add_argument("--levels", help=f"refinement schedule START:STOP, STOP <= {MAX_LEVEL}")
 
     pb = sub.add_parser("brownian", parents=[common],
                         help="Monte Carlo over dyadic Brownian paths")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,33 +24,34 @@ DEFAULT_DEPTH_CAP = 60
 FLOAT_SHIFT = (math.sqrt(2.0) - 1.0) / 2.0
 
 
+# Deepest refinement level anywhere in the package, for schedules here and
+# for dyadic paths in `stochastic`: a level-26 float division is three
+# 512 MiB arrays, and refine_path briefly holds about three 512 MiB paths.
+MAX_LEVEL = 26
+
+
 @dataclass(frozen=True)
 class RefinementSchedule:
-    """Level ladder for the controllers; cell counts double by default."""
+    """Level ladder for the controllers: level k has 2**k cells."""
 
     start: int = 4
     stop: int = 22
-    cells_rule: Callable[[int], int] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.start < 0 or self.stop < self.start:
             raise ArgumentError(
                 f"schedule needs 0 <= start <= stop, got {self.start}..{self.stop}"
             )
-        if self.cells_rule is None:
-            object.__setattr__(self, "cells_rule", lambda level: 2 ** level)
-        prev = 0
-        for level in range(self.start, min(self.stop, self.start + 4) + 1):
-            n = self.cells_rule(level)
-            if n <= prev:
-                raise ArgumentError("cell counts must increase strictly with level")
-            prev = n
+        if self.stop > MAX_LEVEL:
+            raise ArgumentError(
+                f"schedule stop {self.stop} exceeds MAX_LEVEL={MAX_LEVEL}"
+            )
 
     def levels(self) -> Iterable[int]:
         return range(self.start, self.stop + 1)
 
     def cells_for(self, level: int) -> int:
-        return self.cells_rule(level)
+        return 2 ** level
 
 
 def _is_exact_run(a, b, tag_rule) -> bool:
@@ -169,9 +170,8 @@ def is_fine(division: TaggedDivision, gauge: Gauge) -> bool:
     Both inequalities are strict.  A gauge that evaluates non-positive
     raises GaugeContractError rather than returning False.
     """
-    arrays = division.as_float_arrays()
-    if arrays is not None and (gauge.is_constant or gauge._batch is not None):
-        tags, lefts, rights = arrays
+    if not division.exact:
+        tags, lefts, rights = division.tags, division.lefts, division.rights
         widths = gauge.evaluate_batch(tags)
         return bool(np.all(tags - lefts < widths) and np.all(rights - tags < widths))
     for s, u, v in zip(division.tags, division.lefts, division.rights):
@@ -342,9 +342,8 @@ def bisect_refine(division: TaggedDivision, tag_rule: str = "left") -> TaggedDiv
     """Split every cell at its midpoint; tags reassigned by tag_rule."""
     if tag_rule not in TAG_RULES:
         raise ArgumentError(f"unknown tag rule {tag_rule!r}")
-    arrays = division.as_float_arrays()
-    if arrays is not None:
-        _, lefts, rights = arrays
+    if not division.exact:
+        lefts, rights = division.lefts, division.rights
         mids = 0.5 * (lefts + rights)
         new_lefts = np.empty(2 * len(lefts))
         new_rights = np.empty_like(new_lefts)
@@ -362,20 +361,61 @@ def bisect_refine(division: TaggedDivision, tag_rule: str = "left") -> TaggedDiv
 
 
 def riemann_sum(h: BurkillIntegrand, division: TaggedDivision) -> object:
-    """Sum h over the division's cells in ascending order.
+    """Sum h over the division's cells.
 
-    Deterministic for identical inputs.
+    A float division evaluates h once on its whole (tags, lefts, rights)
+    arrays and sums pairwise; an exact division sums h(s, u, v) cell by cell
+    in ascending order.  Either way a fault raises IntegrandEvalError naming
+    the first cell whose own evaluation fails.  Deterministic for identical
+    inputs.
     """
-    arrays = division.as_float_arrays()
-    if arrays is not None and h.batch is not None:
-        values = np.asarray(h.batch(*arrays), dtype=float)
+    if not division.exact:
+        tags, lefts, rights = division.tags, division.lefts, division.rights
+        try:
+            values = h(tags, lefts, rights)
+        except Exception:
+            i, cell_exc = _first_failing_cell(h, tags, lefts, rights)
+            if cell_exc is None:
+                raise
+            raise IntegrandEvalError(
+                float(tags[i]), float(lefts[i]), float(rights[i]), cell_exc
+            ) from cell_exc
+        values = np.asarray(values, dtype=float)
+        if values.shape != tags.shape:
+            values = np.broadcast_to(values, tags.shape)
         return float(np.sum(values))
     total = 0
-    for tagged in division.iter_cells():
-        s, cell = tagged.tag, tagged.cell
+    for s, u, v in zip(division.tags, division.lefts, division.rights):
         try:
-            value = h(s, cell)
+            value = h(s, u, v)
         except Exception as exc:  # noqa: BLE001 - re-raised with cell context
-            raise IntegrandEvalError(s, cell.u, cell.v, exc) from exc
+            raise IntegrandEvalError(s, u, v, exc) from exc
         total = total + value
     return total
+
+
+def _first_failing_cell(h: BurkillIntegrand, tags, lefts, rights):
+    """(i, exception) for the first cell i whose own evaluation of h raises,
+    or (None, None).  Only the error path calls this: it bisects over
+    prefixes of the cell arrays, about log2(n) calls of h."""
+
+    def fails(k: int) -> bool:
+        try:
+            h(tags[:k], lefts[:k], rights[:k])
+        except Exception:  # noqa: BLE001 - any fault marks the prefix
+            return True
+        return False
+
+    lo, hi = 0, len(tags)  # the prefix of length hi fails, as a whole
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid
+    i = hi - 1
+    try:
+        h(tags[i:i + 1], lefts[i:i + 1], rights[i:i + 1])
+    except Exception as exc:  # noqa: BLE001 - returned to name the cell
+        return i, exc
+    return None, None

@@ -623,8 +623,8 @@ def derive_extrema_oracle(e: Expression, a: float, b: float, var: str = "s") -> 
         )
     f = as_function(e, var)
     if direction == _CONST:
-        def bounds(cell):
-            value = f(cell.u)
+        def bounds(us, vs):
+            value = f(us)
             return value, value
 
         return ExtremaOracle(bounds)

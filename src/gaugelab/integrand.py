@@ -1,7 +1,8 @@
 """Interval-function integrands h(s, I) and their building blocks.
 
-An integrand here is a pure rule assigning a number to a tagged cell.  The
-classical f(s)|I| summand is one member of a wider family: the interval
+An integrand here is a pure rule assigning a number to a tagged cell, the
+triple (s, u, v) of a tag and the endpoints of ]u, v].  The classical
+f(s)|I| summand is one member of a wider family: the interval
 factor can be any function of the cell (an increment of a point function, a
 power of the length, ...) and the point factor can be sampled at the tag, at
 the left endpoint, or at the midpoint.  Sums of such rules over tagged
@@ -16,7 +17,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cells import Interval
 from .errors import ArgumentError
 
 CONVENTIONS = ("tag", "left-endpoint", "midpoint", "interval-only")
@@ -25,94 +25,70 @@ _HALF = Fraction(1, 2)
 
 
 def midpoint(u, v):
-    """Midpoint of [u, v]; exact when the endpoints are exact scalars."""
-    if isinstance(u, float) or isinstance(v, float):
+    """Midpoint of [u, v]; exact when the endpoints are exact scalars,
+    elementwise on float arrays."""
+    if isinstance(u, (float, np.ndarray)) or isinstance(v, (float, np.ndarray)):
         return 0.5 * (u + v)
     return u + (v - u) * _HALF
 
 
 @dataclass(frozen=True)
 class IntervalFactor:
-    """A function of cells alone, g(I).
+    """A function of cells alone, g(I) = apply(u, v) for I = ]u, v].
 
-    `additive` records whether g(]u,w]) + g(]w,v]) == g(]u,v]); increments of
-    point functions and plain lengths are additive, squared lengths are not.
+    `apply` is elementwise: float divisions hand it whole arrays of left and
+    right endpoints, exact divisions one cell's exact scalars.  `additive`
+    records whether g(]u,w]) + g(]w,v]) == g(]u,v]); increments of point
+    functions and plain lengths are additive, squared lengths are not.
     """
 
     name: str
-    apply: Callable[[Interval], object]
-    batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    apply: Callable[[object, object], object]
     additive: bool = False
-    exact: bool = False
 
-    def __call__(self, cell: Interval):
-        return self.apply(cell)
+    def __call__(self, u, v):
+        return self.apply(u, v)
 
 
 def length_factor() -> IntervalFactor:
     """The plain length |I| = v - u."""
-    return IntervalFactor(
-        name="length",
-        apply=lambda cell: cell.length,
-        batch=lambda us, vs: vs - us,
-        additive=True,
-    )
+    return IntervalFactor(name="length", apply=lambda u, v: v - u, additive=True)
 
 
 def length_squared_factor() -> IntervalFactor:
     """|I|^2: the canonical non-additive interval factor."""
     return IntervalFactor(
-        name="length^2",
-        apply=lambda cell: cell.length * cell.length,
-        batch=lambda us, vs: (vs - us) ** 2,
-        additive=False,
+        name="length^2", apply=lambda u, v: (v - u) * (v - u), additive=False
     )
 
 
-def increments_of(
-    f: Callable,
-    batch: Optional[Callable] = None,
-    name: Optional[str] = None,
-    exact: bool = False,
-) -> IntervalFactor:
-    """Interval factor I |-> f(v) - f(u) for a point function f.
+def increments_of(f: Callable, name: Optional[str] = None) -> IntervalFactor:
+    """Interval factor I |-> f(v) - f(u) for an elementwise point function f.
 
     Increments are additive by construction, so constant point factors
     telescope against them no matter how the domain is divided.
     """
-
-    def apply(cell: Interval):
-        return f(cell.v) - f(cell.u)
-
-    batch_fn = None
-    if batch is not None:
-        def batch_fn(us, vs):
-            return batch(vs) - batch(us)
-
     return IntervalFactor(
         name=name or f"d({getattr(f, '__name__', 'f')})",
-        apply=apply,
-        batch=batch_fn,
+        apply=lambda u, v: f(v) - f(u),
         additive=True,
-        exact=exact,
     )
 
 
 @dataclass(frozen=True)
 class BurkillIntegrand:
-    """Evaluation rule (s, I) |-> value with a named sampling convention.
+    """Evaluation rule (s, u, v) |-> value with a named sampling convention.
 
-    The rule is already fully assembled: conventions other than "tag" ignore
-    the tag by construction, which is the testable meaning of the label.
-    `batch`, when present, evaluates whole float divisions at once and must
-    agree with the pointwise rule.
+    A cell is its tag s and its endpoints u < v.  The rule is elementwise:
+    float divisions evaluate it once on whole arrays, exact divisions once
+    per cell on exact scalars.  It is already fully assembled: conventions
+    other than "tag" ignore the tag by construction, which is the testable
+    meaning of the label.
     """
 
     name: str
     convention: str
-    rule: Callable[[object, Interval], object]
-    batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
-    exact: bool = False
+    rule: Callable[[object, object, object], object]
 
     def __post_init__(self):
         if self.convention not in CONVENTIONS:
@@ -120,8 +96,14 @@ class BurkillIntegrand:
                 f"unknown convention {self.convention!r}; expected one of {CONVENTIONS}"
             )
 
-    def __call__(self, tag, cell: Interval):
-        return self.rule(tag, cell)
+    def __call__(self, s, u, v):
+        return self.rule(s, u, v)
+
+    @property
+    def batch(self):
+        # Read by the benchmark tracer (perfbench/tracer.py::_key_riemann),
+        # which names riemann_sum's path by it; every rule is elementwise.
+        return self.rule
 
 
 def make_integrand(
@@ -129,10 +111,10 @@ def make_integrand(
     factor: IntervalFactor,
     convention: str = "tag",
     *,
-    point_batch: Optional[Callable] = None,
     name: Optional[str] = None,
 ) -> BurkillIntegrand:
-    """Assemble h(s, I) = f(point(s, I)) * g(I) under a sampling convention.
+    """Assemble h(s, u, v) = point(x) * factor(u, v), with the point
+    function sampled at an x the convention picks.
 
     With convention "interval-only" the point factor must be absent and the
     rule reduces to g alone.  "left-endpoint" samples f at u, "midpoint" at
@@ -142,57 +124,28 @@ def make_integrand(
         raise ArgumentError(
             f"unknown convention {convention!r}; expected one of {CONVENTIONS}"
         )
+    g = factor.apply
     if convention == "interval-only":
         if point is not None:
             raise ArgumentError("interval-only integrands take no point factor")
-
-        rule = lambda s, cell: factor.apply(cell)
-        batch = None
-        if factor.batch is not None:
-            fb = factor.batch
-            batch = lambda tags, us, vs: fb(us, vs)
         return BurkillIntegrand(
             name=name or factor.name,
             convention=convention,
-            rule=rule,
-            batch=batch,
-            exact=factor.exact,
+            rule=lambda s, u, v: g(u, v),
         )
 
     if point is None:
         raise ArgumentError(f"convention {convention!r} needs a point factor")
-
     if convention == "tag":
-        def rule(s, cell):
-            return point(s) * factor.apply(cell)
-
-        def sample_batch(tags, us, vs):
-            return tags
+        rule = lambda s, u, v: point(s) * g(u, v)
     elif convention == "left-endpoint":
-        def rule(s, cell):
-            return point(cell.u) * factor.apply(cell)
-
-        def sample_batch(tags, us, vs):
-            return us
+        rule = lambda s, u, v: point(u) * g(u, v)
     else:  # midpoint
-        def rule(s, cell):
-            return point(midpoint(cell.u, cell.v)) * factor.apply(cell)
-
-        def sample_batch(tags, us, vs):
-            return 0.5 * (us + vs)
-
-    batch = None
-    if point_batch is not None and factor.batch is not None:
-        fb = factor.batch
-
-        def batch(tags, us, vs):
-            return point_batch(sample_batch(tags, us, vs)) * fb(us, vs)
+        rule = lambda s, u, v: point(midpoint(u, v)) * g(u, v)
 
     pname = getattr(point, "__name__", "f")
     return BurkillIntegrand(
         name=name or f"{pname}@{convention} * {factor.name}",
         convention=convention,
         rule=rule,
-        batch=batch,
-        exact=factor.exact,
     )

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cells import Gauge, Interval, TaggedDivision
+from .cells import Gauge, TaggedDivision
 from .divisions import (
     RefinementSchedule,
     delta_fine_division,
@@ -277,45 +277,56 @@ def _ladder(schedule: RefinementSchedule, sums_at_level, classifier):
 
 @dataclass(frozen=True)
 class ExtremaOracle:
-    """Supplies true (inf, sup) of a function over any cell.
+    """Supplies true (inf, sup) of a function over cells ]u, v].
 
-    Darboux sums are only as honest as this oracle, which is why it must be
-    derived from structure (monotonicity, breakpoints), never from sampling.
+    `bounds(us, vs)` maps arrays of left and right endpoints to arrays of
+    infima and suprema, one pair per cell.  Darboux sums are only as honest
+    as this oracle, which is why it must be derived from structure
+    (monotonicity, breakpoints), never from sampling.
     """
 
-    bounds: Callable[[Interval], Tuple[float, float]]
+    bounds: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
-    def __call__(self, cell: Interval) -> Tuple[float, float]:
-        lo, hi = self.bounds(cell)
-        if not lo <= hi:
-            raise ArgumentError(f"oracle returned inf > sup on {cell}")
+    def __call__(self, us, vs) -> Tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.bounds(us, vs)
+        lo, hi, us, vs = np.broadcast_arrays(lo, hi, us, vs)
+        bad = np.flatnonzero(~(lo <= hi))
+        if bad.size:
+            i = bad[0]
+            raise ArgumentError(
+                f"oracle returned inf > sup on ]{us.flat[i]}, {vs.flat[i]}]"
+            )
         return lo, hi
 
     @classmethod
     def monotone(cls, f: Callable) -> "ExtremaOracle":
-        """Oracle for a function monotone on the whole domain of use."""
+        """Oracle for an elementwise f monotone on the whole domain of use."""
 
-        def bounds(cell: Interval):
-            fu, fv = f(cell.u), f(cell.v)
-            return (fu, fv) if fu <= fv else (fv, fu)
+        def bounds(us, vs):
+            fu, fv = f(us), f(vs)
+            rising = fu <= fv
+            return np.where(rising, fu, fv), np.where(rising, fv, fu)
 
         return cls(bounds)
 
     @classmethod
     def piecewise_monotone(cls, f: Callable, breakpoints: Sequence) -> "ExtremaOracle":
-        """Oracle for a function monotone between the given breakpoints.
+        """Oracle for an elementwise f monotone between the given breakpoints.
 
         Valid for continuous pieces and for jump functions whose one-sided
         limits are attained at the breakpoints themselves.
         """
         pts = tuple(sorted(breakpoints))
 
-        def bounds(cell: Interval):
-            candidates = [f(cell.u), f(cell.v)]
+        def bounds(us, vs):
+            fu, fv = f(us), f(vs)
+            lo, hi = np.minimum(fu, fv), np.maximum(fu, fv)
             for p in pts:
-                if cell.u < p < cell.v:
-                    candidates.append(f(p))
-            return min(candidates), max(candidates)
+                inside = (us < p) & (p < vs)
+                fp = f(p)
+                lo = np.where(inside, np.minimum(lo, fp), lo)
+                hi = np.where(inside, np.maximum(hi, fp), hi)
+            return lo, hi
 
         return cls(bounds)
 
@@ -324,16 +335,15 @@ class ExtremaOracle:
 class DistributionFunction:
     """Monotone integrator g on [c, d], optionally with declared jumps.
 
-    Only increments of g matter, so g is normalized to g(c) = 0; a point
-    mass sitting exactly at c is folded into the first increment, which the
-    half-open cells would otherwise never see.
+    `evaluate` is elementwise.  Only increments of g matter, so g is
+    normalized to g(c) = 0; a point mass sitting exactly at c is folded into
+    the first increment, which the half-open cells would otherwise never see.
     """
 
     name: str
     c: float
     d: float
     evaluate: Callable[[float], float]
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jumps: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self):
@@ -347,7 +357,7 @@ class DistributionFunction:
 
     def spot_check_monotone(self, samples: int = 129):
         grid = np.linspace(self.c, self.d, samples)
-        vals = np.array([float(self.evaluate(u)) for u in grid])
+        vals = np.broadcast_to(np.asarray(self.evaluate(grid), dtype=float), grid.shape)
         if not np.all(np.isfinite(vals)):
             raise MonotonicityError(f"{self.name} is not finite on [{self.c}, {self.d}]")
         drops = np.diff(vals) < -1e-12 * max(1.0, float(np.max(np.abs(vals))))
@@ -358,23 +368,17 @@ class DistributionFunction:
             )
 
     def increments(self) -> IntervalFactor:
-        return increments_of(
-            self.evaluate, batch=self.batch, name=f"d({self.name})"
-        )
+        return increments_of(self.evaluate, name=f"d({self.name})")
 
 
 def identity_distribution(c: float = 0.0, d: float = 1.0) -> DistributionFunction:
-    return DistributionFunction(
-        name="identity", c=c, d=d, evaluate=lambda u: u, batch=lambda u: u
-    )
+    return DistributionFunction(name="identity", c=c, d=d, evaluate=lambda u: u)
 
 
 def square_distribution(c: float = 0.0, d: float = 1.0) -> DistributionFunction:
     if c < 0:
         raise ArgumentError("square distribution needs c >= 0 to stay monotone")
-    return DistributionFunction(
-        name="square", c=c, d=d, evaluate=lambda u: u * u, batch=lambda u: u * u
-    )
+    return DistributionFunction(name="square", c=c, d=d, evaluate=lambda u: u * u)
 
 
 def step_distribution(
@@ -387,23 +391,12 @@ def step_distribution(
     """
     masses = tuple(sorted((float(p), float(m)) for p, m in masses))
     positions = np.array([p for p, _ in masses])
-    cumulative = np.cumsum([m for _, m in masses])
+    cumulative = np.concatenate(([0.0], np.cumsum([m for _, m in masses])))
 
-    def evaluate(u: float) -> float:
-        if u <= c:
-            return 0.0
-        k = int(np.searchsorted(positions, u, side="right"))
-        return float(cumulative[k - 1]) if k else 0.0
+    def evaluate(u):
+        return np.where(u <= c, 0.0, cumulative[np.searchsorted(positions, u, side="right")])
 
-    def batch(us: np.ndarray) -> np.ndarray:
-        ks = np.searchsorted(positions, us, side="right")
-        padded = np.concatenate(([0.0], cumulative))
-        out = padded[ks]
-        return np.where(us <= c, 0.0, out)
-
-    return DistributionFunction(
-        name=name, c=c, d=d, evaluate=evaluate, batch=batch, jumps=masses
-    )
+    return DistributionFunction(name=name, c=c, d=d, evaluate=evaluate, jumps=masses)
 
 
 # --------------------------------------------------------------------------
@@ -424,15 +417,11 @@ def jump_anchoring_gauge(jumps: Sequence[float], ceiling: float) -> Gauge:
     if not ceiling > 0:
         raise ArgumentError("ceiling must be positive")
 
-    def fn(s: float) -> float:
-        dist = float(np.min(np.abs(pts - s)))
-        return ceiling if dist == 0.0 else min(dist, ceiling)
-
-    def batch(ss: np.ndarray) -> np.ndarray:
-        dist = np.min(np.abs(ss[:, None] - pts[None, :]), axis=1)
+    def fn(s):
+        dist = np.min(np.abs(np.subtract.outer(s, pts)), axis=-1)
         return np.where(dist == 0.0, ceiling, np.minimum(dist, ceiling))
 
-    return Gauge.from_function(fn, batch=batch, name=f"anchor({len(pts)} jumps)")
+    return Gauge.from_function(fn, name=f"anchor({len(pts)} jumps)")
 
 
 def singularity_gauge(ceiling: float, at_origin: float, origin: float = 0.0) -> Gauge:
@@ -441,15 +430,10 @@ def singularity_gauge(ceiling: float, at_origin: float, origin: float = 0.0) -> 
     if not ceiling > 0 or not at_origin > 0:
         raise ArgumentError("gauge widths must be positive")
 
-    def fn(s: float) -> float:
-        if s <= origin:
-            return at_origin
-        return min((s - origin) / 2.0, ceiling)
+    def fn(s):
+        return np.where(s <= origin, at_origin, np.minimum((s - origin) / 2.0, ceiling))
 
-    def batch(ss: np.ndarray) -> np.ndarray:
-        return np.where(ss <= origin, at_origin, np.minimum((ss - origin) / 2.0, ceiling))
-
-    return Gauge.from_function(fn, batch=batch, name="singularity")
+    return Gauge.from_function(fn, name="singularity")
 
 
 # --------------------------------------------------------------------------
@@ -552,9 +536,10 @@ def darboux_riemann(
 
     Unlike the sampling probes this brackets the integral: convergence is
     declared exactly when U - L drops within tolerance, and the estimate
-    (U + L) / 2 then carries a proven error bound of (U - L) / 2.  The
-    oracle is spot-checked against sampled values of f each level; a value
-    escaping [inf, sup] raises OracleInconsistencyError.
+    (U + L) / 2 then carries a proven error bound of (U - L) / 2.  Each
+    level calls the oracle once on the arrays of cell endpoints and the
+    elementwise f once on the midpoint tags; a sampled value escaping its
+    cell's [inf, sup] raises OracleInconsistencyError.
     """
     ctrl = ctrl or ConvergenceController()
     af, bf = float(a), float(b)
@@ -562,18 +547,16 @@ def darboux_riemann(
     def sums_at(level: int):
         n = ctrl.schedule.cells_for(level)
         division = make_uniform(af, bf, n, tag_rule="midpoint")
-        upper = 0.0
-        lower = 0.0
-        for s, u, v in zip(division.tags, division.lefts, division.rights):
-            lo, hi = oracle(Interval(u, v))
-            sample = f(s)
-            slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-            if not (lo - slack <= sample <= hi + slack):
-                raise OracleInconsistencyError(s, sample, (lo, hi))
-            width = v - u
-            lower += lo * width
-            upper += hi * width
-        return n, {"lower": lower, "upper": upper}
+        tags, us, vs = division.tags, division.lefts, division.rights
+        lo, hi = oracle(us, vs)
+        sample = np.broadcast_to(f(tags), tags.shape)
+        slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        bad = np.flatnonzero(~((lo - slack <= sample) & (sample <= hi + slack)))
+        if bad.size:
+            i = bad[0]
+            raise OracleInconsistencyError(tags[i], sample[i], (lo[i], hi[i]))
+        width = vs - us
+        return n, {"lower": np.sum(lo * width), "upper": np.sum(hi * width)}
 
     return _ladder(ctrl.schedule, sums_at, _Bracket(ctrl))
 
@@ -606,13 +589,7 @@ def lebesgue_distribution_integrate(
     """
     ctrl = ctrl or ConvergenceController()
     g.spot_check_monotone()
-    h = make_integrand(
-        lambda u: u,
-        g.increments(),
-        convention="tag",
-        point_batch=lambda u: u,
-        name=f"u d({g.name})",
-    )
+    h = make_integrand(lambda u: u, g.increments(), convention="tag", name=f"u d({g.name})")
     result = rs_integrate(h, g.c, g.d, ctrl)
     if result.status is Status.CONVERGED or not g.jumps:
         return result

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.special import ndtri
 
+from .divisions import MAX_LEVEL
 from .errors import ArgumentError, EstimatorFailure
 
 BIT_GENERATOR = "philox"
@@ -27,9 +28,6 @@ GAUSSIAN_TRANSFORM = "inverse-cdf"
 
 _TWO53 = 1 << 53
 
-# Deepest level a path may be built or refined to: a level-26 path is
-# 512 MiB of float64, and refine_path briefly holds about three such arrays.
-MAX_LEVEL = 26
 
 
 def _standard_normals(seed_key: Tuple[int, ...], master_seed: int, count: int) -> np.ndarray:
@@ -95,18 +93,19 @@ class DyadicPath:
         stride = 1 << (self.level - level)
         return self.values[::stride]
 
-    def value_at(self, u: float) -> float:
-        """Piecewise-linear interpolation between grid values."""
-        if not 0 <= u <= self.t:
+    def value_at(self, u):
+        """Piecewise-linear interpolation between grid values; elementwise."""
+        if not np.all((0 <= u) & (u <= self.t)):
             raise ArgumentError(f"{u} outside [0, {self.t}]")
-        return float(np.interp(u, self.times(), self.values))
+        return np.interp(u, self.times(), self.values)
 
 
 def path_from_function(f: Callable[[float], float], t: float, level: int) -> DyadicPath:
-    """Deterministic dyadic path sampling f on the level grid."""
+    """Deterministic dyadic path sampling an elementwise f on the level grid
+    in one call; a scalar result broadcasts."""
     h = t / (1 << level)
     grid = np.arange((1 << level) + 1, dtype=np.float64) * h
-    values = np.array([float(f(u)) for u in grid])
+    values = np.broadcast_to(np.asarray(f(grid), dtype=np.float64), grid.shape)
     return DyadicPath(t=t, level=level, values=values, source=f)
 
 

@@ -79,7 +79,7 @@ def test_criterion_02_constant_telescoping():
     with criterion(2, "constant-telescoping"):
         for beta in (-2, 0, 1, math.pi):
             for g in integrator_functions():
-                factor = increments_of(g.fn, batch=g.batch, exact=g.exact)
+                factor = increments_of(g.fn)
                 h = make_integrand(lambda s, b=beta: b, factor)
                 out = rs_integrate(h, g.a, g.b)
                 want = beta * g.range_value

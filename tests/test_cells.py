@@ -1,11 +1,11 @@
-"""Half-open cells, tagged divisions, and gauge contracts."""
+"""Half-open intervals, tagged divisions, and gauge contracts."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gaugelab.cells import Gauge, Interval, TaggedCell, TaggedDivision
+from gaugelab.cells import Gauge, Interval, TaggedDivision
 from gaugelab.errors import ArgumentError, GaugeContractError
 
 
@@ -28,74 +28,49 @@ class TestInterval:
         assert Interval(0.0, 0.25).length == 0.25
 
 
-class TestTaggedCell:
-    def test_tag_anywhere_in_closure(self):
-        Interval(0.0, 1.0)  # sanity
-        TaggedCell(0.0, Interval(0.0, 1.0))  # left endpoint allowed
-        TaggedCell(1.0, Interval(0.0, 1.0))
-        TaggedCell(0.5, Interval(0.0, 1.0))
-
-    def test_tag_outside_rejected(self):
-        with pytest.raises(ArgumentError):
-            TaggedCell(1.5, Interval(0.0, 1.0))
-        with pytest.raises(ArgumentError):
-            TaggedCell(-0.1, Interval(0.0, 1.0))
-
-
-def _cells(*triples):
-    return [TaggedCell(s, Interval(u, v)) for s, u, v in triples]
+def _division(*triples, domain=None):
+    """A float division from (tag, left, right) triples."""
+    tags, lefts, rights = (np.array(col, dtype=float) for col in zip(*triples))
+    domain = domain or Interval(float(lefts[0]), float(rights[-1]))
+    return TaggedDivision(domain, tags, lefts, rights)
 
 
 class TestTaggedDivision:
-    def test_from_cells_round_trip(self):
-        d = TaggedDivision.from_cells(
-            _cells((0.25, 0.0, 0.5), (0.75, 0.5, 1.0))
-        )
-        assert d.n == 2
-        assert d.domain == Interval(0.0, 1.0)
-        got = [(c.tag, c.cell.u, c.cell.v) for c in d.iter_cells()]
-        assert got == [(0.25, 0.0, 0.5), (0.75, 0.5, 1.0)]
+    def test_tag_anywhere_in_closure(self):
+        for tag in (0.0, 0.5, 1.0):  # the left endpoint is a legal tag
+            d = _division((tag, 0.0, 1.0))
+            assert d.n == 1 and d.tags[0] == tag
+
+    def test_tag_outside_rejected(self):
+        for tag in (1.5, -0.1):
+            with pytest.raises(ArgumentError):
+                _division((tag, 0.0, 1.0))
+        with pytest.raises(ArgumentError):
+            TaggedDivision(Interval(0, 1), [Fraction(3, 2)], [0], [1])
 
     def test_gap_rejected(self):
         with pytest.raises(ArgumentError):
-            TaggedDivision.from_cells(
-                _cells((0.1, 0.0, 0.4), (0.8, 0.6, 1.0))
-            )
+            _division((0.1, 0.0, 0.4), (0.8, 0.6, 1.0))
 
     def test_overlap_rejected(self):
         with pytest.raises(ArgumentError):
-            TaggedDivision.from_cells(
-                _cells((0.1, 0.0, 0.6), (0.8, 0.4, 1.0))
-            )
+            _division((0.1, 0.0, 0.6), (0.8, 0.4, 1.0))
 
     def test_domain_mismatch_rejected(self):
         with pytest.raises(ArgumentError):
-            TaggedDivision.from_cells(
-                _cells((0.5, 0.0, 1.0)), domain=Interval(0.0, 2.0)
-            )
+            _division((0.5, 0.0, 1.0), domain=Interval(0.0, 2.0))
 
     def test_exact_regime_uses_tuples(self):
         half = Fraction(1, 2)
-        d = TaggedDivision.from_cells(
-            _cells((Fraction(1, 4), 0, half), (half, half, 1))
-        )
+        d = TaggedDivision(Interval(0, 1), [Fraction(1, 4), half], [0, half], [half, 1])
         assert d.exact
-        assert d.as_float_arrays() is None
-        assert isinstance(d.tags, tuple)
+        assert isinstance(d.tags, tuple) and isinstance(d.lefts, tuple)
 
     def test_float_regime_uses_arrays(self):
-        d = TaggedDivision.from_cells(_cells((0.5, 0.0, 1.0)))
+        d = _division((0.5, 0.0, 1.0))
         assert not d.exact
-        tags, lefts, rights = d.as_float_arrays()
-        assert isinstance(tags, np.ndarray)
-        assert lefts[0] == 0.0 and rights[-1] == 1.0
-
-    def test_iter_cells_yields_python_floats(self):
-        # numpy scalars leak numpy semantics (1/0 -> inf); plain floats raise
-        d = TaggedDivision.from_cells(_cells((0.5, 0.0, 1.0)))
-        c = next(d.iter_cells())
-        assert type(c.tag) is float
-        assert type(c.cell.u) is float
+        assert isinstance(d.tags, np.ndarray) and isinstance(d.lefts, np.ndarray)
+        assert d.lefts[0] == 0.0 and d.rights[-1] == 1.0
 
 
 class TestGauge:
@@ -121,7 +96,7 @@ class TestGauge:
             Gauge.constant(0.0)
 
     def test_batch_evaluation_checks_positivity(self):
-        g = Gauge.from_function(lambda s: s - 0.5, batch=lambda xs: xs - 0.5)
+        g = Gauge.from_function(lambda s: s - 0.5)
         with pytest.raises(GaugeContractError):
             g.evaluate_batch(np.array([0.6, 0.2]))
         out = g.evaluate_batch(np.array([0.6, 0.9]))

@@ -12,6 +12,7 @@ import pytest
 
 from gaugelab import stochastic
 from gaugelab.catalog import get_entry, run_entry
+from gaugelab.cells import TaggedDivision
 from gaugelab.cli import EXIT_CODES, main, main_cli
 from gaugelab.divisions import RefinementSchedule
 from gaugelab.results import Status
@@ -171,7 +172,9 @@ class TestIntegrateDispatch:
                 ]
             )
         assert exc.value.code == 1
-        assert "gaugelab: error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "gaugelab: error:" in err
+        assert "tag=0.0 on ]0.0, 0.0625]" in err  # the first rational-left cell
 
     def test_tol_override(self, capsys):
         rc = main(
@@ -192,6 +195,28 @@ class TestIntegrateDispatch:
         )
         # stop forced down to 6: sin(s) cannot stabilize in two levels
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["--expr", "s", "--levels", "4:40"], None),
+            (["--expr", "s"], "40"),
+            (["--catalog", "s_dsquare", "--levels", "4:27"], None),
+        ],
+        ids=["levels", "env", "catalog-levels"],
+    )
+    def test_level_above_max_refused_before_any_division(self, argv, env, capsys, monkeypatch):
+        def no_divisions(*args, **kwargs):
+            raise AssertionError("built a division for an oversize schedule")
+
+        monkeypatch.setattr(TaggedDivision, "__init__", no_divisions)
+        if env is not None:
+            monkeypatch.setenv("GAUGELAB_MAX_LEVEL", env)
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["integrate", "--method", "rs", *argv])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "gaugelab: error:" in err and "26" in err
 
     def test_env_var_rejects_garbage(self, capsys, monkeypatch):
         monkeypatch.setenv("GAUGELAB_MAX_LEVEL", "soon")

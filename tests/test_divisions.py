@@ -1,6 +1,5 @@
 """Division builders, delta-fineness, bisection, Riemann sums."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as hst
 from gaugelab.cells import Gauge
 from gaugelab.divisions import (
     FLOAT_SHIFT,
+    MAX_LEVEL,
     RefinementSchedule,
     bisect_refine,
     delta_fine_division,
@@ -25,7 +25,9 @@ from gaugelab.errors import (
     IntegrandEvalError,
 )
 from gaugelab.exact import QuadExtScalar
+from gaugelab.expr import as_function, parse
 from gaugelab.integrand import (
+    BurkillIntegrand,
     increments_of,
     length_factor,
     length_squared_factor,
@@ -41,13 +43,16 @@ class TestRefinementSchedule:
         assert sched.cells_for(4) == 16
         assert sched.cells_for(10) == 1024
 
-    def test_custom_rule_must_strictly_increase(self):
-        with pytest.raises(ArgumentError):
-            RefinementSchedule(1, 8, cells_rule=lambda level: 7)
-
     def test_bounds_validated(self):
         with pytest.raises(ArgumentError):
             RefinementSchedule(5, 4)
+
+    def test_stop_bounded_by_max_level(self):
+        assert list(RefinementSchedule(0, MAX_LEVEL).levels())[-1] == MAX_LEVEL
+        with pytest.raises(ArgumentError, match="MAX_LEVEL"):
+            RefinementSchedule(4, MAX_LEVEL + 1)
+        with pytest.raises(ArgumentError, match="MAX_LEVEL"):
+            RefinementSchedule(4, 40)
 
 
 class TestMakeUniform:
@@ -131,7 +136,7 @@ class TestDeltaFineDivision:
         # delta(s) = s/2 off the origin: no cell ]u, v] with u > 0 can hold a
         # fine tag near 0, so the first cell must be tagged at 0 itself
         def width(s):
-            return 0.1 if s <= 0.0 else min(s / 2.0, 0.1)
+            return np.where(s <= 0.0, 0.1, np.minimum(s / 2.0, 0.1))
 
         gauge = Gauge.from_function(width)
         d = delta_fine_division(0.0, 1.0, gauge)
@@ -148,7 +153,7 @@ class TestDeltaFineDivision:
     def test_depth_cap_raises(self):
         # every tag in [0.5, 1] demands width 1e-12, so cells inside that
         # region keep splitting past any depth cap
-        gauge = Gauge.from_function(lambda s: 1e-12 if s >= 0.5 else 1.0)
+        gauge = Gauge.from_function(lambda s: np.where(s >= 0.5, 1e-12, 1.0))
         with pytest.raises(GaugeTooDemandingError) as err:
             delta_fine_division(0.0, 1.0, gauge, depth_cap=8)
         assert err.value.depth == 8
@@ -209,10 +214,7 @@ class TestBisectRefine:
 
 class TestRiemannSum:
     def test_h3_on_two_midpoint_cells(self):
-        h3 = make_integrand(
-            lambda s: s * s, length_factor(), "tag",
-            point_batch=lambda xs: xs * xs, name="h3",
-        )
+        h3 = make_integrand(lambda s: s * s, length_factor(), "tag", name="h3")
         d = make_uniform(0.0, 1.0, 2, "midpoint")
         assert riemann_sum(h3, d) == pytest.approx(0.3125)
 
@@ -222,26 +224,33 @@ class TestRiemannSum:
         total = riemann_sum(h3, d)
         assert total == Fraction(5, 16)
 
-    def test_batch_and_scalar_paths_agree(self):
-        h3_batched = make_integrand(
-            lambda s: s * s, length_factor(), "tag",
-            point_batch=lambda xs: xs * xs,
-        )
-        h3_scalar = make_integrand(lambda s: s * s, length_factor(), "tag")
-        d = make_uniform(0.0, 1.0, 64, "midpoint")
-        assert riemann_sum(h3_batched, d) == pytest.approx(
-            riemann_sum(h3_scalar, d), abs=1e-14
-        )
-
     def test_eval_failure_wrapped_with_cell_context(self):
-        h = make_integrand(lambda s: 1.0 / s, length_factor(), "left-endpoint")
+        h = make_integrand(as_function(parse("1/s"), "s"), length_factor(), "left-endpoint")
         d = make_uniform(0.0, 1.0, 4, "left")
         with pytest.raises(IntegrandEvalError) as err:
             riemann_sum(h, d)
         assert err.value.tag == 0.0
 
+    def test_array_fault_names_first_failing_cell(self):
+        # left tags 0, 1/8, ..., 7/8: the cell tagged 1/2 is the fifth of eight
+        h = make_integrand(as_function(parse("1/(s - 0.5)"), "s"), length_factor(), "tag")
+        with pytest.raises(IntegrandEvalError) as err:
+            riemann_sum(h, make_uniform(0.0, 1.0, 8, "left"))
+        assert (err.value.tag, err.value.lo, err.value.hi) == (0.5, 0.5, 0.625)
+        assert "]0.5, 0.625]" in str(err.value)
+
+    def test_fault_of_no_single_cell_is_reraised(self):
+        def rule(s, u, v):
+            if len(s) > 1:
+                raise RuntimeError("needs one cell at a time")
+            return v - u
+
+        h = BurkillIntegrand("one-at-a-time", "interval-only", rule)
+        with pytest.raises(RuntimeError, match="one cell at a time"):
+            riemann_sum(h, make_uniform(0.0, 1.0, 8, "left"))
+
     def test_telescoping_additivity(self):
-        g = increments_of(lambda u: math.sin(u), name="d(sin)")
+        g = increments_of(lambda u: np.sin(u), name="d(sin)")
         h = make_integrand(None, g, "interval-only")
         coarse = make_uniform(0.0, 2.0, 1, "left")
         fine = make_uniform(0.0, 2.0, 64, "left")

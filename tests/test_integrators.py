@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from gaugelab.cells import Gauge, Interval
-from gaugelab.divisions import RefinementSchedule, delta_fine_division, is_fine
+from gaugelab.catalog import get_entry, inv_sqrt, run_entry
+from gaugelab.cells import Gauge
+from gaugelab.divisions import (
+    RefinementSchedule,
+    delta_fine_division,
+    is_fine,
+    make_uniform,
+    riemann_sum,
+)
 from gaugelab.errors import (
     ArgumentError,
     MonotonicityError,
@@ -39,6 +46,7 @@ from gaugelab.integrators import (
     step_distribution,
 )
 from gaugelab.results import Status
+from gaugelab.stochastic import path_from_function
 
 
 def _ctrl(tol=1e-9, start=4, stop=22, **kw):
@@ -77,21 +85,14 @@ class TestRsIntegrate:
         assert result.estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_smooth_integrand_converges(self):
-        h = make_integrand(
-            lambda s: s,
-            increments_of(lambda u: u * u, batch=lambda us: us * us),
-            "tag",
-            point_batch=lambda xs: xs,
-        )
+        h = make_integrand(lambda s: s, increments_of(lambda u: u * u), "tag")
         result = rs_integrate(h, 0.0, 1.0, _ctrl(5e-5))
         assert result.status is Status.CONVERGED
         assert result.estimate == pytest.approx(2.0 / 3.0, abs=1e-4)
         assert result.error_bound is not None
 
     def test_trace_rows_and_strategy_sums(self):
-        h = make_integrand(
-            lambda s: s * s, length_factor(), "tag", point_batch=lambda x: x * x
-        )
+        h = make_integrand(lambda s: s * s, length_factor(), "tag")
         result = rs_integrate(h, 0.0, 1.0, _ctrl(1e-3, 4, 12))
         assert result.status is Status.CONVERGED
         first = result.trace[0]
@@ -105,10 +106,7 @@ class TestRsIntegrate:
 
     def test_divergence_detected(self):
         # sums grow like n * mean(tag): clean geometric growth
-        h = BurkillIntegrand(
-            name="tags-only", convention="tag",
-            rule=lambda s, cell: s, batch=lambda tags, us, vs: tags,
-        )
+        h = BurkillIntegrand(name="tags-only", convention="tag", rule=lambda s, u, v: s)
         result = rs_integrate(h, 0.0, 1.0, _ctrl(1e-9, 4, 12))
         assert result.status is Status.DIVERGED
         assert result.estimate is None
@@ -125,9 +123,7 @@ class TestRsIntegrate:
         assert spreads == {1}  # exact integers, no float fuzz
 
     def test_inconclusive_when_schedule_too_short(self):
-        h = make_integrand(
-            lambda s: s * s, length_factor(), "tag", point_batch=lambda x: x * x
-        )
+        h = make_integrand(lambda s: s * s, length_factor(), "tag")
         result = rs_integrate(h, 0.0, 1.0, _ctrl(1e-12, 4, 6))
         assert result.status is Status.INCONCLUSIVE
         assert result.estimate is not None  # best guess, spread as error bound
@@ -149,14 +145,14 @@ class TestDarboux:
 
     def test_lying_oracle_caught(self):
         f = lambda s: s * s
-        liar = ExtremaOracle(lambda cell: (0.0, 0.1))  # claims sup 0.1 everywhere
+        liar = ExtremaOracle(lambda us, vs: (0.0, 0.1))  # claims sup 0.1 everywhere
         with pytest.raises(OracleInconsistencyError):
             darboux_riemann(f, liar, 0.0, 1.0, _ctrl(1e-3, 4, 8))
 
     def test_inverted_oracle_rejected(self):
-        bad = ExtremaOracle(lambda cell: (1.0, 0.0))
-        with pytest.raises(ArgumentError):
-            bad(Interval(0.0, 1.0))
+        bad = ExtremaOracle(lambda us, vs: (np.where(us < 0.5, 0.0, 1.0), 0.5))
+        with pytest.raises(ArgumentError, match=r"\]0.5, 1.0\]"):
+            bad(np.array([0.0, 0.5]), np.array([0.5, 1.0]))
 
     def test_upper_lower_bracket_estimate(self):
         f = lambda s: s
@@ -192,7 +188,7 @@ class TestGaugeIntegrate:
         darboux = darboux_riemann(
             f, ExtremaOracle.monotone(f), 0.0, 1.0, _ctrl(1e-3, 4, 12)
         )
-        h = make_integrand(f, length_factor(), "tag", point_batch=lambda x: x * x)
+        h = make_integrand(f, length_factor(), "tag")
         gauge = gauge_integrate(h, 0.0, 1.0, _ctrl(1.5e-3, 4, 12))
         assert darboux.status is Status.CONVERGED
         assert gauge.status is Status.CONVERGED
@@ -205,7 +201,7 @@ class TestGaugeIntegrate:
         # the j-scaled stability tolerance
         previous = -math.inf
         for j in (1, 2, 4, 8):
-            f = lambda s, j=j: min(float(j), 0.0 if s <= 0 else s ** -0.5)
+            f = lambda s, j=j: np.minimum(float(j), inv_sqrt(s))
             h = make_integrand(f, length_factor(), "tag")
             result = gauge_integrate(h, 0.0, 1.0, _ctrl(2e-4 * j, 4, 16))
             assert result.status is Status.CONVERGED
@@ -241,8 +237,6 @@ class TestSingularityGauge:
         assert d.tags[0] == 0.0  # only the origin itself survives near 0
 
     def test_inverse_sqrt_converges_to_two(self):
-        from gaugelab.catalog import get_entry, run_entry
-
         result = run_entry(get_entry("inv_sqrt"))
         assert result.status is Status.CONVERGED
         assert result.estimate == pytest.approx(2.0, abs=1e-3)
@@ -273,7 +267,7 @@ class TestDistributionFunction:
     def test_increments_factor(self):
         g = identity_distribution()
         inc = g.increments()
-        assert inc(Interval(0.25, 0.5)) == 0.25
+        assert inc(0.25, 0.5) == 0.25
         assert inc.additive
 
 
@@ -282,10 +276,8 @@ class TestJumpAnchoring:
         gauge = jump_anchoring_gauge([0.5], ceiling=0.25)
         d = delta_fine_division(0.0, 1.0, gauge, selectors=("left", "midpoint", "right"))
         assert is_fine(d, gauge)
-        touching = [
-            c for c in d.iter_cells() if c.cell.u <= 0.5 <= c.cell.v
-        ]
-        assert touching and all(c.tag == 0.5 for c in touching)
+        touching = (d.lefts <= 0.5) & (0.5 <= d.rights)
+        assert np.any(touching) and np.all(d.tags[touching] == 0.5)
 
     def test_interior_mass_exact(self):
         g = step_distribution([(3.0, 1.0)], c=2.0, d=5.0, name="one-mass")
@@ -320,7 +312,7 @@ class TestLebesgueRoute:
     def test_refuses_non_monotone(self):
         g = DistributionFunction(
             name="wavy", c=0.0, d=1.0,
-            evaluate=lambda u: math.sin(8.0 * u),
+            evaluate=lambda u: np.sin(8.0 * u),
         )
         with pytest.raises(MonotonicityError):
             lebesgue_distribution_integrate(g)
@@ -340,17 +332,13 @@ class TestOscillationProbe:
             assert set(sums) == {"rational-left", "rational-mid", "shifted-left"}
 
 
-def _batched(point, point_batch):
-    return make_integrand(point, length_factor(), "tag", point_batch=point_batch)
-
-
-_INV_SQRT = _batched(lambda s: 1.0 / math.sqrt(s), lambda xs: 1.0 / np.sqrt(xs))
-_ALL_NAN = _batched(lambda s: math.nan, lambda xs: np.full(xs.shape, np.nan))
+_INV_SQRT = make_integrand(lambda s: 1.0 / np.sqrt(s), length_factor(), "tag")
+_ALL_NAN = make_integrand(lambda s: np.full(s.shape, np.nan), length_factor(), "tag")
 
 
 def _darboux_infinite_sup():
     f = lambda s: 1.0
-    return darboux_riemann(f, ExtremaOracle(lambda cell: (0.0, math.inf)), 0.0, 1.0)
+    return darboux_riemann(f, ExtremaOracle(lambda us, vs: (0.0, math.inf)), 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -371,6 +359,45 @@ def test_non_finite_sum_raises_at_first_level(run, strategy):
             run()
     assert exc.value.strategy == strategy
     assert exc.value.level == 4
+
+
+class _Recorder:
+    """An elementwise callable that records the type of each argument."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.args = []
+
+    def __call__(self, x):
+        self.args.append(type(x))
+        return self.fn(x)
+
+
+@pytest.mark.parametrize("level", [4, 12])
+def test_float_callables_see_whole_arrays_a_fixed_number_of_times(level):
+    # Darboux: the monotone oracle calls f on the left and right endpoints,
+    # the consistency check once on the tags, whatever the cell count
+    f = _Recorder(lambda s: s * s)
+    darboux_riemann(f, ExtremaOracle.monotone(f), 0.0, 1.0, _ctrl(1e-12, level, level))
+    assert f.args == [np.ndarray] * 3
+
+    point = _Recorder(lambda s: s)
+    h = make_integrand(point, length_factor(), "tag")
+    riemann_sum(h, make_uniform(0.0, 1.0, 2 ** level))
+    assert point.args == [np.ndarray]
+
+    # delta-fine bisection: at most one gauge call per selector per depth
+    width = _Recorder(lambda s: np.full(s.shape, 2.0 ** -level))
+    division = delta_fine_division(0.0, 1.0, Gauge.from_function(width))
+    assert division.n == 2 ** level
+    assert set(width.args) == {np.ndarray}
+    assert len(width.args) <= 3 * (level + 1)
+
+    source = _Recorder(np.sin)
+    path_from_function(source, 1.0, level)
+    g = DistributionFunction("recorded", 0.0, 1.0, _Recorder(lambda u: u))
+    g.spot_check_monotone()
+    assert source.args == g.evaluate.args == [np.ndarray]
 
 
 @settings(max_examples=15, deadline=None)

@@ -48,9 +48,12 @@ class TestDyadicPath:
     def test_value_at_interpolates(self):
         p = path_from_function(lambda s: s, 1.0, 2)
         assert p.value_at(0.3) == pytest.approx(0.3)
+        np.testing.assert_allclose(p.value_at(np.array([0.3, 0.8])), [0.3, 0.8])
+        with pytest.raises(ArgumentError):
+            p.value_at(np.array([0.5, 1.5]))
 
     def test_refine_deterministic_path_keeps_coarse_values(self):
-        p = path_from_function(lambda s: math.sin(s), 1.0, 5)
+        p = path_from_function(np.sin, 1.0, 5)
         r = refine_path(p)
         assert r.level == 6
         np.testing.assert_array_equal(r.values[::2], p.values)
