@@ -25,13 +25,6 @@ class Interval:
         if not self.u < self.v:
             raise ArgumentError(f"interval needs u < v, got u={self.u!r}, v={self.v!r}")
 
-    @property
-    def length(self):
-        return self.v - self.u
-
-    def __contains__(self, s) -> bool:
-        return self.u < s <= self.v
-
     def __str__(self) -> str:
         return f"]{self.u}, {self.v}]"
 

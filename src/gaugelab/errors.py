@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+
+def _plain(value: object) -> object:
+    """A numpy scalar as the Python number it holds, so messages read
+    `inf`, not `np.float64(inf)`; exact scalars pass through unchanged."""
+    return value.item() if isinstance(value, np.generic) else value
+
 
 class GaugeLabError(Exception):
     """Base class for every error raised by this package."""
@@ -27,7 +35,9 @@ class GaugeContractError(GaugeLabError):
     def __init__(self, point: object, value: object):
         self.point = point
         self.value = value
-        super().__init__(f"gauge returned non-positive width {value!r} at s={point!r}")
+        super().__init__(
+            f"gauge returned non-positive width {_plain(value)!r} at s={_plain(point)!r}"
+        )
 
 
 class GaugeTooDemandingError(GaugeLabError):
@@ -42,7 +52,8 @@ class GaugeTooDemandingError(GaugeLabError):
         self.hi = hi
         self.depth = depth
         super().__init__(
-            f"gauge too demanding: no fine tag for ]{lo!r}, {hi!r}] within depth {depth}"
+            f"gauge too demanding: no fine tag for ]{_plain(lo)!r}, {_plain(hi)!r}] "
+            f"within depth {depth}"
         )
 
 
@@ -54,7 +65,8 @@ class IntegrandEvalError(GaugeLabError):
         self.lo = lo
         self.hi = hi
         super().__init__(
-            f"integrand evaluation failed at tag={tag!r} on ]{lo!r}, {hi!r}]: {cause}"
+            f"integrand evaluation failed at tag={_plain(tag)!r} "
+            f"on ]{_plain(lo)!r}, {_plain(hi)!r}]: {cause}"
         )
 
 
@@ -65,8 +77,10 @@ class OracleInconsistencyError(GaugeLabError):
         self.point = point
         self.value = value
         self.bounds = bounds
+        plain_bounds = tuple(_plain(b) for b in bounds)
         super().__init__(
-            f"extrema oracle inconsistent: f({point!r}) = {value!r} outside {bounds!r}"
+            f"extrema oracle inconsistent: f({_plain(point)!r}) = {_plain(value)!r} "
+            f"outside {plain_bounds!r}"
         )
 
 
@@ -78,7 +92,7 @@ class NonFiniteSumError(GaugeLabError):
         self.level = level
         self.value = value
         super().__init__(
-            f"strategy {strategy!r} summed to {value!r} at level {level}"
+            f"strategy {strategy!r} summed to {_plain(value)!r} at level {level}"
         )
 
 

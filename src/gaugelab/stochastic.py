@@ -13,12 +13,14 @@ evaluation order.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .divisions import MAX_LEVEL
 from .errors import ArgumentError, EstimatorFailure
@@ -28,20 +30,195 @@ GAUSSIAN_TRANSFORM = "inverse-cdf"
 
 _TWO53 = 1 << 53
 
+# mc_run refuses more paths than this before any allocation or draw: its
+# output array is then 128 MiB, and every path id has to fit the single
+# 32-bit spawn-key word that _substream_keys hashes per id.
+MAX_PATHS = 1 << 24
+
+# Paths per generated block: a fixed count of values per block, so shallow
+# paths come in blocks of many and a level-16-or-deeper path alone.
+_BLOCK_VALUES = 1 << 16
 
 
-def _standard_normals(seed_key: Tuple[int, ...], master_seed: int, count: int) -> np.ndarray:
-    """Deterministic N(0,1) draws from the (master_seed, *seed_key) substream.
+# --------------------------------------------------------------------------
+# Substream keys: numpy's SeedSequence pool hash, elementwise
+# --------------------------------------------------------------------------
+#
+# Substream (path_id, level) is Philox keyed by
+# SeedSequence(master_seed, spawn_key=(path_id, level)).generate_state(2,
+# uint64).  The hash below reproduces that key bitwise with uint32
+# arithmetic carried in Python ints or uint64 arrays (every product of two
+# 32-bit words fits 64 bits), so one body serves a single key and a whole
+# block of keys.  The hash constants advance independently of the data, and
+# the master-seed words enter before the spawn key, so the pool after the
+# seed is computed once per seed and shared by every (path_id, level).
 
-    Uniforms are (k + 1/2)/2^53 over 53-bit integers k, pushed through the
-    inverse normal CDF; both choices are part of the reproducibility
-    contract and are echoed in run metadata.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _hashmix(value, hash_const: int):
+    value = value ^ hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(master_seed: int) -> Tuple[Tuple[int, ...], int]:
+    """The SeedSequence pool and hash constant after the master-seed words."""
+    if master_seed < 0:
+        raise ArgumentError(f"master seed must be non-negative, got {master_seed}")
+    words = []
+    while True:
+        words.append(master_seed & _MASK32)
+        master_seed >>= 32
+        if not master_seed:
+            break
+    # a spawn key pads the seed words to the pool size
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    return tuple(pool), hash_const
+
+
+def _substream_keys(master_seed: int, path_id, level) -> np.ndarray:
+    """Philox keys of substreams (path_id, level), shape broadcast + (2,).
+
+    Elementwise in path_id and level: each is a Python int or a uint64
+    array, and every path id is below 2^32 (one spawn-key word).
     """
-    seq = np.random.SeedSequence(master_seed, spawn_key=seed_key)
-    gen = np.random.Generator(np.random.Philox(seq))
-    k = gen.integers(0, _TWO53, size=count, dtype=np.uint64)
-    u = (k.astype(np.float64) + 0.5) / _TWO53
-    return ndtri(u)
+    pool, hash_const = _seed_pool(operator.index(master_seed))
+    pool = list(pool)
+    for word in (path_id, level):
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        value = word ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> _XSHIFT))
+    keys = np.empty(np.shape(state[0]) + (2,), dtype=np.uint64)
+    keys[..., 0] = state[0] | (state[1] << 32)
+    keys[..., 1] = state[2] | (state[3] << 32)
+    return keys
+
+
+_local = threading.local()
+
+
+def _bit_generator() -> np.random.Philox:
+    """This thread's Philox.  _standard_normals replaces its whole state
+    before every row, so nothing carries over between uses; reusing it
+    saves the constructor (about 25 us, mostly seeding from OS entropy),
+    which one refine_path call would otherwise pay on top of its draw."""
+    try:
+        return _local.philox
+    except AttributeError:
+        _local.philox = np.random.Philox()
+        return _local.philox
+
+
+def _standard_normals(keys: np.ndarray, count: int) -> np.ndarray:
+    """N(0,1) draws, shape (M, count): row i from the Philox stream keys[i].
+
+    Uniforms are (k + 1/2)/2^53 over the top 53 bits k of each raw 64-bit
+    output (what Generator.integers(0, 2^53) returns on the same stream),
+    pushed through the inverse normal CDF; both choices are part of the
+    reproducibility contract and are echoed in run metadata.
+    """
+    from scipy.special import ndtri
+
+    bit_gen = _bit_generator()
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # empty: the first output is counter 0's first word
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    u = np.empty((len(keys), count))
+    for row, key in zip(u, keys):
+        state["state"]["key"] = key
+        bit_gen.state = state
+        row[:] = bit_gen.random_raw(count) >> 11
+    u += 0.5
+    u /= _TWO53
+    return ndtri(u, out=u)
+
+
+def _bridge(values: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
+    """One dyadic level for every row: (M, n+1) values -> (M, 2n+1).
+
+    Midpoints follow the bridge rule x(m) = (x(u)+x(v))/2 + xi with
+    Var xi = (v-u)/4, from N(0,1) draws xi of shape (M, n), which are
+    scaled in place.  The midpoints are computed in the output array, so a
+    step holds no temporaries, with the rounding of the one-expression
+    form 0.5*(x(u)+x(v)) + (0.5*sqrt(h))*z.
+    """
+    n = values.shape[1] - 1
+    out = np.empty((values.shape[0], 2 * n + 1))
+    out[:, 0::2] = values
+    mid = out[:, 1::2]
+    np.add(values[:, :-1], values[:, 1:], out=mid)
+    mid *= 0.5
+    xi *= 0.5 * math.sqrt(t / n)
+    mid += xi
+    return out
+
+
+def _brownian_values(master_seed: int, path_ids, t: float, level: int) -> np.ndarray:
+    """Values of Brownian paths path_ids on the level grid, one row each.
+
+    Level 0 followed by bridge steps, each level from its own substream, so
+    paths at different levels share every common grid value bitwise.
+    """
+    ids = np.asarray(path_ids, dtype=np.uint64)[:, None]
+    keys = _substream_keys(master_seed, ids, np.arange(level + 1, dtype=np.uint64))
+    z = _standard_normals(keys[:, 0], 1)
+    values = np.zeros((len(keys), 2))
+    values[:, 1] = math.sqrt(t) * z[:, 0]
+    for new_level in range(1, level + 1):
+        xi = _standard_normals(keys[:, new_level], 1 << (new_level - 1))
+        values = _bridge(values, xi, t)
+    return values
+
+
+def _check_path_id(path_id: int) -> None:
+    if not 0 <= path_id <= _MASK32:
+        raise ArgumentError(f"path id must be in 0..2^32-1, got {path_id}")
+
+
+def _check_brownian(t: float, level: int) -> None:
+    if not (math.isfinite(t) and t > 0):
+        raise ArgumentError(f"horizon must be finite and positive, got {t}")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ArgumentError(f"level must be in 0..MAX_LEVEL={MAX_LEVEL}, got {level}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +240,8 @@ class DyadicPath:
     def __post_init__(self):
         if not (math.isfinite(self.t) and self.t > 0):
             raise ArgumentError(f"horizon must be finite and positive, got {self.t}")
+        if self.path_id is not None:
+            _check_path_id(self.path_id)
         if self.level < 0:
             raise ArgumentError(f"level must be >= 0, got {self.level}")
         expected = (1 << self.level) + 1
@@ -116,41 +295,30 @@ def brownian_path(master_seed: int, path_id: int, t: float, level: int) -> Dyadi
     substream, so paths at different levels share every common grid value
     bitwise.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ArgumentError(f"horizon must be finite and positive, got {t}")
-    if not 0 <= level <= MAX_LEVEL:
-        raise ArgumentError(f"level must be in 0..MAX_LEVEL={MAX_LEVEL}, got {level}")
-    z = _standard_normals((path_id, 0), master_seed, 1)
-    values = np.array([0.0, math.sqrt(t) * z[0]])
-    path = DyadicPath(
-        t=t, level=0, values=values, master_seed=master_seed, path_id=path_id
+    _check_brownian(t, level)
+    _check_path_id(path_id)
+    values = _brownian_values(master_seed, [path_id], t, level)[0]
+    return DyadicPath(
+        t=t, level=level, values=values, master_seed=master_seed, path_id=path_id
     )
-    for _ in range(level):
-        path = refine_path(path)
-    return path
 
 
 def refine_path(path: DyadicPath) -> DyadicPath:
     """One more dyadic level, keeping every existing value bitwise.
 
-    Brownian paths fill midpoints by the bridge rule x(m) = (x(u)+x(v))/2 + xi
-    with Var xi = (v-u)/4, drawn from the substream for the new level;
-    deterministic paths resample their source.
+    Brownian paths take one bridge step drawn from the substream for the
+    new level; deterministic paths resample their source.
     """
     new_level = path.level + 1
     if new_level > MAX_LEVEL:
         raise ArgumentError(f"level {new_level} exceeds MAX_LEVEL={MAX_LEVEL}")
     if path.master_seed is not None and path.path_id is not None:
-        h = path.t / path.n
-        xi = _standard_normals((path.path_id, new_level), path.master_seed, path.n)
-        mid = 0.5 * (path.values[:-1] + path.values[1:]) + 0.5 * math.sqrt(h) * xi
-        values = np.empty(2 * path.n + 1)
-        values[0::2] = path.values
-        values[1::2] = mid
+        keys = _substream_keys(path.master_seed, path.path_id, new_level)
+        xi = _standard_normals(keys[None], path.n)
         return DyadicPath(
             t=path.t,
             level=new_level,
-            values=values,
+            values=_bridge(path.values[None], xi, path.t)[0],
             master_seed=path.master_seed,
             path_id=path.path_id,
         )
@@ -212,12 +380,14 @@ def stratonovich_sum(path: DyadicPath, f: Callable, level: int) -> float:
 def quadratic_variation(path: DyadicPath, level: int) -> float:
     """Sum of (x(v) - x(u))^2 over level cells."""
     dx = np.diff(_level_values(path, level))
-    return float(np.sum(dx * dx))
+    dx *= dx  # in place: one path-sized temporary, not two
+    return float(np.sum(dx))
 
 
 def total_variation(path: DyadicPath, level: int) -> float:
     """Sum of |x(v) - x(u)|; grows without bound on Brownian paths."""
-    return float(np.sum(np.abs(np.diff(_level_values(path, level)))))
+    dx = np.diff(_level_values(path, level))
+    return float(np.sum(np.abs(dx, out=dx)))
 
 
 def ito_identity_residual(path: DyadicPath, level: int) -> float:
@@ -309,20 +479,31 @@ def mc_run(
 ) -> PathStatistics:
     """Apply an estimator to Brownian paths id = 1..paths.
 
-    Per-path substreams make every path independent of evaluation order;
-    aggregation runs in path-id order so the floating-point result is
-    deterministic too.  An estimator may refine_path its argument (the
-    stream travels with the path).
+    Paths are generated a block at a time and handed to the estimator one
+    by one in path-id order, each bitwise equal to brownian_path(master_seed,
+    path_id, t, level); aggregation runs in the same order, so the
+    floating-point result is deterministic too.  An estimator may
+    refine_path its argument (the stream travels with the path).
     """
     if paths < 1:
         raise ArgumentError(f"need at least one path, got {paths}")
+    if paths > MAX_PATHS:
+        raise ArgumentError(f"at most MAX_PATHS={MAX_PATHS} paths, got {paths}")
+    _check_brownian(t, level)
+    block = max(1, _BLOCK_VALUES >> level)
     out = np.empty(paths)
-    for path_id in range(1, paths + 1):
-        path = brownian_path(master_seed, path_id, t, level)
-        try:
-            out[path_id - 1] = float(estimator(path))
-        except Exception as exc:
-            raise EstimatorFailure(path_id, exc) from exc
+    for first in range(1, paths + 1, block):
+        ids = range(first, min(first + block, paths + 1))
+        # a fresh array per block: handed-out rows are never overwritten
+        rows = _brownian_values(master_seed, ids, t, level)
+        for path_id, values in zip(ids, rows):
+            path = DyadicPath(
+                t=t, level=level, values=values, master_seed=master_seed, path_id=path_id
+            )
+            try:
+                out[path_id - 1] = float(estimator(path))
+            except Exception as exc:
+                raise EstimatorFailure(path_id, exc) from exc
     mean = float(np.mean(out))
     variance = float(np.var(out, ddof=1)) if paths > 1 else 0.0
     return PathStatistics(

@@ -10,22 +10,11 @@ from gaugelab.errors import ArgumentError, GaugeContractError
 
 
 class TestInterval:
-    def test_half_open_membership(self):
-        cell = Interval(0.0, 1.0)
-        assert 1.0 in cell
-        assert 0.5 in cell
-        assert 0.0 not in cell
-        assert 1.5 not in cell
-
     def test_degenerate_rejected(self):
         with pytest.raises(ArgumentError):
             Interval(1.0, 1.0)
         with pytest.raises(ArgumentError):
             Interval(2.0, 1.0)
-
-    def test_length(self):
-        assert Interval(Fraction(1, 3), Fraction(1, 2)).length == Fraction(1, 6)
-        assert Interval(0.0, 0.25).length == 0.25
 
 
 def _division(*triples, domain=None):

@@ -1,15 +1,20 @@
 """Command-line behavior: exit codes, artifacts, provenance, error paths.
 
-Everything runs in-process through main(argv); no subprocesses, so the
-suite stays fast and coverage sees the dispatch code.
+Everything runs in-process through main(argv), so the suite stays fast
+and coverage sees the dispatch code; only the import probe, which needs a
+fresh interpreter, starts a subprocess.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import gaugelab
 from gaugelab import stochastic
 from gaugelab.catalog import get_entry, run_entry
 from gaugelab.cells import TaggedDivision
@@ -475,6 +480,29 @@ class TestBrownian:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "gaugelab: error:" in err and "MAX_LEVEL" in err
+
+    def test_paths_above_max_exits_one_before_any_draw(self, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew normals for an oversize path count")
+
+        monkeypatch.setattr(stochastic, "_standard_normals", no_draws)
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["brownian", "qv", "--t", "1", "--level", "4",
+                      "--paths", str(stochastic.MAX_PATHS + 1), "--seed", "1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "gaugelab: error:" in err and "MAX_PATHS" in err
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.special is imported on the first Brownian draw, not at start-up
+    src = str(Path(gaugelab.__file__).resolve().parents[1])
+    probe = "import sys, gaugelab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestSeries:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from gaugelab.errors import MonotonicityError
+from gaugelab.catalog import run_method
+from gaugelab.divisions import RefinementSchedule
+from gaugelab.errors import GaugeLabError, MonotonicityError
 from gaugelab.expr import (
     BinOp,
     Call,
@@ -27,6 +29,9 @@ from gaugelab.expr import (
     parse,
     to_source,
 )
+from gaugelab.integrand import length_factor, make_integrand
+from gaugelab.integrators import ConvergenceController
+from gaugelab.results import Status
 
 PRECEDENCE_CASES = [
     ("2^3^2", None, 512.0),            # ^ associates right
@@ -293,3 +298,30 @@ def test_array_evaluation_matches_per_element_bitwise():
 def test_property_round_trip(seed):
     ast = _random_ast(random.Random(seed))
     assert parse(to_source(ast)) == ast
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=hst.integers(min_value=0, max_value=2**31),
+    method=hst.sampled_from(["rs", "gauge"]),
+    tolerance=hst.floats(min_value=1e-9, max_value=1.0),
+    start=hst.integers(min_value=0, max_value=12),
+    extra=hst.integers(min_value=0, max_value=3),
+)
+def test_property_converged_runs_are_finite(seed, method, tolerance, start, extra):
+    """A run that says converged has a finite estimate and error bound; a
+    typed error is an accepted outcome, a non-finite converged never is."""
+    ast = _random_ast(random.Random(seed))
+    point = lambda s: evaluate(ast, {"s": s, "x": s})
+    h = make_integrand(point, length_factor())
+    ctrl = ConvergenceController(
+        tolerance_abs=tolerance,
+        schedule=RefinementSchedule(start, min(start + extra, 12)),
+    )
+    try:
+        result = run_method(method, h, (0.0, 1.0), ctrl)
+    except GaugeLabError:
+        return
+    if result.status is Status.CONVERGED:
+        assert math.isfinite(result.estimate), to_source(ast)
+        assert math.isfinite(result.error_bound), to_source(ast)

@@ -361,6 +361,18 @@ def test_non_finite_sum_raises_at_first_level(run, strategy):
     assert exc.value.level == 4
 
 
+def test_error_messages_print_plain_floats():
+    with pytest.raises(NonFiniteSumError) as exc:
+        _darboux_infinite_sup()
+    assert str(exc.value) == "strategy 'upper' summed to inf at level 4"
+    liar = ExtremaOracle(lambda us, vs: (0.0, 0.1))
+    with pytest.raises(OracleInconsistencyError) as exc:
+        darboux_riemann(lambda s: s * s, liar, 0.0, 1.0, _ctrl(1e-3, 4, 8))
+    message = str(exc.value)
+    assert "np.float64" not in message
+    assert message.endswith("outside (0.0, 0.1)")
+
+
 class _Recorder:
     """An elementwise callable that records the type of each argument."""
 

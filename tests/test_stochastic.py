@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.special import ndtri
 
 from gaugelab import stochastic
 from gaugelab.errors import ArgumentError, EstimatorFailure
@@ -26,6 +27,31 @@ from gaugelab.stochastic import (
     stratonovich_sum,
     total_variation,
 )
+
+
+def _reference_normals(master_seed, key, count):
+    """The generator route as first written: one SeedSequence, Philox and
+    Generator per substream, 53-bit integers, inverse normal CDF."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=key)
+    gen = np.random.Generator(np.random.Philox(seq))
+    k = gen.integers(0, 2**53, size=count, dtype=np.uint64)
+    return ndtri((k.astype(np.float64) + 0.5) / 2**53)
+
+
+def _reference_path(master_seed, path_id, t, level):
+    """Level 0 and one bridge step per level, one path at a time."""
+    z = _reference_normals(master_seed, (path_id, 0), 1)
+    values = np.array([0.0, math.sqrt(t) * z[0]])
+    for new_level in range(1, level + 1):
+        n = len(values) - 1
+        h = t / n
+        xi = _reference_normals(master_seed, (path_id, new_level), n)
+        mid = 0.5 * (values[:-1] + values[1:]) + 0.5 * math.sqrt(h) * xi
+        finer = np.empty(2 * n + 1)
+        finer[0::2] = values
+        finer[1::2] = mid
+        values = finer
+    return values
 
 
 class TestDyadicPath:
@@ -117,6 +143,123 @@ class TestBrownianPath:
             refine_path(at_max)
         with pytest.raises(ArgumentError, match="MAX_LEVEL"):
             refine_path(path_from_function(lambda s: s, 1.0, 2))
+
+
+class TestGenerator:
+    """The batched generator against the one-substream-at-a-time route."""
+
+    # master seeds of 1, 2, 4 and more than 4 32-bit words
+    SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**127 + 5, 2**128, 2**200 + 12345)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_substream_keys_match_seed_sequence(self, seed):
+        ids = np.array([0, 1, 2, 1000, 2**31, 2**32 - 1], dtype=np.uint64)
+        levels = np.array([0, 1, 12, 26], dtype=np.uint64)
+        expected = np.array(
+            [
+                [
+                    np.random.SeedSequence(seed, spawn_key=(int(i), int(lv)))
+                    .generate_state(2, np.uint64)
+                    for lv in levels
+                ]
+                for i in ids
+            ]
+        )
+        block = stochastic._substream_keys(seed, ids[:, None], levels)
+        assert block.dtype == np.uint64 and block.shape == (6, 4, 2)
+        assert np.array_equal(block, expected)
+        assert np.array_equal(stochastic._substream_keys(seed, ids, 0), expected[:, 0])
+        for i, pid in enumerate(ids):
+            for j, lv in enumerate(levels):
+                keys = stochastic._substream_keys(seed, int(pid), int(lv))
+                assert np.array_equal(keys, expected[i, j])
+
+    def test_raw_top_bits_are_generator_integers(self):
+        # Lemire's bounded method on the power-of-two range 2^53 never
+        # rejects and keeps the top 53 bits of each raw output
+        key = stochastic._substream_keys(99, 4, 5)
+        raw = np.random.Philox(key=key).random_raw(4096) >> np.uint64(11)
+        ints = np.random.Generator(np.random.Philox(key=key)).integers(
+            0, 2**53, size=4096, dtype=np.uint64
+        )
+        assert np.array_equal(raw, ints)
+
+    def test_standard_normals_rows_follow_their_keys(self):
+        keys = stochastic._substream_keys(5, np.arange(1, 4, dtype=np.uint64), 2)
+        rows = stochastic._standard_normals(keys, 9)
+        for pid, row in zip((1, 2, 3), rows):
+            assert row.tobytes() == _reference_normals(5, (pid, 2), 9).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=hst.integers(min_value=0, max_value=2**64 - 1),
+        pid=hst.integers(min_value=0, max_value=2**32 - 1),
+        level=hst.integers(min_value=0, max_value=10),
+    )
+    def test_brownian_path_matches_reference_route(self, seed, pid, level):
+        path = brownian_path(seed, pid, 1.5, level)
+        assert path.values.tobytes() == _reference_path(seed, pid, 1.5, level).tobytes()
+        refined = refine_path(path)
+        assert refined.values.tobytes() == _reference_path(seed, pid, 1.5, level + 1).tobytes()
+
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            lambda p: quadratic_variation(p, 12),
+            lambda p: stratonovich_sum(refine_path(p), lambda x: x, 12),
+            lambda p: ito_sum(p, np.sin, 12),
+        ],
+        ids=["qv", "strat", "ito"],
+    )
+    def test_mc_run_equals_serial_brownian_paths(self, estimator):
+        # level-12 blocks hold 16 paths; 37 paths leave a partial block
+        assert stochastic._BLOCK_VALUES >> 12 == 16
+        stats = mc_run(estimator, 37, 1.0, 12, 2**63 + 9, keep_values=True)
+        serial = [float(estimator(brownian_path(2**63 + 9, pid, 1.0, 12)))
+                  for pid in range(1, 38)]
+        assert np.array(stats.values).tobytes() == np.array(serial).tobytes()
+
+    @pytest.mark.parametrize("pid", [-1, 2**32])
+    def test_path_ids_fit_one_spawn_key_word(self, pid):
+        with pytest.raises(ArgumentError, match="path id"):
+            brownian_path(1, pid, 1.0, 2)
+        with pytest.raises(ArgumentError, match="path id"):
+            DyadicPath(t=1.0, level=0, values=np.zeros(2), master_seed=1, path_id=pid)
+
+    def test_negative_master_seed_refused(self):
+        with pytest.raises(ArgumentError, match="master seed"):
+            brownian_path(-1, 1, 1.0, 2)
+
+    def test_every_draw_goes_through_standard_normals(self, monkeypatch):
+        calls = []
+        draw = stochastic._standard_normals
+
+        def recording(keys, count):
+            calls.append((len(keys), count))
+            return draw(keys, count)
+
+        monkeypatch.setattr(stochastic, "_standard_normals", recording)
+        path = brownian_path(3, 1, 1.0, 2)
+        assert calls == [(1, 1), (1, 1), (1, 2)]
+        calls.clear()
+        refine_path(path)
+        assert calls == [(1, 4)]
+        calls.clear()
+        mc_run(lambda p: 0.0, 20, 1.0, 12, 3)
+        # blocks of 16 and 4 rows; level 0 and then 2^(level-1) per row
+        per_block = lambda rows: [(rows, 1)] + [(rows, 1 << k) for k in range(12)]
+        assert calls == per_block(16) + per_block(4)
+
+    def test_paths_above_max_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew normals for an oversize path count")
+
+        monkeypatch.setattr(stochastic, "_standard_normals", no_draws)
+        with pytest.raises(ArgumentError, match="MAX_PATHS"):
+            mc_run(lambda p: 0.0, stochastic.MAX_PATHS + 1, 1.0, 4, 1)
+        monkeypatch.setattr(stochastic, "MAX_PATHS", 3)
+        with pytest.raises(ArgumentError, match="MAX_PATHS"):
+            mc_run(lambda p: 0.0, 4, 1.0, 4, 1)
 
 
 class TestPathwiseSums:
