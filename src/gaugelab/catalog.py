@@ -60,20 +60,35 @@ from .stochastic import (
 # --------------------------------------------------------------------------
 
 
-def dirichlet_point(s) -> int:
-    """1 if s is rational, else 0; defined only on exact scalars."""
-    if isinstance(s, float):
-        raise ScalarRegimeError(
-            "Dirichlet indicator needs exact scalars; every float is rational, "
-            "so a float version would be constantly 1"
-        )
+_FLOAT_DIRICHLET = (
+    "Dirichlet indicator needs exact scalars; every float is rational, "
+    "so a float version would be constantly 1"
+)
+
+
+def _dirichlet_scalar(s) -> int:
     if isinstance(s, QuadExtScalar):
         return 1 if s.is_rational() else 0
     if is_exact_scalar(s):
         return 1
+    if isinstance(s, float):
+        raise ScalarRegimeError(_FLOAT_DIRICHLET)
     raise ScalarRegimeError(
         f"Dirichlet indicator is undefined on {type(s).__name__}"
     )
+
+
+_dirichlet_cells = np.frompyfunc(_dirichlet_scalar, 1, 1)
+
+
+def dirichlet_point(s):
+    """1 if s is rational, else 0; defined only on exact scalars, and
+    elementwise on `object` arrays of them."""
+    if not isinstance(s, np.ndarray):
+        return _dirichlet_scalar(s)
+    if s.dtype != object:
+        raise ScalarRegimeError(f"{_FLOAT_DIRICHLET}; got a {s.dtype} array")
+    return _dirichlet_cells(s)
 
 
 def dirichlet_factor() -> IntervalFactor:

@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, GaugeContractError
+from .errors import ArgumentError, GaugeContractError, _plain
 
 
 @dataclass(frozen=True)
@@ -35,26 +35,22 @@ class TaggedDivision:
     Cell i is the triple (tags[i], lefts[i], rights[i]): the half-open cell
     ]u, v] and a tag s anywhere in its closure [u, v], the excluded left
     endpoint included, which is what lets a gauge force specific tags.
-    Stored as parallel sequences (numpy arrays in the float regime, tuples of
-    exact scalars otherwise) so large uniform divisions stay cheap.  Adjacent
-    cells may share a tag: a point can legally tag the cell on each side of
-    itself, and sums are indifferent to the duplication.
+    Stored as parallel numpy arrays: float64 in the float regime, `object`
+    arrays of exact scalars (int, Fraction, QuadExtScalar) in the exact one,
+    so every layer runs one array body for both.  Adjacent cells may share a
+    tag: a point can legally tag the cell on each side of itself, and sums
+    are indifferent to the duplication.
     """
 
     __slots__ = ("domain", "tags", "lefts", "rights", "exact")
 
     def __init__(self, domain: Interval, tags, lefts, rights):
         self.domain = domain
-        if isinstance(tags, np.ndarray):
-            self.tags = np.asarray(tags, dtype=float)
-            self.lefts = np.asarray(lefts, dtype=float)
-            self.rights = np.asarray(rights, dtype=float)
-            self.exact = False
-        else:
-            self.tags = tuple(tags)
-            self.lefts = tuple(lefts)
-            self.rights = tuple(rights)
-            self.exact = True
+        self.exact = not (isinstance(tags, np.ndarray) and tags.dtype != object)
+        dtype = object if self.exact else float
+        self.tags = np.asarray(tags, dtype=dtype)
+        self.lefts = np.asarray(lefts, dtype=dtype)
+        self.rights = np.asarray(rights, dtype=dtype)
         self._validate()
 
     def __len__(self) -> int:
@@ -65,40 +61,33 @@ class TaggedDivision:
         return len(self.tags)
 
     def _validate(self):
-        n = len(self.tags)
-        if n == 0 or len(self.lefts) != n or len(self.rights) != n:
+        t, lo, hi = self.tags, self.lefts, self.rights
+        n = len(t)
+        if n == 0 or len(lo) != n or len(hi) != n:
             raise ArgumentError("division needs equal-length, non-empty cell data")
+        if not self.exact and not (
+            np.all(np.isfinite(t)) and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+        ):
+            raise ArgumentError("division contains non-finite values")
         a, b = self.domain.u, self.domain.v
-        if self.exact:
-            if not (self.lefts[0] == a and self.rights[-1] == b):
-                raise ArgumentError("division does not span its domain")
-            total = 0
-            for i in range(n):
-                u, v, s = self.lefts[i], self.rights[i], self.tags[i]
-                if not u < v:
-                    raise ArgumentError(f"degenerate cell ]{u!r}, {v!r}]")
-                if not (u <= s <= v):
-                    raise ArgumentError(f"tag {s!r} outside cell closure [{u!r}, {v!r}]")
-                if i and not self.lefts[i] == self.rights[i - 1]:
-                    raise ArgumentError("cells do not abut")
-                total = total + (v - u)
-            if not total == b - a:
-                raise ArgumentError("cell lengths do not sum to the domain length")
-        else:
-            t, lo, hi = self.tags, self.lefts, self.rights
-            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-                raise ArgumentError("division contains non-finite values")
-            if lo[0] != a or hi[-1] != b:
-                raise ArgumentError("division does not span its domain")
-            if not np.all(lo < hi):
-                raise ArgumentError("degenerate cell in division")
-            if n > 1 and not np.array_equal(hi[:-1], lo[1:]):
-                raise ArgumentError("cells do not abut")
-            if not (np.all(lo <= t) and np.all(t <= hi)):
-                raise ArgumentError("tag outside cell closure")
-            span = b - a
-            if abs(float(np.sum(hi - lo)) - span) > 1e-12 * max(1.0, abs(span)):
-                raise ArgumentError("cell lengths do not sum to the domain length")
+        if not (lo[0] == a and hi[-1] == b):
+            raise ArgumentError("division does not span its domain")
+        if not np.all(lo < hi):
+            i = int(np.argmin(lo < hi))
+            raise ArgumentError(f"degenerate cell ]{_plain(lo[i])!r}, {_plain(hi[i])!r}]")
+        if n > 1 and not np.all(hi[:-1] == lo[1:]):
+            raise ArgumentError("cells do not abut")
+        if not (np.all(lo <= t) and np.all(t <= hi)):
+            i = int(np.argmin((lo <= t) & (t <= hi)))
+            raise ArgumentError(
+                f"tag {_plain(t[i])!r} outside cell closure "
+                f"[{_plain(lo[i])!r}, {_plain(hi[i])!r}]"
+            )
+        # Exact lengths must add up exactly; float ones within rounding.
+        span = b - a
+        slack = 0 if self.exact else 1e-12 * max(1.0, abs(span))
+        if abs(np.sum(hi - lo) - span) > slack:
+            raise ArgumentError("cell lengths do not sum to the domain length")
 
     def __repr__(self) -> str:
         return f"TaggedDivision(n={self.n}, domain={self.domain})"
@@ -131,8 +120,8 @@ class Gauge:
 
     @classmethod
     def from_function(cls, fn: Callable, name: str = "gauge") -> "Gauge":
-        """A functional gauge; `fn` is elementwise, as float divisions hand
-        it whole arrays of points."""
+        """A functional gauge; `fn` is elementwise, as divisions hand it
+        whole arrays of points in both scalar regimes."""
         return cls(fn=fn, name=name)
 
     @property
@@ -143,21 +132,17 @@ class Gauge:
     def constant_value(self):
         return self._constant
 
-    def __call__(self, s):
-        if self._constant is not None:
-            return self._constant
-        width = self._fn(s)
-        if not width > 0:
-            raise GaugeContractError(s, width)
-        return width
-
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Widths at an array of points in one call, with the same
-        positivity contract; a scalar width broadcasts."""
-        points = np.asarray(points, dtype=float)
+        """Widths at an array of points in one call; a scalar width
+        broadcasts.  Exact points (an `object` array) keep exact widths,
+        float points get float64 ones.  A width that is not positive raises
+        GaugeContractError naming the first such point."""
+        points = np.asarray(points)
+        if points.dtype != object:
+            points = points.astype(float, copy=False)
         if self._constant is not None:
-            return np.full(points.shape, float(self._constant))
-        widths = np.asarray(self._fn(points), dtype=float)
+            return np.full(points.shape, self._constant, dtype=points.dtype)
+        widths = np.asarray(self._fn(points), dtype=points.dtype)
         if widths.shape != points.shape:
             widths = np.broadcast_to(widths, points.shape)
         bad = ~(widths > 0)

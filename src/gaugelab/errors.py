@@ -61,12 +61,10 @@ class IntegrandEvalError(GaugeLabError):
     """Integrand evaluation failed; carries the offending tagged cell."""
 
     def __init__(self, tag: object, lo: object, hi: object, cause: BaseException):
-        self.tag = tag
-        self.lo = lo
-        self.hi = hi
+        self.tag, self.lo, self.hi = _plain(tag), _plain(lo), _plain(hi)
         super().__init__(
-            f"integrand evaluation failed at tag={_plain(tag)!r} "
-            f"on ]{_plain(lo)!r}, {_plain(hi)!r}]: {cause}"
+            f"integrand evaluation failed at tag={self.tag!r} "
+            f"on ]{self.lo!r}, {self.hi!r}]: {cause}"
         )
 
 

@@ -24,10 +24,15 @@ CONVENTIONS = ("tag", "left-endpoint", "midpoint", "interval-only")
 _HALF = Fraction(1, 2)
 
 
+def _floating(x) -> bool:
+    return isinstance(x, float) or (isinstance(x, np.ndarray) and x.dtype != object)
+
+
 def midpoint(u, v):
-    """Midpoint of [u, v]; exact when the endpoints are exact scalars,
-    elementwise on float arrays."""
-    if isinstance(u, (float, np.ndarray)) or isinstance(v, (float, np.ndarray)):
+    """Midpoint of [u, v], elementwise: halved in float64 when either side
+    is a float or a float array, exactly for exact scalars and `object`
+    arrays of them."""
+    if _floating(u) or _floating(v):
         return 0.5 * (u + v)
     return u + (v - u) * _HALF
 
@@ -36,8 +41,8 @@ def midpoint(u, v):
 class IntervalFactor:
     """A function of cells alone, g(I) = apply(u, v) for I = ]u, v].
 
-    `apply` is elementwise: float divisions hand it whole arrays of left and
-    right endpoints, exact divisions one cell's exact scalars.  `additive`
+    `apply` is elementwise: divisions hand it whole arrays of left and right
+    endpoints, float64 or `object` arrays of exact scalars.  `additive`
     records whether g(]u,w]) + g(]w,v]) == g(]u,v]); increments of point
     functions and plain lengths are additive, squared lengths are not.
     """
@@ -80,10 +85,10 @@ class BurkillIntegrand:
     """Evaluation rule (s, u, v) |-> value with a named sampling convention.
 
     A cell is its tag s and its endpoints u < v.  The rule is elementwise:
-    float divisions evaluate it once on whole arrays, exact divisions once
-    per cell on exact scalars.  It is already fully assembled: conventions
-    other than "tag" ignore the tag by construction, which is the testable
-    meaning of the label.
+    a division evaluates it once on its whole arrays, float64 ones or
+    `object` arrays of exact scalars.  It is already fully assembled:
+    conventions other than "tag" ignore the tag by construction, which is
+    the testable meaning of the label.
     """
 
     name: str

@@ -6,6 +6,8 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
+from .integrand import midpoint
+
 
 class Status(enum.Enum):
     """Outcome of a finite refinement probe.
@@ -50,7 +52,7 @@ class TraceRow:
     def midpoint(self):
         if self.sum_min == self.sum_max:
             return self.sum_min
-        return (self.sum_min + self.sum_max) / 2
+        return midpoint(self.sum_min, self.sum_max)
 
 
 @dataclass(frozen=True)

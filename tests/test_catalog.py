@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gaugelab.catalog import (
@@ -16,8 +17,10 @@ from gaugelab.catalog import (
     step_at,
     zigzag,
 )
+from gaugelab.divisions import RefinementSchedule
 from gaugelab.errors import ArgumentError, ScalarRegimeError
 from gaugelab.exact import IRRATIONAL_SHIFT, SQRT2
+from gaugelab.integrators import ConvergenceController
 from gaugelab.results import Status
 
 
@@ -38,6 +41,18 @@ class TestDirichletPoint:
     def test_bool_rejected(self):
         with pytest.raises(ScalarRegimeError):
             dirichlet_point(True)
+
+    def test_elementwise_on_object_arrays(self):
+        points = np.array([Fraction(1, 3), SQRT2, 2, IRRATIONAL_SHIFT], dtype=object)
+        out = dirichlet_point(points)
+        assert out.dtype == object and out.tolist() == [1, 0, 1, 0]
+        assert all(type(x) is int for x in out.tolist())
+
+    def test_float_arrays_rejected_loudly(self):
+        with pytest.raises(ScalarRegimeError, match="rational"):
+            dirichlet_point(np.array([0.5, 1.0]))
+        with pytest.raises(ScalarRegimeError, match="rational"):
+            dirichlet_point(np.array([Fraction(1, 2), 0.5], dtype=object))
 
 
 class TestStepAt:
@@ -95,6 +110,13 @@ class TestEntryTable:
         out = run_entry(get_entry("const_dD"))
         assert out.estimate == 0
         assert not isinstance(out.estimate, float)
+
+    def test_exact_estimate_is_not_a_float(self):
+        # integer sums 0 and 1 used to be averaged into the float 0.5
+        ctrl = ConvergenceController(tolerance_abs=1e-9, schedule=RefinementSchedule(1, 2))
+        out = run_entry(get_entry("step_dD"), ctrl)
+        assert out.status is Status.INCONCLUSIVE
+        assert out.estimate == Fraction(1, 2) and type(out.estimate) is Fraction
 
     def test_oscillating_spread_is_exactly_one(self):
         out = run_entry(get_entry("step_dD"))

@@ -49,11 +49,23 @@ class TestTaggedDivision:
         with pytest.raises(ArgumentError):
             _division((0.5, 0.0, 1.0), domain=Interval(0.0, 2.0))
 
-    def test_exact_regime_uses_tuples(self):
+    def test_exact_regime_uses_object_arrays(self):
         half = Fraction(1, 2)
         d = TaggedDivision(Interval(0, 1), [Fraction(1, 4), half], [0, half], [half, 1])
         assert d.exact
-        assert isinstance(d.tags, tuple) and isinstance(d.lefts, tuple)
+        for column in (d.tags, d.lefts, d.rights):
+            assert isinstance(column, np.ndarray) and column.dtype == object
+        assert d.tags.tolist() == [Fraction(1, 4), half]
+        assert type(d.lefts[0]) is int
+
+    def test_exact_checks_name_the_cell(self):
+        half = Fraction(1, 2)
+        with pytest.raises(ArgumentError, match=r"degenerate cell \]Fraction\(1, 2\)"):
+            TaggedDivision(Interval(0, 1), [0, half, 1], [0, half, half], [half, half, 1])
+        with pytest.raises(ArgumentError, match="do not abut"):
+            TaggedDivision(Interval(0, 1), [0, 1], [0, Fraction(2, 3)], [half, 1])
+        with pytest.raises(ArgumentError, match="span"):
+            TaggedDivision(Interval(0, 2), [0], [0], [1])
 
     def test_float_regime_uses_arrays(self):
         d = _division((0.5, 0.0, 1.0))
@@ -66,19 +78,30 @@ class TestGauge:
     def test_constant(self):
         g = Gauge.constant(0.25)
         assert g.is_constant and g.constant_value == 0.25
-        assert g(0.7) == 0.25
+        assert g.evaluate_batch(np.array([0.7])).tolist() == [0.25]
 
     def test_function_gauge(self):
         g = Gauge.from_function(lambda s: s / 2 + 0.1)
         assert not g.is_constant
-        assert g(0.4) == pytest.approx(0.3)
+        assert g.evaluate_batch(np.array([0.4]))[0] == pytest.approx(0.3)
 
     def test_nonpositive_width_raises(self):
         g = Gauge.from_function(lambda s: s - 0.5)
         with pytest.raises(GaugeContractError):
-            g(0.25)
+            g.evaluate_batch(np.array([0.25]))
         with pytest.raises(GaugeContractError):
-            g(0.5)
+            g.evaluate_batch(np.array([0.5]))
+
+    def test_exact_points_keep_exact_widths(self):
+        points = np.array([Fraction(1, 4), Fraction(3, 4)], dtype=object)
+        widths = Gauge.constant(Fraction(1, 3)).evaluate_batch(points)
+        assert widths.dtype == object and widths.tolist() == [Fraction(1, 3)] * 2
+        widths = Gauge.from_function(lambda s: s / 2).evaluate_batch(points)
+        assert widths.dtype == object and widths.tolist() == [Fraction(1, 8), Fraction(3, 8)]
+        with pytest.raises(GaugeContractError) as err:
+            Gauge.from_function(lambda s: s - Fraction(1, 2)).evaluate_batch(points)
+        assert err.value.point == Fraction(1, 4)
+        assert err.value.value == Fraction(-1, 4)
 
     def test_nonpositive_constant_rejected(self):
         with pytest.raises((ArgumentError, GaugeContractError)):

@@ -125,6 +125,21 @@ class TestIntegrateDispatch:
         assert "estimate: 0" in out
         assert "converged" in out
 
+    def test_exact_estimate_prints_as_a_fraction(self, capsys):
+        rc = main(["integrate", "--method", "rs", "--catalog", "step_dD",
+                   "--levels", "1:2", "--no-timestamp"])
+        assert rc == EXIT_CODES[Status.INCONCLUSIVE]
+        assert "estimate: 1/2\n" in capsys.readouterr().out
+
+    def test_exact_integrand_fault_names_the_exact_cell(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["integrate", "--method", "rs", "--expr", "1/s", "--dI", "dD",
+                      "--no-timestamp"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "tag=Fraction(0, 1) on ]Fraction(0, 1), Fraction(1, 16)]" in err
+        assert "(1 / s)" in err
+
     def test_darboux_needs_monotone_expr(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main_cli(["integrate", "--method", "darboux", "--expr", "sin(s)*s"])

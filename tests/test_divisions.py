@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from gaugelab.cells import Gauge
+from gaugelab.catalog import dirichlet_factor, step_at
+from gaugelab.cells import Gauge, Interval
 from gaugelab.divisions import (
+    DEFAULT_DEPTH_CAP,
+    DEFAULT_SELECTORS,
     FLOAT_SHIFT,
     MAX_LEVEL,
+    TAG_RULES,
     RefinementSchedule,
     bisect_refine,
     delta_fine_division,
@@ -24,7 +28,7 @@ from gaugelab.errors import (
     GaugeTooDemandingError,
     IntegrandEvalError,
 )
-from gaugelab.exact import QuadExtScalar
+from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtScalar
 from gaugelab.expr import as_function, parse
 from gaugelab.integrand import (
     BurkillIntegrand,
@@ -75,10 +79,6 @@ class TestMakeUniform:
         assert not d.exact
         assert d.rights[-1] == 1.0
         np.testing.assert_allclose(np.diff(d.lefts), 0.125)
-
-    def test_offset_sequence_rule(self):
-        d = make_uniform(0.0, 1.0, 2, [0.25, 0.75])
-        np.testing.assert_allclose(d.tags, [0.125, 0.875])
 
     def test_bad_inputs(self):
         with pytest.raises(ArgumentError):
@@ -285,3 +285,151 @@ class TestRiemannSum:
             for rule in ("left", "midpoint", "right")
         }
         assert sums["left"] == sums["midpoint"] == sums["right"]
+
+
+# --------------------------------------------------------------------------
+# The exact regime against per-cell references
+# --------------------------------------------------------------------------
+#
+# Exact divisions are object arrays that every layer handles with the same
+# array body as float ones.  The references below are the per-cell loops
+# the exact regime used to run, kept here to pin the array bodies to them
+# in value and in Python type.
+
+HALF = Fraction(1, 2)
+
+
+def _cells(division):
+    return zip(division.tags.tolist(), division.lefts.tolist(), division.rights.tolist())
+
+
+def _per_cell_sum(h, division):
+    total = 0
+    for s, u, v in _cells(division):
+        total = total + h(s, u, v)
+    return total
+
+
+def _per_cell_fine(division, width):
+    return all(s - u < width(s) and v - s < width(s) for s, u, v in _cells(division))
+
+
+def _dfs_division(a, b, width, selectors, depth_cap):
+    """Depth-first bisection on exact scalars, one gauge call per candidate:
+    (tags, lefts, rights) lists, or GaugeTooDemandingError for the first
+    cell left unresolved at the depth cap."""
+    tags, lefts, rights = [], [], []
+
+    def visit(u, v, depth):
+        for selector in selectors:
+            s = {"left": u, "right": v, "midpoint": u + (v - u) * HALF}[selector]
+            w = width(s)
+            if s - u < w and v - s < w:
+                tags.append(s)
+                lefts.append(u)
+                rights.append(v)
+                return
+        if depth >= depth_cap:
+            raise GaugeTooDemandingError(u, v, depth)
+        m = u + (v - u) * HALF
+        visit(u, m, depth + 1)
+        visit(m, v, depth + 1)
+
+    visit(a, b, 0)
+    return tags, lefts, rights
+
+
+_fractions = hst.fractions(min_value=-2, max_value=2, max_denominator=12)
+_widths = hst.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=12)
+
+
+@hst.composite
+def _exact_bounds(draw):
+    a = draw(_fractions)
+    if draw(hst.booleans()):
+        a = a + IRRATIONAL_SHIFT
+    return a, a + draw(_widths)
+
+
+_EXACT_INTEGRANDS = (
+    make_integrand(step_at(HALF), dirichlet_factor(), "tag"),
+    make_integrand(lambda s: Fraction(2), dirichlet_factor(), "tag"),
+    make_integrand(lambda s: s, length_factor(), "tag"),
+)
+_BUILDERS = (make_uniform, make_shifted_uniform)
+
+
+class TestExactRegimeMatchesPerCell:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bounds=_exact_bounds(),
+        n=hst.integers(min_value=1, max_value=64),
+        build=hst.sampled_from(_BUILDERS),
+        rule=hst.sampled_from(TAG_RULES),
+    )
+    def test_riemann_sum_value_and_type(self, bounds, n, build, rule):
+        division = build(*bounds, n, rule)
+        assert division.exact and division.tags.dtype == object
+        for h in _EXACT_INTEGRANDS:
+            got, want = riemann_sum(h, division), _per_cell_sum(h, division)
+            assert got == want and type(got) is type(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bounds=_exact_bounds(),
+        n=hst.integers(min_value=1, max_value=64),
+        build=hst.sampled_from(_BUILDERS),
+        rule=hst.sampled_from(TAG_RULES),
+        # half a cell and a whole cell put widths on the strict boundary
+        scale=hst.sampled_from([HALF, Fraction(1)])
+        | hst.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=8),
+        slope=hst.fractions(min_value=0, max_value=2, max_denominator=8),
+    )
+    def test_is_fine(self, bounds, n, build, rule, scale, slope):
+        a, b = bounds
+        division = build(a, b, n, rule)
+        delta = (b - a) * Fraction(1, n) * scale
+        constant = lambda s: delta
+        assert is_fine(division, Gauge.constant(delta)) == _per_cell_fine(division, constant)
+        width = lambda s: delta + slope * abs(s - a)
+        assert is_fine(division, Gauge.from_function(width)) == _per_cell_fine(division, width)
+
+
+class TestExactFunctionalGauge:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bounds=_exact_bounds(),
+        floor=hst.fractions(min_value=Fraction(1, 64), max_value=1, max_denominator=64),
+        slope=hst.fractions(min_value=0, max_value=2, max_denominator=8),
+        at=hst.fractions(min_value=0, max_value=1, max_denominator=16),
+        selectors=hst.permutations(TAG_RULES).flatmap(
+            lambda p: hst.integers(1, 3).map(lambda k: tuple(p[:k]))
+        ),
+    )
+    def test_same_cells_as_depth_first_bisection(self, bounds, floor, slope, at, selectors):
+        # the gauge narrows toward the point `at` of the domain
+        a, b = bounds
+        pole = a + (b - a) * at
+        width = lambda s: floor + slope * abs(s - pole)
+        division = delta_fine_division(a, b, Gauge.from_function(width), selectors=selectors)
+        tags, lefts, rights = _dfs_division(a, b, width, selectors, DEFAULT_DEPTH_CAP)
+        assert division.exact and division.domain == Interval(a, b)
+        for got, want in zip((division.tags, division.lefts, division.rights),
+                             (tags, lefts, rights)):
+            assert got.tolist() == want
+            assert [type(x) for x in got.tolist()] == [type(x) for x in want]
+
+    @pytest.mark.parametrize("a", [Fraction(0), IRRATIONAL_SHIFT])
+    def test_too_demanding_names_the_same_cell(self, a):
+        # widths collapse above a + 1/3: cells there split past the cap
+        b = a + 1
+        tiny = Fraction(1, 10**9)
+        width = lambda s: tiny + (1 - tiny) * (s < a + Fraction(1, 3))
+        with pytest.raises(GaugeTooDemandingError) as want:
+            _dfs_division(a, b, width, DEFAULT_SELECTORS, 6)
+        with pytest.raises(GaugeTooDemandingError) as got:
+            delta_fine_division(a, b, Gauge.from_function(width), depth_cap=6)
+        assert (got.value.lo, got.value.hi, got.value.depth) == (
+            want.value.lo, want.value.hi, want.value.depth
+        )
+        assert str(got.value) == str(want.value)

@@ -14,6 +14,7 @@ from gaugelab.divisions import (
     RefinementSchedule,
     delta_fine_division,
     is_fine,
+    make_shifted_uniform,
     make_uniform,
     riemann_sum,
 )
@@ -45,7 +46,7 @@ from gaugelab.integrators import (
     square_distribution,
     step_distribution,
 )
-from gaugelab.results import Status
+from gaugelab.results import Status, TraceRow
 from gaugelab.stochastic import path_from_function
 
 
@@ -226,9 +227,10 @@ class TestGaugeIntegrate:
 class TestSingularityGauge:
     def test_origin_gets_floor_width(self):
         g = singularity_gauge(ceiling=0.25, at_origin=1e-4)
-        assert g(0.0) == 1e-4
-        assert g(1e-3) == pytest.approx(5e-4)
-        assert g(0.9) == 0.25
+        widths = g.evaluate_batch(np.array([0.0, 1e-3, 0.9]))
+        assert widths[0] == 1e-4
+        assert widths[1] == pytest.approx(5e-4)
+        assert widths[2] == 0.25
 
     def test_division_anchors_origin(self):
         g = singularity_gauge(ceiling=0.25, at_origin=1e-3)
@@ -405,11 +407,35 @@ def test_float_callables_see_whole_arrays_a_fixed_number_of_times(level):
     assert set(width.args) == {np.ndarray}
     assert len(width.args) <= 3 * (level + 1)
 
+    # exact divisions hand the same callables object arrays, as often
+    point = _Recorder(lambda s: s)
+    h = make_integrand(point, length_factor(), "tag")
+    riemann_sum(h, make_shifted_uniform(Fraction(0), Fraction(1), 2 ** level))
+    assert point.args == [np.ndarray]
+
+    width = _Recorder(lambda s: Fraction(1, 2 ** level))
+    division = delta_fine_division(Fraction(0), Fraction(1), Gauge.from_function(width))
+    assert division.exact and division.n == 2 ** level
+    assert set(width.args) == {np.ndarray}
+    assert len(width.args) <= 3 * (level + 1)
+
     source = _Recorder(np.sin)
     path_from_function(source, 1.0, level)
     g = DistributionFunction("recorded", 0.0, 1.0, _Recorder(lambda u: u))
     g.spot_check_monotone()
     assert source.args == g.evaluate.args == [np.ndarray]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    x=hst.floats(allow_nan=False, allow_infinity=False),
+    y=hst.floats(allow_nan=False, allow_infinity=False),
+)
+def test_trace_row_midpoint_keeps_float_bits(x, y):
+    lo, hi = min(x, y), max(x, y)
+    want = lo if lo == hi else (lo + hi) / 2
+    got = TraceRow(0, 1, lo, hi).midpoint
+    assert type(got) is float and repr(got) == repr(want)
 
 
 @settings(max_examples=15, deadline=None)
