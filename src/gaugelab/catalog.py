@@ -145,12 +145,20 @@ class Expected:
     quantity: str = "integral"
 
 
+# What an entry's `build` returns, fixed by the method that runs it.
+_KINDS = {
+    "rs": "integrand",
+    "gauge": "integrand",
+    "darboux": "point-function",
+    "lebesgue": "distribution",
+    None: "path",
+}
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    kind: str  # "integrand" | "point-function" | "distribution" | "path"
     method: Optional[str]  # darboux | rs | gauge | lebesgue | None for paths
-    regime: str  # "float" | "exact"
     note: str  # derivation backing `expected`
     bounds: Optional[Tuple[object, object]]
     build: Callable[[], object]
@@ -162,6 +170,17 @@ class CatalogEntry:
     def __post_init__(self):
         if not self.note:
             raise ArgumentError(f"entry {self.name!r} needs a derivation note")
+
+    @property
+    def kind(self) -> str:
+        """One of integrand, point-function, distribution or path."""
+        return _KINDS[self.method]
+
+    @property
+    def regime(self) -> str:
+        """exact over exact-scalar bounds, float otherwise (paths included)."""
+        exact = self.bounds is not None and all(map(is_exact_scalar, self.bounds))
+        return "exact" if exact else "float"
 
 
 def _ctrl(tol: float, start: int = 4, stop: int = 22) -> Callable[[], ConvergenceController]:
@@ -180,7 +199,7 @@ def _h1() -> BurkillIntegrand:
 def _h2() -> BurkillIntegrand:
     # Pure tag integrand h(s, I) = s; no interval factor damps it, so sums
     # over n cells grow like n times the mean tag.
-    return BurkillIntegrand(name="h2", convention="tag", rule=lambda s, u, v: s)
+    return BurkillIntegrand(name="h2", rule=lambda s, u, v: s)
 
 
 def _h3() -> BurkillIntegrand:
@@ -255,9 +274,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
     return (
         CatalogEntry(
             name="h1",
-            kind="integrand",
             method="gauge",
-            regime="float",
             note="lengths telescope: every division of [0,1] sums to 1",
             bounds=(0.0, 1.0),
             build=_h1,
@@ -265,9 +282,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="h2",
-            kind="integrand",
             method="gauge",
-            regime="float",
             note="sum of tags grows like n/2: geometric growth ratio 2 per level",
             bounds=(0.0, 1.0),
             build=_h2,
@@ -275,9 +290,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="h3",
-            kind="integrand",
             method="gauge",
-            regime="float",
             note="antiderivative s^3/3; left/right tag biases +-1/(2n) cancel in the estimate",
             bounds=(0.0, 1.0),
             build=_h3,
@@ -286,9 +299,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="h4",
-            kind="integrand",
             method="gauge",
-            regime="float",
             note="sum of squared lengths on n uniform cells is 1/n",
             bounds=(0.0, 1.0),
             build=_h4,
@@ -297,9 +308,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="h5",
-            kind="integrand",
             method="gauge",
-            regime="float",
             note="antiderivative s^3/3 with left-endpoint bias -1/(2n), within spread",
             bounds=(0.0, 1.0),
             build=_h5,
@@ -308,9 +317,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="const_dD",
-            kind="integrand",
             method="rs",
-            regime="exact",
             note="constant point factor telescopes against dD; D(1) - D(0) = 0 exactly",
             bounds=(Fraction(0), Fraction(1)),
             build=_const_dD,
@@ -319,9 +326,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="step_dD",
-            kind="integrand",
             method="rs",
-            regime="exact",
             note="rational grids sum to 0, irrational-shifted grids to 1: spread exactly 1",
             bounds=(Fraction(0), Fraction(1)),
             build=_step_dD,
@@ -330,9 +335,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="s_dsquare",
-            kind="integrand",
             method="rs",
-            regime="float",
             note="antiderivative of s*2s is 2s^3/3: integral 2/3",
             bounds=(0.0, 1.0),
             build=_s_dsquare,
@@ -341,9 +344,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="square_darboux",
-            kind="point-function",
             method="darboux",
-            regime="float",
             note="monotone on [0,1]; U - L = 1/n; antiderivative s^3/3",
             bounds=(0.0, 1.0),
             build=_square_point,
@@ -352,9 +353,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="const_darboux",
-            kind="point-function",
             method="darboux",
-            regime="float",
             note="U = L exactly for constants: converges on the first partition",
             bounds=(0.0, 2.0),
             build=_const_point,
@@ -363,9 +362,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="identity_darboux",
-            kind="point-function",
             method="darboux",
-            regime="float",
             note="U - L = (b-a)^2/n on [0,2]; estimate exactly the trapezoid value 2",
             bounds=(0.0, 2.0),
             build=_identity_point,
@@ -374,9 +371,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="step_darboux",
-            kind="point-function",
             method="darboux",
-            regime="float",
             note="one straddling cell of width 2^-k bounds U - L; estimate "
             "errs by half that cell",
             bounds=(0.0, 1.0),
@@ -386,9 +381,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="identity_dist",
-            kind="distribution",
             method="lebesgue",
-            regime="float",
             note="mean of the identity distribution: antiderivative u^2/2",
             bounds=(0.0, 1.0),
             build=identity_distribution,
@@ -397,9 +390,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="square_dist",
-            kind="distribution",
             method="lebesgue",
-            regime="float",
             note="antiderivative of u*2u is 2u^3/3: integral 2/3",
             bounds=(0.0, 1.0),
             build=square_distribution,
@@ -408,9 +399,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="twomass_step",
-            kind="distribution",
             method="lebesgue",
-            regime="float",
             note="finite sum value x mass: 2*(1/3) + 5*(2/3) = 4",
             bounds=(2.0, 5.0),
             build=_twomass,
@@ -419,9 +408,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="inv_sqrt",
-            kind="integrand",
             method="gauge",
-            regime="float",
             note="antiderivative 2*sqrt(s); singularity gauge shrinks toward 0",
             bounds=(0.0, 1.0),
             build=_inv_sqrt_integrand,
@@ -432,9 +419,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="const_path",
-            kind="path",
             method=None,
-            regime="float",
             note="constant path: no variation at any level",
             bounds=None,
             build=lambda: path_from_function(lambda s: 1.0, 1.0, 6),
@@ -442,9 +427,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="linear_path",
-            kind="path",
             method=None,
-            regime="float",
             note="x(s) = s: increments telescope to 1 exactly on dyadic grids",
             bounds=None,
             build=lambda: path_from_function(lambda s: s, 1.0, 6),
@@ -452,9 +435,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             name="zigzag_path",
-            kind="path",
             method=None,
-            regime="float",
             note="four segments of slope +-2 and length 1/4: variation 4 * 1/2 = 2",
             bounds=None,
             build=lambda: path_from_function(zigzag, 1.0, 6),
@@ -523,40 +504,6 @@ def run_entry(entry: CatalogEntry, ctrl: Optional[ConvergenceController] = None)
         entry.controller() if ctrl is None else ctrl,
         gauges=entry.gauges,
         selectors=entry.selectors,
-    )
-
-
-# --------------------------------------------------------------------------
-# Integrator functions for the constant-integrand theorem
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntegratorFunction:
-    """A function g usable as the increment factor in beta * dg probes."""
-
-    name: str
-    a: object
-    b: object
-    fn: Callable
-    exact: bool
-    range_value: object  # g(b) - g(a), the telescoping oracle
-
-
-def integrator_functions() -> Tuple[IntegratorFunction, ...]:
-    two_mass = _twomass()
-    return (
-        IntegratorFunction("identity", 0.0, 1.0, lambda u: u, False, 1.0),
-        IntegratorFunction("square", 0.0, 1.0, lambda u: u * u, False, 1.0),
-        IntegratorFunction(
-            "twomass",
-            2.0,
-            5.0,
-            two_mass.evaluate,
-            False,
-            two_mass.evaluate(5.0) - two_mass.evaluate(2.0),
-        ),
-        IntegratorFunction("dirichlet", Fraction(0), Fraction(1), dirichlet_point, True, 0),
     )
 
 

@@ -46,11 +46,12 @@ class TaggedDivision:
 
     def __init__(self, domain: Interval, tags, lefts, rights):
         self.domain = domain
-        self.exact = not (isinstance(tags, np.ndarray) and tags.dtype != object)
+        columns = [np.asarray(c) for c in (tags, lefts, rights)]
+        # A column of binary floats makes the division float, lists included;
+        # int, Fraction and QuadExtScalar columns stay exact.
+        self.exact = all(c.dtype.kind != "f" for c in columns)
         dtype = object if self.exact else float
-        self.tags = np.asarray(tags, dtype=dtype)
-        self.lefts = np.asarray(lefts, dtype=dtype)
-        self.rights = np.asarray(rights, dtype=dtype)
+        self.tags, self.lefts, self.rights = (c.astype(dtype, copy=False) for c in columns)
         self._validate()
 
     def __len__(self) -> int:

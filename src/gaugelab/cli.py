@@ -94,9 +94,10 @@ def _fmt_num(x) -> str:
 
 
 def _jsonable(x):
-    if x is None or isinstance(x, (int, str)):
+    """Numbers as JSON numbers; exact sums as the text stdout prints."""
+    if x is None or isinstance(x, (int, float, str)):
         return x
-    return float(x)
+    return _fmt_num(x)
 
 
 def _timestamp_line() -> str:
@@ -127,7 +128,7 @@ def _write_artifact(config: RunConfig, header: Sequence[str], rows, payload) -> 
             metadata["generated"] = _timestamp_line()
         body = dict(payload)
         body["metadata"] = metadata
-        text = json.dumps(body, indent=2) + "\n"
+        text = json.dumps(body, indent=2, allow_nan=False) + "\n"
     with open(config.out, "w", encoding="utf-8") as fh:
         fh.write(text)
 

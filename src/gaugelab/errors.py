@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 
@@ -104,3 +106,18 @@ class EstimatorFailure(GaugeLabError):
     def __init__(self, path_id: int, cause: BaseException):
         self.path_id = path_id
         super().__init__(f"estimator failed on path id={path_id}: {cause}")
+
+
+class NonFiniteEstimateError(GaugeLabError):
+    """A Monte Carlo estimator value or statistic is infinite or NaN.
+
+    `path_id` names the first path whose value is non-finite; it is None
+    when every value is finite and a statistic over them overflows.
+    """
+
+    def __init__(self, quantity: str, value: float, path_id: Optional[int] = None):
+        self.quantity = quantity
+        self.value = value
+        self.path_id = path_id
+        where = "" if path_id is None else f" on path id={path_id}"
+        super().__init__(f"{quantity} is {_plain(value)!r}{where}")

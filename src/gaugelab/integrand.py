@@ -42,14 +42,11 @@ class IntervalFactor:
     """A function of cells alone, g(I) = apply(u, v) for I = ]u, v].
 
     `apply` is elementwise: divisions hand it whole arrays of left and right
-    endpoints, float64 or `object` arrays of exact scalars.  `additive`
-    records whether g(]u,w]) + g(]w,v]) == g(]u,v]); increments of point
-    functions and plain lengths are additive, squared lengths are not.
+    endpoints, float64 or `object` arrays of exact scalars.
     """
 
     name: str
     apply: Callable[[object, object], object]
-    additive: bool = False
 
     def __call__(self, u, v):
         return self.apply(u, v)
@@ -57,14 +54,12 @@ class IntervalFactor:
 
 def length_factor() -> IntervalFactor:
     """The plain length |I| = v - u."""
-    return IntervalFactor(name="length", apply=lambda u, v: v - u, additive=True)
+    return IntervalFactor(name="length", apply=lambda u, v: v - u)
 
 
 def length_squared_factor() -> IntervalFactor:
     """|I|^2: the canonical non-additive interval factor."""
-    return IntervalFactor(
-        name="length^2", apply=lambda u, v: (v - u) * (v - u), additive=False
-    )
+    return IntervalFactor(name="length^2", apply=lambda u, v: (v - u) * (v - u))
 
 
 def increments_of(f: Callable, name: Optional[str] = None) -> IntervalFactor:
@@ -76,30 +71,22 @@ def increments_of(f: Callable, name: Optional[str] = None) -> IntervalFactor:
     return IntervalFactor(
         name=name or f"d({getattr(f, '__name__', 'f')})",
         apply=lambda u, v: f(v) - f(u),
-        additive=True,
     )
 
 
 @dataclass(frozen=True)
 class BurkillIntegrand:
-    """Evaluation rule (s, u, v) |-> value with a named sampling convention.
+    """Evaluation rule (s, u, v) |-> value.
 
     A cell is its tag s and its endpoints u < v.  The rule is elementwise:
     a division evaluates it once on its whole arrays, float64 ones or
-    `object` arrays of exact scalars.  It is already fully assembled:
-    conventions other than "tag" ignore the tag by construction, which is
-    the testable meaning of the label.
+    `object` arrays of exact scalars.  It is already fully assembled: a
+    rule built by make_integrand under a convention other than "tag"
+    ignores the tag by construction.
     """
 
     name: str
-    convention: str
     rule: Callable[[object, object, object], object]
-
-    def __post_init__(self):
-        if self.convention not in CONVENTIONS:
-            raise ArgumentError(
-                f"unknown convention {self.convention!r}; expected one of {CONVENTIONS}"
-            )
 
     def __call__(self, s, u, v):
         return self.rule(s, u, v)
@@ -133,11 +120,7 @@ def make_integrand(
     if convention == "interval-only":
         if point is not None:
             raise ArgumentError("interval-only integrands take no point factor")
-        return BurkillIntegrand(
-            name=name or factor.name,
-            convention=convention,
-            rule=lambda s, u, v: g(u, v),
-        )
+        return BurkillIntegrand(name=name or factor.name, rule=lambda s, u, v: g(u, v))
 
     if point is None:
         raise ArgumentError(f"convention {convention!r} needs a point factor")
@@ -149,8 +132,4 @@ def make_integrand(
         rule = lambda s, u, v: point(midpoint(u, v)) * g(u, v)
 
     pname = getattr(point, "__name__", "f")
-    return BurkillIntegrand(
-        name=name or f"{pname}@{convention} * {factor.name}",
-        convention=convention,
-        rule=rule,
-    )
+    return BurkillIntegrand(name=name or f"{pname}@{convention} * {factor.name}", rule=rule)

@@ -241,20 +241,6 @@ class _Bracket(_Classifier):
         return 0.5 * (last.sum_max + last.sum_min), 0.5 * (last.sum_max - last.sum_min)
 
 
-class _Rows:
-    """Classification switched off: (level, sums, spread) for every level."""
-
-    def __init__(self):
-        self.rows = []
-
-    def observe(self, level: int, n: int, sums: dict) -> None:
-        values = list(sums.values())
-        self.rows.append((level, sums, max(values) - min(values)))
-
-    def result(self) -> list:
-        return self.rows
-
-
 def _ladder(schedule: RefinementSchedule, sums_at_level, classifier):
     """The one refinement loop: `sums_at_level(level)` gives (n, {strategy:
     sum}), the classifier observes it, and a returned status stops early.
@@ -355,8 +341,8 @@ class DistributionFunction:
             if not mass > 0:
                 raise ArgumentError(f"jump mass at {pos} must be positive")
 
-    def spot_check_monotone(self, samples: int = 129):
-        grid = np.linspace(self.c, self.d, samples)
+    def spot_check_monotone(self):
+        grid = np.linspace(self.c, self.d, 129)
         vals = np.broadcast_to(np.asarray(self.evaluate(grid), dtype=float), grid.shape)
         if not np.all(np.isfinite(vals)):
             raise MonotonicityError(f"{self.name} is not finite on [{self.c}, {self.d}]")
@@ -441,16 +427,6 @@ def singularity_gauge(ceiling: float, at_origin: float, origin: float = 0.0) -> 
 # --------------------------------------------------------------------------
 
 
-def _grid_sums(h: BurkillIntegrand, a, b, schedule: RefinementSchedule):
-    """Strategy callback: h summed over each rs grid at the level's cell count."""
-
-    def sums_at(level: int):
-        n = schedule.cells_for(level)
-        return n, {s.name: riemann_sum(h, s.build(a, b, n)) for s in RS_STRATEGIES}
-
-    return sums_at
-
-
 def _fine_sums(h: BurkillIntegrand, strategies: Sequence[TagSelectorStrategy], pieces_at):
     """Strategy callback over delta-fine divisions of the (lo, hi, gauge)
     pieces `pieces_at(level)` lists; a strategy adds its pieces' sums."""
@@ -490,10 +466,15 @@ def rs_integrate(
     division, but at a loose tolerance other integrands can agree there too.
     """
     ctrl = ctrl or ConvergenceController()
+
+    def sums_at(level: int):
+        n = ctrl.schedule.cells_for(level)
+        return n, {s.name: riemann_sum(h, s.build(a, b, n)) for s in RS_STRATEGIES}
+
     classifier = _Classifier(
         ctrl, [s.name for s in RS_STRATEGIES], first_level_accept=True
     )
-    return _ladder(ctrl.schedule, _grid_sums(h, a, b, ctrl.schedule), classifier)
+    return _ladder(ctrl.schedule, sums_at, classifier)
 
 
 def gauge_integrate(
@@ -559,21 +540,6 @@ def darboux_riemann(
         return n, {"lower": np.sum(lo * width), "upper": np.sum(hi * width)}
 
     return _ladder(ctrl.schedule, sums_at, _Bracket(ctrl))
-
-
-def oscillation_probe(
-    h: BurkillIntegrand,
-    a,
-    b,
-    schedule: Optional[RefinementSchedule] = None,
-) -> list:
-    """Raw per-strategy sums per level over the rs grids, no classification.
-
-    Returns rows (level, {strategy: sum}, spread) for side-by-side viewing
-    of how division choice moves the sums.
-    """
-    schedule = schedule or RefinementSchedule()
-    return _ladder(schedule, _grid_sums(h, a, b, schedule), _Rows())
 
 
 def lebesgue_distribution_integrate(

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .divisions import MAX_LEVEL
-from .errors import ArgumentError, EstimatorFailure
+from .errors import ArgumentError, EstimatorFailure, NonFiniteEstimateError
 
 BIT_GENERATOR = "philox"
 GAUSSIAN_TRANSFORM = "inverse-cdf"
@@ -272,12 +272,6 @@ class DyadicPath:
         stride = 1 << (self.level - level)
         return self.values[::stride]
 
-    def value_at(self, u):
-        """Piecewise-linear interpolation between grid values; elementwise."""
-        if not np.all((0 <= u) & (u <= self.t)):
-            raise ArgumentError(f"{u} outside [0, {self.t}]")
-        return np.interp(u, self.times(), self.values)
-
 
 def path_from_function(f: Callable[[float], float], t: float, level: int) -> DyadicPath:
     """Deterministic dyadic path sampling an elementwise f on the level grid
@@ -390,18 +384,6 @@ def total_variation(path: DyadicPath, level: int) -> float:
     return float(np.sum(np.abs(dx, out=dx)))
 
 
-def ito_identity_residual(path: DyadicPath, level: int) -> float:
-    """ito_sum(identity) + QV/2 - (x(t)^2 - x(0)^2)/2.
-
-    Zero for every path and level by telescoping of squares; any residual
-    beyond accumulation noise is an arithmetic bug, not a modeling error.
-    """
-    x = _level_values(path, level)
-    left = float(np.sum(x[:-1] * np.diff(x)))
-    qv = quadratic_variation(path, level)
-    return left + 0.5 * qv - 0.5 * (float(x[-1]) ** 2 - float(x[0]) ** 2)
-
-
 def ito_formula_residual(
     path: DyadicPath, f: Callable, df: Callable, d2f: Callable, level: int
 ) -> float:
@@ -483,7 +465,9 @@ def mc_run(
     by one in path-id order, each bitwise equal to brownian_path(master_seed,
     path_id, t, level); aggregation runs in the same order, so the
     floating-point result is deterministic too.  An estimator may
-    refine_path its argument (the stream travels with the path).
+    refine_path its argument (the stream travels with the path).  A
+    non-finite estimator value, mean or variance raises
+    NonFiniteEstimateError.
     """
     if paths < 1:
         raise ArgumentError(f"need at least one path, got {paths}")
@@ -504,8 +488,16 @@ def mc_run(
                 out[path_id - 1] = float(estimator(path))
             except Exception as exc:
                 raise EstimatorFailure(path_id, exc) from exc
-    mean = float(np.mean(out))
-    variance = float(np.var(out, ddof=1)) if paths > 1 else 0.0
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise NonFiniteEstimateError("estimator value", out[bad[0]], int(bad[0]) + 1)
+    # finite values can still overflow a statistic; that is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(out))
+        variance = float(np.var(out, ddof=1)) if paths > 1 else 0.0
+    for quantity, value in (("mean", mean), ("variance", variance)):
+        if not math.isfinite(value):
+            raise NonFiniteEstimateError(f"{quantity} over {paths} paths", value)
     return PathStatistics(
         count=paths,
         mean=mean,

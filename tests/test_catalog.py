@@ -12,7 +12,6 @@ from gaugelab.catalog import (
     dirichlet_point,
     entry_names,
     get_entry,
-    integrator_functions,
     run_entry,
     step_at,
     zigzag,
@@ -106,6 +105,21 @@ class TestEntryTable:
             err = abs(float(out.estimate) - float(e.expected.value))
             assert err <= e.expected.tolerance
 
+    def test_kind_and_regime_follow_method_and_bounds(self):
+        groups = {}
+        for name in entry_names():
+            e = get_entry(name)
+            groups.setdefault((e.kind, e.regime), []).append(name)
+        assert groups == {
+            ("integrand", "float"): ["h1", "h2", "h3", "h4", "h5", "s_dsquare", "inv_sqrt"],
+            ("integrand", "exact"): ["const_dD", "step_dD"],
+            ("point-function", "float"): [
+                "square_darboux", "const_darboux", "identity_darboux", "step_darboux"
+            ],
+            ("distribution", "float"): ["identity_dist", "square_dist", "twomass_step"],
+            ("path", "float"): ["const_path", "linear_path", "zigzag_path"],
+        }
+
     def test_exact_entries_stay_exact(self):
         out = run_entry(get_entry("const_dD"))
         assert out.estimate == 0
@@ -124,19 +138,6 @@ class TestEntryTable:
         assert len(out.trace) >= 8
         for row in out.trace:
             assert row.sum_max - row.sum_min == 1
-
-
-class TestIntegratorFunctions:
-    def test_catalog_of_four(self):
-        gs = {g.name: g for g in integrator_functions()}
-        assert set(gs) == {"identity", "square", "twomass", "dirichlet"}
-        assert gs["identity"].range_value == 1.0
-        assert gs["dirichlet"].exact
-        assert gs["dirichlet"].range_value == 0
-
-    def test_range_matches_endpoint_values(self):
-        for g in integrator_functions():
-            assert g.fn(g.b) - g.fn(g.a) == g.range_value
 
 
 class TestConditionalSeries:

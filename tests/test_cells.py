@@ -1,5 +1,6 @@
 """Half-open intervals, tagged divisions, and gauge contracts."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,13 @@ class TestTaggedDivision:
             TaggedDivision(Interval(0, 1), [0, 1], [0, Fraction(2, 3)], [half, 1])
         with pytest.raises(ArgumentError, match="span"):
             TaggedDivision(Interval(0, 2), [0], [0], [1])
+
+    def test_float_lists_make_a_float_division(self):
+        # lists of binary floats get the float checks, as float64 arrays do
+        with pytest.raises(ArgumentError, match="non-finite"):
+            TaggedDivision(Interval(0.0, math.inf), [1.0], [0.0], [math.inf])
+        d = TaggedDivision(Interval(0.0, 1.0), [0.5], [0.0], [1.0])
+        assert not d.exact and d.tags.dtype == float
 
     def test_float_regime_uses_arrays(self):
         d = _division((0.5, 0.0, 1.0))

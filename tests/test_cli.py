@@ -350,6 +350,23 @@ class TestArtifacts:
         assert final[header.index("sum_max")] == "1"
         assert final[header.index("status")] == "oscillating"
 
+    @pytest.mark.parametrize(
+        "source, estimate",
+        [
+            (["--catalog", "step_dD"], "1/2"),
+            (["--expr", "s", "--dI", "dD"], "13/32 + 1/32*sqrt(2)"),
+        ],
+    )
+    def test_json_writes_exact_sums_as_printed(self, source, estimate, tmp_path, capsys):
+        out = tmp_path / "exact.json"
+        rc = main(["integrate", "--method", "rs", *source, "--levels", "1:3",
+                   "--format", "json", "--out", str(out), "--no-timestamp"])
+        assert rc == 3
+        assert f"estimate: {estimate}\n" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["estimate"] == estimate
+        assert not isinstance(doc["trace"][-1]["sum_max"], float)
+
 
 OVERRIDE_GOLDEN = Path(__file__).parent / "data" / "cli_override_golden.json"
 
@@ -483,6 +500,22 @@ class TestBrownian:
                       "--paths", "2", "--seed", "1"])
         assert exc.value.code == 1
         assert "gaugelab: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "t, level",
+        [
+            ("1e308", "4"),  # each path's QV overflows to inf
+            ("1e300", "0"),  # finite QVs whose variance overflows
+        ],
+    )
+    def test_non_finite_result_exits_one_without_artifact(self, t, level, tmp_path, capsys):
+        out = tmp_path / "qv.json"
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["brownian", "qv", "--t", t, "--level", level, "--paths", "10",
+                      "--seed", "1", "--format", "json", "--out", str(out)])
+        assert exc.value.code == 1
+        assert "gaugelab: error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_level_above_max_exits_one_before_any_draw(self, capsys, monkeypatch):
         def no_draws(*args):

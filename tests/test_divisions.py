@@ -245,7 +245,7 @@ class TestRiemannSum:
                 raise RuntimeError("needs one cell at a time")
             return v - u
 
-        h = BurkillIntegrand("one-at-a-time", "interval-only", rule)
+        h = BurkillIntegrand("one-at-a-time", rule)
         with pytest.raises(RuntimeError, match="one cell at a time"):
             riemann_sum(h, make_uniform(0.0, 1.0, 8, "left"))
 

@@ -29,11 +29,10 @@ def test_midpoint_both_regimes():
 def test_length_factor_values():
     f = length_factor()
     assert f(0.0, 0.25) == 0.25
-    assert f.additive
+    assert f(0.0, 0.25) + f(0.25, 1.0) == f(0.0, 1.0)
 
     f2 = length_squared_factor()
     assert f2(0.0, 0.25) == 0.0625
-    assert not f2.additive
 
 
 def test_length_squared_not_additive_across_split():
@@ -47,7 +46,6 @@ def test_increments_of_telescopes():
     g = increments_of(lambda u: u * u, name="d(s^2)")
     # increment over ]1, 2] is 4 - 1 = 3
     assert g(1.0, 2.0) == 3.0
-    assert g.additive
     parts = g(0.0, 0.3) + g(0.3, 1.0)
     assert parts == pytest.approx(g(0.0, 1.0))
 

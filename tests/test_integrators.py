@@ -40,7 +40,6 @@ from gaugelab.integrators import (
     identity_distribution,
     jump_anchoring_gauge,
     lebesgue_distribution_integrate,
-    oscillation_probe,
     rs_integrate,
     singularity_gauge,
     square_distribution,
@@ -107,7 +106,7 @@ class TestRsIntegrate:
 
     def test_divergence_detected(self):
         # sums grow like n * mean(tag): clean geometric growth
-        h = BurkillIntegrand(name="tags-only", convention="tag", rule=lambda s, u, v: s)
+        h = BurkillIntegrand(name="tags-only", rule=lambda s, u, v: s)
         result = rs_integrate(h, 0.0, 1.0, _ctrl(1e-9, 4, 12))
         assert result.status is Status.DIVERGED
         assert result.estimate is None
@@ -270,7 +269,7 @@ class TestDistributionFunction:
         g = identity_distribution()
         inc = g.increments()
         assert inc(0.25, 0.5) == 0.25
-        assert inc.additive
+        assert inc(0.0, 0.25) + inc(0.25, 0.5) == inc(0.0, 0.5)
 
 
 class TestJumpAnchoring:
@@ -320,18 +319,17 @@ class TestLebesgueRoute:
             lebesgue_distribution_integrate(g)
 
 
-class TestOscillationProbe:
+class TestStrategySums:
     def test_rows_expose_per_strategy_sums(self):
         from gaugelab.catalog import dirichlet_factor, step_at
 
         h = make_integrand(step_at(Fraction(1, 2)), dirichlet_factor(), "tag")
-        rows = oscillation_probe(
-            h, Fraction(0), Fraction(1), schedule=RefinementSchedule(1, 6)
-        )
-        assert len(rows) == 6
-        for level, sums, spread in rows:
-            assert spread == 1
-            assert set(sums) == {"rational-left", "rational-mid", "shifted-left"}
+        result = rs_integrate(h, Fraction(0), Fraction(1), _ctrl(1e-9, 1, 6))
+        sums = result.strategy_sums
+        assert set(sums) == {"rational-left", "rational-mid", "shifted-left"}
+        assert len(result.trace) == 6
+        for values in zip(*sums.values()):
+            assert max(values) - min(values) == 1
 
 
 _INV_SQRT = make_integrand(lambda s: 1.0 / np.sqrt(s), length_factor(), "tag")

@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 from scipy.special import ndtri
 
 from gaugelab import stochastic
-from gaugelab.errors import ArgumentError, EstimatorFailure
+from gaugelab.errors import ArgumentError, EstimatorFailure, NonFiniteEstimateError
 from gaugelab.stochastic import (
     BIT_GENERATOR,
     GAUSSIAN_TRANSFORM,
@@ -18,7 +18,6 @@ from gaugelab.stochastic import (
     increment_integral,
     ito_formula_residual,
     ito_formula_residual_time,
-    ito_identity_residual,
     ito_sum,
     mc_run,
     path_from_function,
@@ -70,13 +69,6 @@ class TestDyadicPath:
         p = path_from_function(lambda s: s, 1.0, 3)
         with pytest.raises(ArgumentError):
             p.values_at_level(4)
-
-    def test_value_at_interpolates(self):
-        p = path_from_function(lambda s: s, 1.0, 2)
-        assert p.value_at(0.3) == pytest.approx(0.3)
-        np.testing.assert_allclose(p.value_at(np.array([0.3, 0.8])), [0.3, 0.8])
-        with pytest.raises(ArgumentError):
-            p.value_at(np.array([0.5, 1.5]))
 
     def test_refine_deterministic_path_keeps_coarse_values(self):
         p = path_from_function(np.sin, 1.0, 5)
@@ -306,13 +298,17 @@ class TestPathwiseSums:
         assert total_variation(p, 5) == pytest.approx(1.0)
 
 
+# f = x^2/2, whose change-of-variable residual telescopes to zero exactly
+_HALF_SQUARE = (lambda x: 0.5 * x * x, lambda x: x, lambda x: 1.0)
+
+
 class TestItoIdentities:
     def test_identity_residual_vanishes_per_division(self):
         for pid in (1, 2, 3):
             p = brownian_path(31, pid, 1.0, 12)
             for L in (4, 8, 12):
                 scale = max(1.0, p.values[-1] ** 2)
-                assert abs(ito_identity_residual(p, L)) <= 1e-12 * scale
+                assert abs(ito_formula_residual(p, *_HALF_SQUARE, L)) <= 1e-12 * scale
 
     def test_square_formula_residual_exact(self):
         p = brownian_path(37, 1, 1.0, 10)
@@ -411,6 +407,19 @@ class TestMcRun:
             mc_run(est, 5, 1.0, 3, 1)
         assert err.value.path_id == 3
 
+    def test_non_finite_value_names_first_path(self):
+        est = lambda p: math.nan if p.path_id in (3, 4) else 0.0
+        with pytest.raises(NonFiniteEstimateError, match="path id=3") as err:
+            mc_run(est, 5, 1.0, 3, 1)
+        assert err.value.path_id == 3 and math.isnan(err.value.value)
+
+    def test_overflowing_variance_raises(self):
+        # finite values +-1e308: the mean is 0, the squared deviations overflow
+        est = lambda p: 1e308 * (-1) ** p.path_id
+        with pytest.raises(NonFiniteEstimateError, match="variance") as err:
+            mc_run(est, 4, 1.0, 3, 1)
+        assert err.value.path_id is None
+
     def test_keep_values(self):
         stats = mc_run(
             lambda p: increment_integral(p, 4), 10, 1.0, 4, 55, keep_values=True
@@ -466,4 +475,4 @@ def test_property_refinement_prefix(seed, pid, level):
 def test_property_identity_residual_zero(seed, level):
     p = brownian_path(seed, 1, 1.0, level)
     scale = max(1.0, p.values[-1] ** 2)
-    assert abs(ito_identity_residual(p, level)) <= 1e-12 * scale
+    assert abs(ito_formula_residual(p, *_HALF_SQUARE, level)) <= 1e-12 * scale
