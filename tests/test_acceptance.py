@@ -10,11 +10,11 @@ import json
 import math
 import statistics
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import test_catalog as catalog_tables
 import test_expr as expr_tables
 from gaugelab import (
     brownian_path,
@@ -30,7 +30,7 @@ from gaugelab import (
     stratonovich_sum,
     total_variation,
 )
-from gaugelab.catalog import dirichlet_point, get_entry, run_entry
+from gaugelab.catalog import get_entry, run_entry
 from gaugelab.cli import main
 from gaugelab.expr import evaluate, parse, to_source
 from gaugelab.results import Status
@@ -78,18 +78,12 @@ def test_criterion_01_classic_integrands():
 
 def test_criterion_02_constant_telescoping():
     with criterion(2, "constant-telescoping"):
-        twomass = get_entry("twomass_step").build().evaluate
-        # (g, a, b, exact?, g(b) - g(a)): beta * dg telescopes on every division
-        integrators = (
-            (lambda u: u, 0.0, 1.0, False, 1.0),
-            (lambda u: u * u, 0.0, 1.0, False, 1.0),
-            (twomass, 2.0, 5.0, False, 1.0),
-            (dirichlet_point, Fraction(0), Fraction(1), True, 0),
-        )
-        for g, a, b, exact, range_value in integrators:
+        # beta * dg telescopes to beta * (g(b) - g(a)) on every division
+        integrators = catalog_tables.integrator_functions()
+        for _, a, b, g, exact, range_value in integrators:
             assert g(b) - g(a) == range_value
         for beta in (-2, 0, 1, math.pi):
-            for g, a, b, exact, range_value in integrators:
+            for _, a, b, g, exact, range_value in integrators:
                 h = make_integrand(lambda s, c=beta: c, increments_of(g))
                 out = rs_integrate(h, a, b)
                 want = beta * range_value

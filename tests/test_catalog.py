@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -138,6 +139,41 @@ class TestEntryTable:
         assert len(out.trace) >= 8
         for row in out.trace:
             assert row.sum_max - row.sum_min == 1
+
+
+class IntegratorFunction(NamedTuple):
+    """A function g usable as the increment factor in beta * dg probes."""
+
+    name: str
+    a: object
+    b: object
+    fn: Callable
+    exact: bool
+    range_value: object  # g(b) - g(a), the telescoping oracle
+
+
+def integrator_functions():
+    """The four integrators acceptance criterion 02 telescopes over."""
+    twomass = get_entry("twomass_step").build().evaluate
+    return (
+        IntegratorFunction("identity", 0.0, 1.0, lambda u: u, False, 1.0),
+        IntegratorFunction("square", 0.0, 1.0, lambda u: u * u, False, 1.0),
+        IntegratorFunction("twomass", 2.0, 5.0, twomass, False, 1.0),
+        IntegratorFunction("dirichlet", Fraction(0), Fraction(1), dirichlet_point, True, 0),
+    )
+
+
+class TestIntegratorFunctions:
+    def test_catalog_of_four(self):
+        gs = {g.name: g for g in integrator_functions()}
+        assert set(gs) == {"identity", "square", "twomass", "dirichlet"}
+        assert gs["identity"].range_value == 1.0
+        assert gs["dirichlet"].exact
+        assert gs["dirichlet"].range_value == 0
+
+    def test_range_matches_endpoint_values(self):
+        for g in integrator_functions():
+            assert g.fn(g.b) - g.fn(g.a) == g.range_value
 
 
 class TestConditionalSeries:
