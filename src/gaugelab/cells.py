@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, GaugeContractError, _plain
+from .errors import ArgumentError, GaugeContractError, ScalarRegimeError, _plain
 
 
 @dataclass(frozen=True)
@@ -30,28 +30,35 @@ class Interval:
 
 
 class TaggedDivision:
-    """Ordered tagged cells partitioning ]a, b].
+    """A tagged division of ]a, b]: cut points a = x0 < x1 < ... < xn = b
+    and one tag per cell.
 
-    Cell i is the triple (tags[i], lefts[i], rights[i]): the half-open cell
-    ]u, v] and a tag s anywhere in its closure [u, v], the excluded left
-    endpoint included, which is what lets a gauge force specific tags.
-    Stored as parallel numpy arrays: float64 in the float regime, `object`
-    arrays of exact scalars (int, Fraction, QuadExtScalar) in the exact one,
-    so every layer runs one array body for both.  Adjacent cells may share a
-    tag: a point can legally tag the cell on each side of itself, and sums
-    are indifferent to the duplication.
+    `edges` holds the n + 1 cut points and `tags` the n tags.  Cell i is the
+    half-open ]edges[i], edges[i + 1]] with the tag tags[i] anywhere in its
+    closure, the excluded left endpoint included, which is what lets a gauge
+    force specific tags.  `lefts`, `rights` and `domain` are views derived
+    from `edges`.  Both columns are numpy arrays: float64 in the float
+    regime, `object` arrays of exact scalars (int, Fraction, QuadExtScalar)
+    in the exact one, so every layer runs one array body for both.  Adjacent
+    cells may share a tag: a point can legally tag the cell on each side of
+    itself, and sums are indifferent to the duplication.
     """
 
-    __slots__ = ("domain", "tags", "lefts", "rights", "exact")
+    __slots__ = ("tags", "edges", "exact")
 
-    def __init__(self, domain: Interval, tags, lefts, rights):
-        self.domain = domain
-        columns = [np.asarray(c) for c in (tags, lefts, rights)]
+    def __init__(self, tags, edges):
+        columns = [np.asarray(c) for c in (tags, edges)]
         # A column of binary floats makes the division float, lists included;
-        # int, Fraction and QuadExtScalar columns stay exact.
+        # int, Fraction and QuadExtScalar columns stay exact.  A binary float
+        # among exact scalars is refused: it would pass as exact.
+        for c in columns:
+            if c.dtype == object and any(
+                issubclass(t, (float, np.floating)) for t in set(map(type, c.flat))
+            ):
+                raise ScalarRegimeError("division mixes binary floats with exact scalars")
         self.exact = all(c.dtype.kind != "f" for c in columns)
         dtype = object if self.exact else float
-        self.tags, self.lefts, self.rights = (c.astype(dtype, copy=False) for c in columns)
+        self.tags, self.edges = (c.astype(dtype, copy=False) for c in columns)
         self._validate()
 
     def __len__(self) -> int:
@@ -61,34 +68,36 @@ class TaggedDivision:
     def n(self) -> int:
         return len(self.tags)
 
+    @property
+    def lefts(self) -> np.ndarray:
+        return self.edges[:-1]
+
+    @property
+    def rights(self) -> np.ndarray:
+        return self.edges[1:]
+
+    @property
+    def domain(self) -> Interval:
+        return Interval(*self.edges[[0, -1]].tolist())
+
     def _validate(self):
-        t, lo, hi = self.tags, self.lefts, self.rights
-        n = len(t)
-        if n == 0 or len(lo) != n or len(hi) != n:
-            raise ArgumentError("division needs equal-length, non-empty cell data")
-        if not self.exact and not (
-            np.all(np.isfinite(t)) and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
-        ):
+        t, e = self.tags, self.edges
+        if t.ndim != 1 or len(t) == 0 or e.shape != (len(t) + 1,):
+            raise ArgumentError(
+                f"division needs n >= 1 tags and n + 1 edges, got shapes {t.shape} and {e.shape}"
+            )
+        if not self.exact and not (np.all(np.isfinite(t)) and np.all(np.isfinite(e))):
             raise ArgumentError("division contains non-finite values")
-        a, b = self.domain.u, self.domain.v
-        if not (lo[0] == a and hi[-1] == b):
-            raise ArgumentError("division does not span its domain")
+        lo, hi = e[:-1], e[1:]
         if not np.all(lo < hi):
             i = int(np.argmin(lo < hi))
             raise ArgumentError(f"degenerate cell ]{_plain(lo[i])!r}, {_plain(hi[i])!r}]")
-        if n > 1 and not np.all(hi[:-1] == lo[1:]):
-            raise ArgumentError("cells do not abut")
         if not (np.all(lo <= t) and np.all(t <= hi)):
             i = int(np.argmin((lo <= t) & (t <= hi)))
             raise ArgumentError(
                 f"tag {_plain(t[i])!r} outside cell closure "
                 f"[{_plain(lo[i])!r}, {_plain(hi[i])!r}]"
             )
-        # Exact lengths must add up exactly; float ones within rounding.
-        span = b - a
-        slack = 0 if self.exact else 1e-12 * max(1.0, abs(span))
-        if abs(np.sum(hi - lo) - span) > slack:
-            raise ArgumentError("cell lengths do not sum to the domain length")
 
     def __repr__(self) -> str:
         return f"TaggedDivision(n={self.n}, domain={self.domain})"

@@ -9,15 +9,14 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .cells import Gauge, Interval, TaggedDivision
+from .cells import Gauge, TaggedDivision
 from .errors import ArgumentError, GaugeTooDemandingError, IntegrandEvalError
 from .exact import IRRATIONAL_SHIFT, is_exact_scalar
 from .integrand import BurkillIntegrand, midpoint
 
+# Tag rules of the grid builders, and the tag selectors of gauge-driven
+# bisection in their default trial order.
 TAG_RULES = ("left", "midpoint", "right")
-
-# Tag selectors used by gauge-driven bisection, in the default trial order.
-DEFAULT_SELECTORS = ("left", "midpoint", "right")
 
 DEFAULT_DEPTH_CAP = 60
 
@@ -62,14 +61,16 @@ def _regime(a, b):
     return float(a), float(b), float
 
 
-def _tags_from_edges(lefts, rights, tag_rule):
-    if tag_rule == "left":
-        return lefts.copy()
-    if tag_rule == "right":
-        return rights.copy()
-    if tag_rule == "midpoint":
-        return midpoint(lefts, rights)
-    raise ArgumentError(f"unknown tag rule {tag_rule!r}")
+def _tag_points(rule: str, u, v):
+    """The tags a rule puts on the cells ]u, v]: fresh arrays, never views
+    of the endpoints."""
+    if rule == "left":
+        return u.copy()
+    if rule == "right":
+        return v.copy()
+    if rule == "midpoint":
+        return midpoint(u, v)
+    raise ArgumentError(f"unknown tag rule {rule!r}")
 
 
 def _check_grid(a, b, n: int):
@@ -79,9 +80,8 @@ def _check_grid(a, b, n: int):
         raise ArgumentError(f"domain needs a < b, got a={a!r}, b={b!r}")
 
 
-def _grid_division(a, b, edges, tag_rule: str) -> TaggedDivision:
-    lefts, rights = edges[:-1], edges[1:]
-    return TaggedDivision(Interval(a, b), _tags_from_edges(lefts, rights, tag_rule), lefts, rights)
+def _grid_division(edges, tag_rule: str) -> TaggedDivision:
+    return TaggedDivision(_tag_points(tag_rule, edges[:-1], edges[1:]), edges)
 
 
 def make_uniform(a, b, n: int, tag_rule: str = "midpoint") -> TaggedDivision:
@@ -94,7 +94,7 @@ def make_uniform(a, b, n: int, tag_rule: str = "midpoint") -> TaggedDivision:
         edges[-1] = b
     else:
         edges = np.linspace(a, b, n + 1)
-    return _grid_division(a, b, edges, tag_rule)
+    return _grid_division(edges, tag_rule)
 
 
 def make_shifted_uniform(a, b, n: int, tag_rule: str = "left") -> TaggedDivision:
@@ -114,7 +114,7 @@ def make_shifted_uniform(a, b, n: int, tag_rule: str = "left") -> TaggedDivision
         edges[1:-1] = a + (b - a) * ((j + IRRATIONAL_SHIFT) * Fraction(1, n))
     else:
         edges[1:-1] = a + (b - a) * ((j + FLOAT_SHIFT) / n)
-    return _grid_division(a, b, edges, tag_rule)
+    return _grid_division(edges, tag_rule)
 
 
 def is_fine(division: TaggedDivision, gauge: Gauge) -> bool:
@@ -128,28 +128,14 @@ def is_fine(division: TaggedDivision, gauge: Gauge) -> bool:
     return bool(np.all(tags - lefts < widths) and np.all(rights - tags < widths))
 
 
-def _candidate(selector: str, u, v):
-    if selector == "left":
-        return u
-    if selector == "right":
-        return v
-    if selector == "midpoint":
-        return midpoint(u, v)
-    raise ArgumentError(f"unknown tag selector {selector!r}")
-
-
 def _selector_uniform_depth(selector: str, span, delta, depth_cap: int):
-    """Smallest depth at which a uniform cell accepts this selector, or None."""
-    length = span
+    """Smallest depth at which a uniform cell accepts this selector, or None:
+    a midpoint tag needs half a cell shorter than delta, an endpoint tag a
+    whole one.  Scaling by a power of two is exact in both regimes."""
+    halvings = int(selector == "midpoint")
     for depth in range(depth_cap + 1):
-        if selector == "midpoint":
-            half = 0.5 * length if isinstance(length, float) else length * Fraction(1, 2)
-            if half < delta:
-                return depth
-        else:
-            if length < delta:
-                return depth
-        length = 0.5 * length if isinstance(length, float) else length * Fraction(1, 2)
+        if span * Fraction(1, 1 << (depth + halvings)) < delta:
+            return depth
     return None
 
 
@@ -167,71 +153,44 @@ def _delta_fine_constant(a, b, gauge: Gauge, selectors, depth_cap: int) -> Tagge
     if best is None:
         raise GaugeTooDemandingError(a, b, depth_cap)
     depth, selector = best
-    rule = {"left": "left", "midpoint": "midpoint", "right": "right"}[selector]
-    return make_uniform(a, b, 2 ** depth, tag_rule=rule)
+    return make_uniform(a, b, 2 ** depth, tag_rule=selector)
 
 
 def _delta_fine_batched(a, b, gauge: Gauge, selectors, depth_cap: int) -> TaggedDivision:
-    # Iterative bisection over whole arrays.  Cells either accept a selector
-    # tag or split at their midpoint; np.repeat keeps the ascending order.
+    # Iterative bisection over whole arrays.  Each open cell either accepts
+    # a selector's tag or is split by inserting its midpoint into `edges`.
     a, b, dtype = _regime(a, b)
-    us = np.array([a], dtype=dtype)
-    vs = np.array([b], dtype=dtype)
-    tags = np.empty_like(us)
+    edges = np.array([a, b], dtype=dtype)
+    tags = np.empty(1, dtype=dtype)
     done = np.zeros(1, dtype=bool)
     for depth in range(depth_cap + 1):
-        active = ~done
-        if not np.any(active):
-            break
-        au, av = us[active], vs[active]
-        atags = np.empty_like(au)
-        undecided = np.ones(au.shape, dtype=bool)
+        cells = np.flatnonzero(~done)
+        us, vs = edges[cells], edges[cells + 1]
+        undecided = np.ones(len(cells), dtype=bool)
         for selector in selectors:
-            if not np.any(undecided):
-                break
-            cand = _candidate(selector, au, av)
+            cand = _tag_points(selector, us, vs)
             widths = gauge.evaluate_batch(cand)
-            fine = (cand - au < widths) & (av - cand < widths) & undecided
-            atags[fine] = cand[fine]
+            fine = (cand - us < widths) & (vs - cand < widths) & undecided
+            tags[cells[fine]] = cand[fine]
             undecided &= ~fine
-        accepted = ~undecided
-        new_done = done.copy()
-        new_done[active] = accepted
-        new_tags = tags.copy()
-        idx = np.flatnonzero(active)
-        new_tags[idx[accepted]] = atags[accepted]
-        if not np.any(undecided):
-            done, tags = new_done, new_tags
-            break
-        if depth >= depth_cap:
-            bad = int(np.argmax(undecided))
-            raise GaugeTooDemandingError(au[bad], av[bad], depth)
-        # split undecided cells in place, preserving order
-        repeats = np.ones(len(us), dtype=np.int64)
-        repeats[idx[undecided]] = 2
-        split_mask = np.zeros(len(us), dtype=bool)
-        split_mask[idx[undecided]] = True
-        next_us = np.repeat(us, repeats)
-        next_vs = np.repeat(vs, repeats)
-        next_tags = np.repeat(new_tags, repeats)
-        next_done = np.repeat(new_done, repeats)
-        first_of_pair = np.repeat(split_mask, repeats)
-        pair_pos = np.flatnonzero(first_of_pair)
-        mids = midpoint(next_us[pair_pos[0::2]], next_vs[pair_pos[0::2]])
-        next_vs[pair_pos[0::2]] = mids
-        next_us[pair_pos[1::2]] = mids
-        us, vs, tags, done = next_us, next_vs, next_tags, next_done
-    if not np.all(done):
-        bad = int(np.argmax(~done))
-        raise GaugeTooDemandingError(us[bad], vs[bad], depth_cap)
-    return TaggedDivision(Interval(a, b), tags, us, vs)
+            if not np.any(undecided):
+                return TaggedDivision(tags, edges)
+        done[cells] = ~undecided
+        split = cells[undecided]
+        if depth == depth_cap:
+            raise GaugeTooDemandingError(edges[split[0]], edges[split[0] + 1], depth)
+        # both halves of a split cell stay open; their tags are set on acceptance
+        edges = np.insert(edges, split + 1, midpoint(edges[split], edges[split + 1]))
+        tags = np.insert(tags, split + 1, tags[split])
+        done = np.insert(done, split + 1, False)
+    raise GaugeTooDemandingError(a, b, depth_cap)
 
 
 def delta_fine_division(
     a,
     b,
     gauge: Gauge,
-    selectors: Tuple[str, ...] = DEFAULT_SELECTORS,
+    selectors: Tuple[str, ...] = TAG_RULES,
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> TaggedDivision:
     """A delta-fine tagged division of ]a, b] built by recursive bisection.
@@ -256,16 +215,10 @@ def delta_fine_division(
 
 def bisect_refine(division: TaggedDivision, tag_rule: str = "left") -> TaggedDivision:
     """Split every cell at its midpoint; tags reassigned by tag_rule."""
-    if tag_rule not in TAG_RULES:
-        raise ArgumentError(f"unknown tag rule {tag_rule!r}")
-    lefts, rights = division.lefts, division.rights
-    mids = midpoint(lefts, rights)
-    new_lefts = np.empty(2 * len(lefts), dtype=lefts.dtype)
-    new_rights = np.empty_like(new_lefts)
-    new_lefts[0::2], new_lefts[1::2] = lefts, mids
-    new_rights[0::2], new_rights[1::2] = mids, rights
-    tags = _tags_from_edges(new_lefts, new_rights, tag_rule)
-    return TaggedDivision(division.domain, tags, new_lefts, new_rights)
+    edges = division.edges
+    refined = np.empty(2 * len(edges) - 1, dtype=edges.dtype)
+    refined[0::2], refined[1::2] = edges, midpoint(edges[:-1], edges[1:])
+    return _grid_division(refined, tag_rule)
 
 
 def riemann_sum(h: BurkillIntegrand, division: TaggedDivision) -> object:

@@ -476,23 +476,25 @@ def mc_run(
     _check_brownian(t, level)
     block = max(1, _BLOCK_VALUES >> level)
     out = np.empty(paths)
-    for first in range(1, paths + 1, block):
-        ids = range(first, min(first + block, paths + 1))
-        # a fresh array per block: handed-out rows are never overwritten
-        rows = _brownian_values(master_seed, ids, t, level)
-        for path_id, values in zip(ids, rows):
-            path = DyadicPath(
-                t=t, level=level, values=values, master_seed=master_seed, path_id=path_id
-            )
-            try:
-                out[path_id - 1] = float(estimator(path))
-            except Exception as exc:
-                raise EstimatorFailure(path_id, exc) from exc
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise NonFiniteEstimateError("estimator value", out[bad[0]], int(bad[0]) + 1)
-    # finite values can still overflow a statistic; that is checked below
+    # Overflow and invalid values are checked below, so numpy's warnings
+    # are silenced; expression faults still raise (evaluate sets its own).
     with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, paths + 1, block):
+            ids = range(first, min(first + block, paths + 1))
+            # a fresh array per block: handed-out rows are never overwritten
+            rows = _brownian_values(master_seed, ids, t, level)
+            for path_id, values in zip(ids, rows):
+                path = DyadicPath(
+                    t=t, level=level, values=values, master_seed=master_seed, path_id=path_id
+                )
+                try:
+                    out[path_id - 1] = float(estimator(path))
+                except Exception as exc:
+                    raise EstimatorFailure(path_id, exc) from exc
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise NonFiniteEstimateError("estimator value", out[bad[0]], int(bad[0]) + 1)
+        # finite values can still overflow a statistic
         mean = float(np.mean(out))
         variance = float(np.var(out, ddof=1)) if paths > 1 else 0.0
     for quantity, value in (("mean", mean), ("variance", variance)):

@@ -502,19 +502,25 @@ class TestBrownian:
         assert "gaugelab: error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "t, level",
+        "t, level, error",
         [
-            ("1e308", "4"),  # each path's QV overflows to inf
-            ("1e300", "0"),  # finite QVs whose variance overflows
+            # each path's QV overflows to inf
+            ("1e308", "4", "estimator value is inf on path id=9"),
+            # finite QVs whose variance overflows
+            ("1e300", "0", "variance over 10 paths is inf"),
         ],
+        ids=["1e308-4", "1e300-0"],
     )
-    def test_non_finite_result_exits_one_without_artifact(self, t, level, tmp_path, capsys):
+    def test_non_finite_result_exits_one_without_artifact(
+        self, t, level, error, tmp_path, capsys
+    ):
         out = tmp_path / "qv.json"
         with pytest.raises(SystemExit) as exc:
             main_cli(["brownian", "qv", "--t", t, "--level", level, "--paths", "10",
                       "--seed", "1", "--format", "json", "--out", str(out)])
         assert exc.value.code == 1
-        assert "gaugelab: error:" in capsys.readouterr().err
+        # no numpy warning, and the same error whatever the warnings filter
+        assert capsys.readouterr().err == f"gaugelab: error: {error}\n"
         assert not out.exists()
 
     def test_level_above_max_exits_one_before_any_draw(self, capsys, monkeypatch):

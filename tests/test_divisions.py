@@ -11,7 +11,6 @@ from gaugelab.catalog import dirichlet_factor, step_at
 from gaugelab.cells import Gauge, Interval
 from gaugelab.divisions import (
     DEFAULT_DEPTH_CAP,
-    DEFAULT_SELECTORS,
     FLOAT_SHIFT,
     MAX_LEVEL,
     TAG_RULES,
@@ -36,6 +35,7 @@ from gaugelab.integrand import (
     length_factor,
     length_squared_factor,
     make_integrand,
+    midpoint,
 )
 
 
@@ -315,14 +315,14 @@ def _per_cell_fine(division, width):
 
 
 def _dfs_division(a, b, width, selectors, depth_cap):
-    """Depth-first bisection on exact scalars, one gauge call per candidate:
+    """Depth-first bisection on scalars, one gauge call per candidate:
     (tags, lefts, rights) lists, or GaugeTooDemandingError for the first
     cell left unresolved at the depth cap."""
     tags, lefts, rights = [], [], []
 
     def visit(u, v, depth):
         for selector in selectors:
-            s = {"left": u, "right": v, "midpoint": u + (v - u) * HALF}[selector]
+            s = {"left": u, "right": v, "midpoint": midpoint(u, v)}[selector]
             w = width(s)
             if s - u < w and v - s < w:
                 tags.append(s)
@@ -331,7 +331,7 @@ def _dfs_division(a, b, width, selectors, depth_cap):
                 return
         if depth >= depth_cap:
             raise GaugeTooDemandingError(u, v, depth)
-        m = u + (v - u) * HALF
+        m = midpoint(u, v)
         visit(u, m, depth + 1)
         visit(m, v, depth + 1)
 
@@ -405,15 +405,21 @@ class TestExactFunctionalGauge:
         selectors=hst.permutations(TAG_RULES).flatmap(
             lambda p: hst.integers(1, 3).map(lambda k: tuple(p[:k]))
         ),
+        exact=hst.booleans(),
     )
-    def test_same_cells_as_depth_first_bisection(self, bounds, floor, slope, at, selectors):
-        # the gauge narrows toward the point `at` of the domain
+    def test_same_cells_as_depth_first_bisection(
+        self, bounds, floor, slope, at, selectors, exact
+    ):
+        # the gauge narrows toward the point `at` of the domain; float bounds
+        # run the builder's float64 branch against float scalars
         a, b = bounds
+        if not exact:
+            a, b, floor, slope, at = map(float, (a, b, floor, slope, at))
         pole = a + (b - a) * at
         width = lambda s: floor + slope * abs(s - pole)
         division = delta_fine_division(a, b, Gauge.from_function(width), selectors=selectors)
         tags, lefts, rights = _dfs_division(a, b, width, selectors, DEFAULT_DEPTH_CAP)
-        assert division.exact and division.domain == Interval(a, b)
+        assert division.exact == exact and division.domain == Interval(a, b)
         for got, want in zip((division.tags, division.lefts, division.rights),
                              (tags, lefts, rights)):
             assert got.tolist() == want
@@ -426,7 +432,7 @@ class TestExactFunctionalGauge:
         tiny = Fraction(1, 10**9)
         width = lambda s: tiny + (1 - tiny) * (s < a + Fraction(1, 3))
         with pytest.raises(GaugeTooDemandingError) as want:
-            _dfs_division(a, b, width, DEFAULT_SELECTORS, 6)
+            _dfs_division(a, b, width, TAG_RULES, 6)
         with pytest.raises(GaugeTooDemandingError) as got:
             delta_fine_division(a, b, Gauge.from_function(width), depth_cap=6)
         assert (got.value.lo, got.value.hi, got.value.depth) == (

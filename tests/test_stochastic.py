@@ -413,6 +413,14 @@ class TestMcRun:
             mc_run(est, 5, 1.0, 3, 1)
         assert err.value.path_id == 3 and math.isnan(err.value.value)
 
+    def test_overflowing_estimator_names_its_path(self):
+        # QV at t=1e308 overflows inside the estimator: the overflow is
+        # reported as the non-finite value it gives, not as a numpy warning
+        est = lambda p: quadratic_variation(p, 4)
+        with pytest.raises(NonFiniteEstimateError, match="path id=9") as err:
+            mc_run(est, 10, 1e308, 4, 1)
+        assert err.value.path_id == 9 and err.value.value == math.inf
+
     def test_overflowing_variance_raises(self):
         # finite values +-1e308: the mean is 0, the squared deviations overflow
         est = lambda p: 1e308 * (-1) ** p.path_id
