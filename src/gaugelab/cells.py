@@ -61,9 +61,6 @@ class TaggedDivision:
         self.tags, self.edges = (c.astype(dtype, copy=False) for c in columns)
         self._validate()
 
-    def __len__(self) -> int:
-        return len(self.tags)
-
     @property
     def n(self) -> int:
         return len(self.tags)

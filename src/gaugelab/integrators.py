@@ -201,7 +201,7 @@ class _Classifier:
         if status not in (Status.CONVERGED, Status.INCONCLUSIVE):
             return None, None
         last = self.rows[-1]
-        return last.midpoint, _abs_value(last.spread)
+        return last.midpoint, abs(last.spread)
 
     def result(self) -> IntegralResult:
         status = self.decided

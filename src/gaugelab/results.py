@@ -62,7 +62,7 @@ class IntegralResult:
     status: Status
     estimate: Optional[object]
     trace: Tuple[TraceRow, ...]
-    error_bound: Optional[float] = None
+    error_bound: Optional[object] = None
     strategy_sums: Optional[Mapping[str, Tuple[object, ...]]] = None
 
     @property

@@ -367,6 +367,22 @@ class TestArtifacts:
         assert doc["estimate"] == estimate
         assert not isinstance(doc["trace"][-1]["sum_max"], float)
 
+    @pytest.mark.parametrize(
+        "source, error_bound",
+        [
+            (["--catalog", "step_dD"], 1),
+            (["--expr", "s", "--dI", "dD"], "13/16 + 1/16*sqrt(2)"),
+        ],
+    )
+    def test_json_writes_exact_error_bound(self, source, error_bound, tmp_path):
+        # the bound is the exact spread of the last level, not its float
+        out = tmp_path / "exact.json"
+        main(["integrate", "--method", "rs", *source, "--levels", "1:3",
+              "--format", "json", "--out", str(out), "--no-timestamp"])
+        doc = json.loads(out.read_text())
+        assert doc["error_bound"] == error_bound
+        assert type(doc["error_bound"]) is type(error_bound)
+
 
 OVERRIDE_GOLDEN = Path(__file__).parent / "data" / "cli_override_golden.json"
 
