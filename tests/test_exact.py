@@ -1,6 +1,7 @@
 """Exact scalar field Q(sqrt(2)): arithmetic, ordering, regime fences."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -255,19 +256,9 @@ _operands = hst.one_of(
     ),
     _rationals.map(lambda r: (r, r)),
 )
-_ARITHMETIC = (
-    lambda x, y: x + y,
-    lambda x, y: x - y,
-    lambda x, y: x * y,
-    lambda x, y: x / y,
-)
+_ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
 _COMPARISONS = (
-    lambda x, y: x < y,
-    lambda x, y: x <= y,
-    lambda x, y: x == y,
-    lambda x, y: x != y,
-    lambda x, y: x >= y,
-    lambda x, y: x > y,
+    operator.lt, operator.le, operator.eq, operator.ne, operator.ge, operator.gt
 )
 
 
