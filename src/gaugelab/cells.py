@@ -83,9 +83,16 @@ class TaggedDivision:
             raise ArgumentError(
                 f"division needs n >= 1 tags and n + 1 edges, got shapes {t.shape} and {e.shape}"
             )
+        lo, hi = e[:-1], e[1:]
+        # Strictly increasing edges between finite ends are finite, and so
+        # are tags inside their cells: three passes prove the division valid.
+        # Only a refused division is scanned for non-finite values, so that
+        # it is refused for the first reason in the order below.
+        ends_finite = self.exact or bool(np.isfinite(e[0]) and np.isfinite(e[-1]))
+        if ends_finite and np.all(lo < hi) and np.all(lo <= t) and np.all(t <= hi):
+            return
         if not self.exact and not (np.all(np.isfinite(t)) and np.all(np.isfinite(e))):
             raise ArgumentError("division contains non-finite values")
-        lo, hi = e[:-1], e[1:]
         if not np.all(lo < hi):
             i = int(np.argmin(lo < hi))
             raise ArgumentError(f"degenerate cell ]{_plain(lo[i])!r}, {_plain(hi[i])!r}]")

@@ -62,12 +62,12 @@ def _regime(a, b):
 
 
 def _tag_points(rule: str, u, v):
-    """The tags a rule puts on the cells ]u, v]: fresh arrays, never views
-    of the endpoints."""
+    """The tags a rule puts on the cells ]u, v]: the endpoint arrays
+    themselves for "left" and "right", a fresh array for "midpoint"."""
     if rule == "left":
-        return u.copy()
+        return u
     if rule == "right":
-        return v.copy()
+        return v
     if rule == "midpoint":
         return midpoint(u, v)
     raise ArgumentError(f"unknown tag rule {rule!r}")
@@ -81,20 +81,47 @@ def _check_grid(a, b, n: int):
 
 
 def _grid_division(edges, tag_rule: str) -> TaggedDivision:
+    """The division of grid `edges` tagged by tag_rule.  The edges become
+    read-only, so left and right tags can be views of them."""
+    edges.flags.writeable = False
     return TaggedDivision(_tag_points(tag_rule, edges[:-1], edges[1:]), edges)
 
 
-def make_uniform(a, b, n: int, tag_rule: str = "midpoint") -> TaggedDivision:
-    """Uniform division of ]a, b] into n cells with tags chosen by
-    tag_rule: "left", "midpoint" or "right"."""
+def _uniform_edges(a, b, n: int) -> np.ndarray:
+    """The n + 1 cut points of the uniform division of ]a, b]."""
     _check_grid(a, b, n)
     a, b, dtype = _regime(a, b)
     if dtype is object:
         edges = a + (b - a) * (np.arange(n + 1, dtype=object) * Fraction(1, n))
         edges[-1] = b
+        return edges
+    return np.linspace(a, b, n + 1)
+
+
+def _shifted_edges(a, b, n: int) -> np.ndarray:
+    """The n + 1 cut points of make_shifted_uniform's division of ]a, b]."""
+    _check_grid(a, b, n)
+    a, b, dtype = _regime(a, b)
+    if dtype is float:
+        # a + (b - a) * ((j + FLOAT_SHIFT) / n), evaluated in place
+        edges = np.arange(n + 1, dtype=float)
+        inner = edges[1:-1]
+        inner += FLOAT_SHIFT
+        inner /= n
+        inner *= b - a
+        inner += a
     else:
-        edges = np.linspace(a, b, n + 1)
-    return _grid_division(edges, tag_rule)
+        edges = np.empty(n + 1, dtype=object)
+        j = np.arange(1, n, dtype=object)
+        edges[1:-1] = a + (b - a) * ((j + IRRATIONAL_SHIFT) * Fraction(1, n))
+    edges[0], edges[-1] = a, b
+    return edges
+
+
+def make_uniform(a, b, n: int, tag_rule: str = "midpoint") -> TaggedDivision:
+    """Uniform division of ]a, b] into n cells with tags chosen by
+    tag_rule: "left", "midpoint" or "right"."""
+    return _grid_division(_uniform_edges(a, b, n), tag_rule)
 
 
 def make_shifted_uniform(a, b, n: int, tag_rule: str = "left") -> TaggedDivision:
@@ -105,16 +132,7 @@ def make_shifted_uniform(a, b, n: int, tag_rule: str = "left") -> TaggedDivision
     Over rational endpoints every interior cut point is irrational, the
     counterpoint to the all-rational cuts of make_uniform.
     """
-    _check_grid(a, b, n)
-    a, b, dtype = _regime(a, b)
-    edges = np.empty(n + 1, dtype=dtype)
-    edges[0], edges[-1] = a, b
-    j = np.arange(1, n, dtype=dtype)
-    if dtype is object:
-        edges[1:-1] = a + (b - a) * ((j + IRRATIONAL_SHIFT) * Fraction(1, n))
-    else:
-        edges[1:-1] = a + (b - a) * ((j + FLOAT_SHIFT) / n)
-    return _grid_division(edges, tag_rule)
+    return _grid_division(_shifted_edges(a, b, n), tag_rule)
 
 
 def is_fine(division: TaggedDivision, gauge: Gauge) -> bool:
@@ -157,33 +175,57 @@ def _delta_fine_constant(a, b, gauge: Gauge, selectors, depth_cap: int) -> Tagge
 
 
 def _delta_fine_batched(a, b, gauge: Gauge, selectors, depth_cap: int) -> TaggedDivision:
-    # Iterative bisection over whole arrays.  Each open cell either accepts
-    # a selector's tag or is split by inserting its midpoint into `edges`.
+    # Iterative bisection over the open cells only.  `us`, `vs` and `index`
+    # hold them left to right, `index` numbering cells of width
+    # (b - a) / 2**depth from a.  Each open cell either accepts a selector's
+    # tag and is set aside, or splits at its midpoint into two open cells.
     a, b, dtype = _regime(a, b)
-    edges = np.array([a, b], dtype=dtype)
-    tags = np.empty(1, dtype=dtype)
-    done = np.zeros(1, dtype=bool)
+    us, vs = np.array([a], dtype=dtype), np.array([b], dtype=dtype)
+    # the position key index << (depth_cap - depth) must fit in the dtype
+    index = np.zeros(1, dtype=np.int64 if depth_cap < 63 else object)
+    accepted = []  # (key, left, tag) arrays, one triple per depth
     for depth in range(depth_cap + 1):
-        cells = np.flatnonzero(~done)
-        us, vs = edges[cells], edges[cells + 1]
-        undecided = np.ones(len(cells), dtype=bool)
+        # "left" and "right" hand the gauge these arrays themselves
+        us.flags.writeable = vs.flags.writeable = False
+        tags = np.empty(len(us), dtype=dtype)
+        undecided = np.ones(len(us), dtype=bool)
         for selector in selectors:
             cand = _tag_points(selector, us, vs)
             widths = gauge.evaluate_batch(cand)
             fine = (cand - us < widths) & (vs - cand < widths) & undecided
-            tags[cells[fine]] = cand[fine]
+            tags[fine] = cand[fine]
             undecided &= ~fine
-            if not np.any(undecided):
-                return TaggedDivision(tags, edges)
-        done[cells] = ~undecided
-        split = cells[undecided]
+            if not undecided.any():
+                break
+        fine = ~undecided
+        accepted.append((index[fine] << (depth_cap - depth), us[fine], tags[fine]))
+        if fine.all():
+            return _assemble(accepted, b)
         if depth == depth_cap:
-            raise GaugeTooDemandingError(edges[split[0]], edges[split[0] + 1], depth)
-        # both halves of a split cell stay open; their tags are set on acceptance
-        edges = np.insert(edges, split + 1, midpoint(edges[split], edges[split + 1]))
-        tags = np.insert(tags, split + 1, tags[split])
-        done = np.insert(done, split + 1, False)
+            i = int(np.argmax(undecided))
+            raise GaugeTooDemandingError(us[i], vs[i], depth)
+        us, vs, index = us[undecided], vs[undecided], index[undecided]
+        mids = midpoint(us, vs)
+        us, vs = _interleave(us, mids), _interleave(mids, vs)
+        index = _interleave(2 * index, 2 * index + 1)
     raise GaugeTooDemandingError(a, b, depth_cap)
+
+
+def _interleave(x, y):
+    """x[0], y[0], x[1], y[1], ...: the halves of split cells in order."""
+    out = np.empty(2 * len(x), dtype=x.dtype)
+    out[0::2], out[1::2] = x, y
+    return out
+
+
+def _assemble(accepted, b) -> TaggedDivision:
+    """The division of the accepted cells, put in order by position key."""
+    keys, lefts, tags = (np.concatenate(column) for column in zip(*accepted))
+    # each depth adds an ascending run of keys, which a stable sort merges
+    order = np.argsort(keys, kind="stable")
+    edges = np.empty(len(lefts) + 1, dtype=lefts.dtype)
+    edges[:-1], edges[-1] = lefts[order], b
+    return TaggedDivision(tags[order], edges)
 
 
 def delta_fine_division(

@@ -98,6 +98,10 @@ class QuadExtScalar:
     def __setattr__(self, name, value):
         raise AttributeError("QuadExtScalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not slot state
+        return QuadExtScalar, (self.p, self.q)
+
     @property
     def p(self) -> Fraction:
         """The rational part."""
@@ -115,6 +119,11 @@ class QuadExtScalar:
     def is_rational(self) -> bool:
         """True exactly when the sqrt(2) coefficient vanishes."""
         return self._abd[1] == 0
+
+    def __bool__(self) -> bool:
+        # sqrt(2) is irrational: a + b*sqrt(2) == 0 only for a == b == 0
+        a, b, _ = self._abd
+        return a != 0 or b != 0
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -31,9 +31,11 @@ def _floating(x) -> bool:
 def midpoint(u, v):
     """Midpoint of [u, v], elementwise: halved in float64 when either side
     is a float or a float array, exactly for exact scalars and `object`
-    arrays of them."""
+    arrays of them.  The float sum is halved in place, as 0.5 * (u + v)."""
     if _floating(u) or _floating(v):
-        return 0.5 * (u + v)
+        m = u + v
+        m *= 0.5
+        return m
     return u + (v - u) * _HALF
 
 

@@ -19,15 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cells import Gauge, TaggedDivision
+from .cells import Gauge
 from .divisions import (
     RefinementSchedule,
     delta_fine_division,
-    make_shifted_uniform,
+    _grid_division,
+    _shifted_edges,
+    _uniform_edges,
     make_uniform,
     riemann_sum,
 )
@@ -54,10 +58,11 @@ class GridStrategy:
     family: str  # "uniform" | "shifted-uniform"
     tag_rule: str
 
-    def build(self, a, b, n: int) -> TaggedDivision:
+    def edges(self, a, b, n: int):
+        """The cut points of this family's n-cell grid over ]a, b]."""
         if self.family == "uniform":
-            return make_uniform(a, b, n, tag_rule=self.tag_rule)
-        return make_shifted_uniform(a, b, n, tag_rule=self.tag_rule)
+            return _uniform_edges(a, b, n)
+        return _shifted_edges(a, b, n)
 
 
 RS_STRATEGIES = (
@@ -459,7 +464,9 @@ def rs_integrate(
     """Constant-mesh (Riemann-Stieltjes style) probe of lim sums of h.
 
     Each level builds one division per grid strategy in RS_STRATEGIES with
-    the same cell count and compares the sums.  Agreement within
+    the same cell count and compares the sums.  Strategies of one grid
+    family share its edges, built once per level; one division is alive at
+    a time.  Agreement within
     `ctrl.tolerance_at` across the uniform and shifted grid families at the
     very first level is accepted at once: telescoping sums (constant point
     factors against additive interval factors) never depended on the
@@ -469,7 +476,14 @@ def rs_integrate(
 
     def sums_at(level: int):
         n = ctrl.schedule.cells_for(level)
-        return n, {s.name: riemann_sum(h, s.build(a, b, n)) for s in RS_STRATEGIES}
+        sums = {}
+        for _, family in groupby(RS_STRATEGIES, key=attrgetter("family")):
+            family = list(family)
+            edges = family[0].edges(a, b, n)
+            for s in family:
+                sums[s.name] = riemann_sum(h, _grid_division(edges, s.tag_rule))
+            del edges  # before the next family's edges are built
+        return n, sums
 
     classifier = _Classifier(
         ctrl, [s.name for s in RS_STRATEGIES], first_level_accept=True

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from gaugelab.cells import Gauge, Interval, TaggedDivision
-from gaugelab.errors import ArgumentError, GaugeContractError, ScalarRegimeError
+from gaugelab.errors import ArgumentError, GaugeContractError, ScalarRegimeError, _plain
+from gaugelab.exact import IRRATIONAL_SHIFT
 
 
 class TestInterval:
@@ -100,6 +103,100 @@ class TestTaggedDivision:
         assert not d.exact
         assert isinstance(d.tags, np.ndarray) and isinstance(d.lefts, np.ndarray)
         assert d.lefts[0] == 0.0 and d.rights[-1] == 1.0
+
+
+# --------------------------------------------------------------------------
+# Validation against the five-pass reference
+# --------------------------------------------------------------------------
+#
+# TaggedDivision proves a division valid in three passes and scans for
+# non-finite values only once it has refused one.  The reference is the
+# five-pass check it used to run, non-finite values first: the two must
+# accept the same divisions and refuse the rest with the same message.
+
+
+def _five_pass_refusal(tags, edges):
+    """The message the five-pass check refuses (tags, edges) with, or None."""
+    columns = [np.asarray(c) for c in (tags, edges)]
+    exact = all(c.dtype.kind != "f" for c in columns)
+    t, e = (c.astype(object if exact else float) for c in columns)
+    if not exact and not (np.all(np.isfinite(t)) and np.all(np.isfinite(e))):
+        return "division contains non-finite values"
+    lo, hi = e[:-1], e[1:]
+    if not np.all(lo < hi):
+        i = int(np.argmin(lo < hi))
+        return f"degenerate cell ]{_plain(lo[i])!r}, {_plain(hi[i])!r}]"
+    if not (np.all(lo <= t) and np.all(t <= hi)):
+        i = int(np.argmin((lo <= t) & (t <= hi)))
+        return (
+            f"tag {_plain(t[i])!r} outside cell closure "
+            f"[{_plain(lo[i])!r}, {_plain(hi[i])!r}]"
+        )
+    return None
+
+
+_points = hst.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+@hst.composite
+def _divisions(draw):
+    """(tags, edges) lists: a valid division, then up to three faults
+    (non-finite values, degenerate or disordered cells, tags outside their
+    cells) at random positions."""
+    exact = draw(hst.booleans())
+    n = draw(hst.integers(min_value=1, max_value=8))
+    edges = sorted(draw(hst.lists(_points, min_size=n + 1, max_size=n + 1, unique=True)))
+    tags = [
+        u + (v - u) * draw(hst.fractions(min_value=0, max_value=1, max_denominator=4))
+        for u, v in zip(edges, edges[1:])
+    ]
+    if exact:
+        offset = draw(hst.sampled_from([0, IRRATIONAL_SHIFT]))
+        tags, edges = [x + offset for x in tags], [x + offset for x in edges]
+        values = _points
+    else:
+        tags, edges = [float(x) for x in tags], [float(x) for x in edges]
+        values = _points.map(float) | hst.sampled_from([math.nan, math.inf, -math.inf])
+    for _ in range(draw(hst.integers(min_value=0, max_value=3))):
+        column = draw(hst.sampled_from([tags, edges]))
+        last = len(column) - 1  # the end edges get their own check: draw them often
+        i = draw(hst.sampled_from([0, last]) | hst.integers(min_value=0, max_value=last))
+        if draw(hst.booleans()):
+            column[i] = draw(values)
+        elif column is edges:
+            column[i] = edges[i - 1] if i else edges[1]  # a zero-width cell
+        else:
+            column[i] = edges[i + 1] + (edges[i + 1] - edges[i])  # past the cell
+    return tags, edges
+
+
+class TestValidationMatchesFivePasses:
+    @settings(max_examples=150, deadline=None)
+    @given(division=_divisions())
+    def test_same_verdict_and_message(self, division):
+        tags, edges = division
+        want = _five_pass_refusal(tags, edges)
+        if want is None:
+            TaggedDivision(tags, edges)
+        else:
+            with pytest.raises(ArgumentError) as got:
+                TaggedDivision(tags, edges)
+            assert str(got.value) == want
+
+    @pytest.mark.parametrize(
+        "tags, edges",
+        [
+            ([0.5, math.nan], [0.0, 1.0, 2.0]),
+            ([0.5, 1.5], [0.0, math.inf, 2.0]),
+            ([0.5, 1.5], [0.0, 1.0, math.inf]),
+            ([0.5, 1.5], [-math.inf, 1.0, 2.0]),
+            ([math.inf, 1.5], [0.0, 1.0, 2.0]),
+            ([0.5, 1.5], [0.0, math.nan, 2.0]),
+        ],
+    )
+    def test_non_finite_values_are_named_first(self, tags, edges):
+        with pytest.raises(ArgumentError, match="non-finite"):
+            TaggedDivision(tags, edges)
 
 
 class TestGauge:

@@ -107,6 +107,43 @@ class TestMakeShiftedUniform:
         assert make_shifted_uniform(0, 1, 7).n == 7
 
 
+class TestGridSharing:
+    # Grid edges are read-only, so "left" and "right" tags are views of them
+    # and no builder copies them.
+
+    @pytest.mark.parametrize("build", [make_uniform, make_shifted_uniform])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (Fraction(0), Fraction(1))])
+    def test_grid_edges_are_read_only(self, build, a, b):
+        for rule in TAG_RULES:
+            d = build(a, b, 8, rule)
+            assert not d.edges.flags.writeable
+            with pytest.raises(ValueError):
+                d.edges[1] = d.edges[2]
+        assert not bisect_refine(build(a, b, 4, "left")).edges.flags.writeable
+
+    @pytest.mark.parametrize("build", [make_uniform, make_shifted_uniform])
+    def test_endpoint_tags_are_views_of_the_edges(self, build):
+        for rule, cells in (("left", slice(None, -1)), ("right", slice(1, None))):
+            d = build(0.0, 1.0, 8, rule)
+            assert np.shares_memory(d.tags, d.edges)
+            assert np.array_equal(d.tags, d.edges[cells])
+            with pytest.raises(ValueError):
+                d.tags[0] = 0.5
+        mid = build(0.0, 1.0, 8, "midpoint")
+        assert not np.shares_memory(mid.tags, mid.edges)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1024])
+    def test_float_grids_keep_their_bits(self, n):
+        # the builders compute in place what these expressions compute
+        j = np.arange(1, n, dtype=float)
+        shifted = make_shifted_uniform(0.25, 3.0, n).edges
+        assert shifted[0] == 0.25 and shifted[-1] == 3.0
+        assert shifted[1:-1].tobytes() == (0.25 + (3.0 - 0.25) * ((j + FLOAT_SHIFT) / n)).tobytes()
+        edges = np.linspace(0.25, 3.0, n + 1)
+        mids = make_uniform(0.25, 3.0, n, "midpoint").tags
+        assert mids.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
+
+
 class TestIsFine:
     def test_constant_gauge_cases(self):
         d = make_uniform(0.0, 1.0, 4, "midpoint")  # cell half-width 0.125 around mid tags
@@ -439,3 +476,100 @@ class TestExactFunctionalGauge:
             want.value.lo, want.value.hi, want.value.depth
         )
         assert str(got.value) == str(want.value)
+
+
+# --------------------------------------------------------------------------
+# Open-cell bisection against the whole-array builder
+# --------------------------------------------------------------------------
+
+
+def _whole_array_division(a, b, width, selectors, depth_cap):
+    """Breadth-first bisection over whole arrays, as the builder ran before
+    it kept only the open cells: every depth inserts the split cells'
+    midpoints into the full edge, tag and done arrays.  (tags, edges, the
+    points of each gauge call) or GaugeTooDemandingError."""
+    dtype = object if isinstance(a, (Fraction, QuadExtScalar)) else float
+    edges = np.array([a, b], dtype=dtype)
+    tags = np.empty(1, dtype=dtype)
+    done = np.zeros(1, dtype=bool)
+    calls = []
+    for depth in range(depth_cap + 1):
+        cells = np.flatnonzero(~done)
+        us, vs = edges[cells], edges[cells + 1]
+        undecided = np.ones(len(cells), dtype=bool)
+        for selector in selectors:
+            cand = {"left": us, "right": vs, "midpoint": midpoint(us, vs)}[selector]
+            calls.append(cand.tolist())
+            widths = np.asarray(width(cand), dtype=dtype)
+            fine = (cand - us < widths) & (vs - cand < widths) & undecided
+            tags[cells[fine]] = cand[fine]
+            undecided &= ~fine
+            if not np.any(undecided):
+                return tags, edges, calls
+        done[cells] = ~undecided
+        split = cells[undecided]
+        if depth == depth_cap:
+            raise GaugeTooDemandingError(edges[split[0]], edges[split[0] + 1], depth)
+        edges = np.insert(edges, split + 1, midpoint(edges[split], edges[split + 1]))
+        tags = np.insert(tags, split + 1, tags[split])
+        done = np.insert(done, split + 1, False)
+
+
+class TestOpenCellBisection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bounds=_exact_bounds(),
+        floor=hst.fractions(min_value=Fraction(1, 1024), max_value=1, max_denominator=1024),
+        slope=hst.fractions(min_value=0, max_value=2, max_denominator=8),
+        power=hst.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+        at=hst.fractions(min_value=0, max_value=1, max_denominator=16),
+        selectors=hst.permutations(TAG_RULES).flatmap(
+            lambda p: hst.integers(1, 3).map(lambda k: tuple(p[:k]))
+        ),
+        exact=hst.booleans(),
+        depth_cap=hst.sampled_from([8, 20, DEFAULT_DEPTH_CAP]),
+    )
+    def test_same_division_and_gauge_calls(
+        self, bounds, floor, slope, power, at, selectors, exact, depth_cap
+    ):
+        a, b = bounds
+        if not exact:
+            a, b, floor, slope, at = map(float, (a, b, floor, slope, at))
+        pole = a + (b - a) * at
+        if exact or power == 1:
+            width = lambda s: floor + slope * abs(s - pole)
+        else:
+            width = lambda s: floor + slope * np.abs(s - pole) ** float(power)
+        calls = []
+
+        def logged(s):
+            calls.append(s.tolist())
+            return width(s)
+
+        try:
+            want = _whole_array_division(a, b, width, selectors, depth_cap)
+        except GaugeTooDemandingError as err:
+            with pytest.raises(GaugeTooDemandingError) as got:
+                delta_fine_division(a, b, Gauge.from_function(logged), selectors, depth_cap)
+            assert str(got.value) == str(err)
+            return
+        division = delta_fine_division(a, b, Gauge.from_function(logged), selectors, depth_cap)
+        tags, edges, want_calls = want
+        for got_column, want_column in ((division.tags, tags), (division.edges, edges)):
+            assert got_column.dtype == want_column.dtype
+            if exact:
+                assert got_column.tolist() == want_column.tolist()
+                assert [type(x) for x in got_column] == [type(x) for x in want_column]
+            else:
+                assert got_column.tobytes() == want_column.tobytes()
+        assert calls == want_calls
+
+    def test_deep_cap_keeps_exact_positions(self):
+        # past depth 62 the position keys outgrow int64: a gauge that admits
+        # only cells shorter than 2**-70 at 0 must still put them in order
+        tiny = Fraction(1, 2**70)
+        width = lambda s: np.maximum(s * Fraction(1, 4), tiny)
+        d = delta_fine_division(Fraction(0), Fraction(1), Gauge.from_function(width), depth_cap=80)
+        tags, edges, _ = _whole_array_division(Fraction(0), Fraction(1), width, TAG_RULES, 80)
+        assert d.tags.tolist() == tags.tolist() and d.edges.tolist() == edges.tolist()
+        assert d.edges[1] == tiny  # a cell at depth 70

@@ -1,13 +1,17 @@
 """Exact scalar field Q(sqrt(2)): arithmetic, ordering, regime fences."""
 
+import copy
 import math
 import operator
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
+from gaugelab.divisions import make_shifted_uniform
 from gaugelab.exact import IRRATIONAL_SHIFT, SQRT2, QuadExtScalar, is_exact_scalar
 from gaugelab.errors import ScalarRegimeError
 
@@ -83,6 +87,34 @@ def test_is_exact_scalar():
     assert not is_exact_scalar(True)
 
 
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copy_and_pickle_keep_the_value(clone):
+    for x in (SQRT2, IRRATIONAL_SHIFT, QuadExtScalar(Fraction(-7, 3)), QuadExtScalar()):
+        y = clone(x)
+        assert type(y) is QuadExtScalar and y == x and repr(y) == repr(x)
+        assert (y.p, y.q) == (x.p, x.q)
+
+
+def test_deepcopy_of_an_exact_division():
+    d = make_shifted_uniform(Fraction(0), Fraction(1), 4, "midpoint")
+    c = copy.deepcopy(d)
+    assert c.exact and c.n == d.n
+    assert c.tags.tolist() == d.tags.tolist() and c.edges.tolist() == d.edges.tolist()
+    assert [type(x) for x in c.edges.tolist()] == [type(x) for x in d.edges.tolist()]
+
+
+def test_only_zero_is_false():
+    zero = QuadExtScalar(1, 1) - QuadExtScalar(1, 1)
+    assert not zero and not QuadExtScalar() and not SQRT2 * 0
+    assert SQRT2 and QuadExtScalar(Fraction(-1, 3)) and QuadExtScalar(1, -1)
+    column = np.array([zero, SQRT2, QuadExtScalar(0), QuadExtScalar(1, -1)], dtype=object)
+    assert np.count_nonzero(column) == 2
+
+
 _small = hst.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
 )
@@ -97,6 +129,12 @@ def test_matches_float_arithmetic_closely(p1, q1, p2, q2):
     assert abs(float(x + y) - (fx + fy)) <= 1e-12 * scale
     assert abs(float(x - y) - (fx - fy)) <= 1e-12 * scale
     assert abs(float(x * y) - fx * fy) <= 1e-12 * max(1.0, abs(fx * fy), scale)
+
+
+@given(p=_small, q=_small)
+def test_truth_is_nonzero(p, q):
+    x = QuadExtScalar(p, q)
+    assert bool(x) == (x != 0) == (p != 0 or q != 0)
 
 
 @given(p=_small, q=_small)

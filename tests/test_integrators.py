@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from gaugelab import integrators
 from gaugelab.catalog import get_entry, inv_sqrt, run_entry
 from gaugelab.cells import Gauge
 from gaugelab.divisions import (
@@ -121,6 +122,30 @@ class TestRsIntegrate:
         assert result.estimate is None
         spreads = {row.spread for row in result.trace}
         assert spreads == {1}  # exact integers, no float fuzz
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (Fraction(0), Fraction(1))])
+    def test_each_familys_edges_built_once_per_level(self, monkeypatch, a, b):
+        calls = []
+        for name in ("_uniform_edges", "_shifted_edges"):
+            def counted(a, b, n, build=getattr(integrators, name), name=name):
+                calls.append((name, n))
+                return build(a, b, n)
+            monkeypatch.setattr(integrators, name, counted)
+        h = make_integrand(lambda s: s * s, length_factor(), "tag")
+        result = rs_integrate(h, a, b, _ctrl(1e-12, 2, 5))
+        assert [row.n for row in result.trace] == [4, 8, 16, 32]
+        assert calls == [
+            (name, row.n) for row in result.trace for name in ("_uniform_edges", "_shifted_edges")
+        ]
+        # the shared edges give the sums the public builders give
+        for name, build, rule in (
+            ("rational-left", make_uniform, "left"),
+            ("rational-mid", make_uniform, "midpoint"),
+            ("shifted-left", make_shifted_uniform, "left"),
+        ):
+            assert result.strategy_sums[name] == tuple(
+                riemann_sum(h, build(a, b, row.n, rule)) for row in result.trace
+            )
 
     def test_inconclusive_when_schedule_too_short(self):
         h = make_integrand(lambda s: s * s, length_factor(), "tag")
