@@ -87,41 +87,54 @@ def _grid_division(edges, tag_rule: str) -> TaggedDivision:
     return TaggedDivision(_tag_points(tag_rule, edges[:-1], edges[1:]), edges)
 
 
-def _uniform_edges(a, b, n: int) -> np.ndarray:
-    """The n + 1 cut points of the uniform division of ]a, b]."""
+def _uniform_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
+    """Cut points lo..hi of the uniform n-cell grid over ]a, b]; (0, n) is
+    the whole grid.  The float points are np.linspace(a, b, n + 1)[lo:hi + 1]
+    bit for bit: j * ((b - a) / n) + a, or j / n * (b - a) + a when the step
+    underflows to 0, with the last point set to b."""
     _check_grid(a, b, n)
     a, b, dtype = _regime(a, b)
+    edges = np.arange(lo, hi + 1, dtype=dtype)
     if dtype is object:
-        edges = a + (b - a) * (np.arange(n + 1, dtype=object) * Fraction(1, n))
+        edges = a + (b - a) * (edges * Fraction(1, n))
+    else:
+        step = (b - a) / n
+        if step == 0:
+            edges /= n
+            edges *= b - a
+        else:
+            edges *= step
+        edges += a
+    if hi == n:
         edges[-1] = b
-        return edges
-    return np.linspace(a, b, n + 1)
+    return edges
 
 
-def _shifted_edges(a, b, n: int) -> np.ndarray:
-    """The n + 1 cut points of make_shifted_uniform's division of ]a, b]."""
+def _shifted_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
+    """Cut points lo..hi of make_shifted_uniform's n-cell grid over ]a, b];
+    (0, n) is the whole grid."""
     _check_grid(a, b, n)
     a, b, dtype = _regime(a, b)
-    if dtype is float:
-        # a + (b - a) * ((j + FLOAT_SHIFT) / n), evaluated in place
-        edges = np.arange(n + 1, dtype=float)
-        inner = edges[1:-1]
-        inner += FLOAT_SHIFT
-        inner /= n
-        inner *= b - a
-        inner += a
+    edges = np.arange(lo, hi + 1, dtype=dtype)
+    if dtype is object:
+        edges = a + (b - a) * ((edges + IRRATIONAL_SHIFT) * Fraction(1, n))
     else:
-        edges = np.empty(n + 1, dtype=object)
-        j = np.arange(1, n, dtype=object)
-        edges[1:-1] = a + (b - a) * ((j + IRRATIONAL_SHIFT) * Fraction(1, n))
-    edges[0], edges[-1] = a, b
+        # a + (b - a) * ((j + FLOAT_SHIFT) / n), evaluated in place
+        edges += FLOAT_SHIFT
+        edges /= n
+        edges *= b - a
+        edges += a
+    if lo == 0:
+        edges[0] = a
+    if hi == n:
+        edges[-1] = b
     return edges
 
 
 def make_uniform(a, b, n: int, tag_rule: str = "midpoint") -> TaggedDivision:
     """Uniform division of ]a, b] into n cells with tags chosen by
     tag_rule: "left", "midpoint" or "right"."""
-    return _grid_division(_uniform_edges(a, b, n), tag_rule)
+    return _grid_division(_uniform_edges(a, b, n, 0, n), tag_rule)
 
 
 def make_shifted_uniform(a, b, n: int, tag_rule: str = "left") -> TaggedDivision:
@@ -132,18 +145,7 @@ def make_shifted_uniform(a, b, n: int, tag_rule: str = "left") -> TaggedDivision
     Over rational endpoints every interior cut point is irrational, the
     counterpoint to the all-rational cuts of make_uniform.
     """
-    return _grid_division(_shifted_edges(a, b, n), tag_rule)
-
-
-def is_fine(division: TaggedDivision, gauge: Gauge) -> bool:
-    """Whether every cell satisfies s - u < delta(s) and v - s < delta(s).
-
-    Both inequalities are strict.  A gauge that evaluates non-positive
-    raises GaugeContractError rather than returning False.
-    """
-    tags, lefts, rights = division.tags, division.lefts, division.rights
-    widths = gauge.evaluate_batch(tags)
-    return bool(np.all(tags - lefts < widths) and np.all(rights - tags < widths))
+    return _grid_division(_shifted_edges(a, b, n, 0, n), tag_rule)
 
 
 def _selector_uniform_depth(selector: str, span, delta, depth_cap: int):
@@ -174,31 +176,49 @@ def _delta_fine_constant(a, b, gauge: Gauge, selectors, depth_cap: int) -> Tagge
     return make_uniform(a, b, 2 ** depth, tag_rule=selector)
 
 
-def _delta_fine_batched(a, b, gauge: Gauge, selectors, depth_cap: int) -> TaggedDivision:
+def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
+    """(edges, one tag column per selector order) of the bisection shared by
+    `orders`, selector orders of one selector set.
+
+    A cell is accepted at a depth exactly when some selector of the set gives
+    a fine tag there, so the orders accept the same cells and share the
+    edges; each order keeps the tag of its first fine selector.  A
+    selector's gauge call is made at most once per depth, and only when some
+    order still has an open cell that tries it, so a lone order makes the
+    calls its own bisection makes."""
     # Iterative bisection over the open cells only.  `us`, `vs` and `index`
     # hold them left to right, `index` numbering cells of width
-    # (b - a) / 2**depth from a.  Each open cell either accepts a selector's
-    # tag and is set aside, or splits at its midpoint into two open cells.
+    # (b - a) / 2**depth from a.  Each open cell either is accepted and set
+    # aside, or splits at its midpoint into two open cells.
     a, b, dtype = _regime(a, b)
     us, vs = np.array([a], dtype=dtype), np.array([b], dtype=dtype)
     # the position key index << (depth_cap - depth) must fit in the dtype
     index = np.zeros(1, dtype=np.int64 if depth_cap < 63 else object)
-    accepted = []  # (key, left, tag) arrays, one triple per depth
+    accepted = []  # (key, left, tags of each order) arrays, one per depth
     for depth in range(depth_cap + 1):
         # "left" and "right" hand the gauge these arrays themselves
         us.flags.writeable = vs.flags.writeable = False
-        tags = np.empty(len(us), dtype=dtype)
-        undecided = np.ones(len(us), dtype=bool)
-        for selector in selectors:
-            cand = _tag_points(selector, us, vs)
-            widths = gauge.evaluate_batch(cand)
-            fine = (cand - us < widths) & (vs - cand < widths) & undecided
-            tags[fine] = cand[fine]
-            undecided &= ~fine
-            if not undecided.any():
-                break
+        candidates = {}  # selector -> (tag points, fine mask)
+        columns = []
+        for order in orders:
+            tags = np.empty(len(us), dtype=dtype)
+            undecided = np.ones(len(us), dtype=bool)
+            for selector in order:
+                if selector not in candidates:
+                    cand = _tag_points(selector, us, vs)
+                    widths = gauge.evaluate_batch(cand)
+                    candidates[selector] = cand, (cand - us < widths) & (vs - cand < widths)
+                cand, fine = candidates[selector]
+                fine = fine & undecided
+                tags[fine] = cand[fine]
+                undecided &= ~fine
+                if not undecided.any():
+                    break
+            columns.append(tags)
+        # every order leaves open the cells no selector of the set accepts
         fine = ~undecided
-        accepted.append((index[fine] << (depth_cap - depth), us[fine], tags[fine]))
+        accepted.append((index[fine] << (depth_cap - depth), us[fine],
+                         *(tags[fine] for tags in columns)))
         if fine.all():
             return _assemble(accepted, b)
         if depth == depth_cap:
@@ -218,14 +238,29 @@ def _interleave(x, y):
     return out
 
 
-def _assemble(accepted, b) -> TaggedDivision:
-    """The division of the accepted cells, put in order by position key."""
-    keys, lefts, tags = (np.concatenate(column) for column in zip(*accepted))
+def _assemble(accepted, b):
+    """(read-only edges, tag columns) of the accepted cells, put in order by
+    position key."""
+    keys, lefts, *columns = (np.concatenate(column) for column in zip(*accepted))
     # each depth adds an ascending run of keys, which a stable sort merges
     order = np.argsort(keys, kind="stable")
     edges = np.empty(len(lefts) + 1, dtype=lefts.dtype)
     edges[:-1], edges[-1] = lefts[order], b
-    return TaggedDivision(tags[order], edges)
+    edges.flags.writeable = False
+    return edges, [tags[order] for tags in columns]
+
+
+def _check_orders(a, b, orders):
+    if not a < b:
+        raise ArgumentError(f"domain needs a < b, got a={a!r}, b={b!r}")
+    for selectors in orders:
+        if not selectors:
+            raise ArgumentError("need at least one tag selector")
+        for selector in selectors:
+            if selector not in TAG_RULES:
+                raise ArgumentError(f"unknown tag selector {selector!r}")
+    if len({frozenset(selectors) for selectors in orders}) > 1:
+        raise ArgumentError("shared bisection needs selector orders of one selector set")
 
 
 def delta_fine_division(
@@ -243,16 +278,22 @@ def delta_fine_division(
     selector orders can be injected to probe tag sensitivity.  Exceeding
     `depth_cap` raises GaugeTooDemandingError carrying the stuck subinterval.
     """
-    if not a < b:
-        raise ArgumentError(f"domain needs a < b, got a={a!r}, b={b!r}")
-    if not selectors:
-        raise ArgumentError("need at least one tag selector")
-    for selector in selectors:
-        if selector not in TAG_RULES:
-            raise ArgumentError(f"unknown tag selector {selector!r}")
+    _check_orders(a, b, (selectors,))
     if gauge.is_constant:
         return _delta_fine_constant(a, b, gauge, selectors, depth_cap)
-    return _delta_fine_batched(a, b, gauge, selectors, depth_cap)
+    edges, (tags,) = _delta_fine_batched(a, b, gauge, (selectors,), depth_cap)
+    return TaggedDivision(tags, edges)
+
+
+def _delta_fine_divisions(a, b, gauge: Gauge, orders) -> list:
+    """delta_fine_division(a, b, gauge, order) for each of `orders`, selector
+    orders of one selector set.  Under a functional gauge two or more orders
+    share one bisection, and their divisions share its read-only edges."""
+    if len(orders) == 1 or gauge.is_constant:
+        return [delta_fine_division(a, b, gauge, order) for order in orders]
+    _check_orders(a, b, orders)
+    edges, columns = _delta_fine_batched(a, b, gauge, orders, DEFAULT_DEPTH_CAP)
+    return [TaggedDivision(tags, edges) for tags in columns]
 
 
 def bisect_refine(division: TaggedDivision, tag_rule: str = "left") -> TaggedDivision:

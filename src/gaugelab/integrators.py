@@ -28,7 +28,7 @@ import numpy as np
 from .cells import Gauge
 from .divisions import (
     RefinementSchedule,
-    delta_fine_division,
+    _delta_fine_divisions,
     _grid_division,
     _shifted_edges,
     _uniform_edges,
@@ -58,11 +58,11 @@ class GridStrategy:
     family: str  # "uniform" | "shifted-uniform"
     tag_rule: str
 
-    def edges(self, a, b, n: int):
-        """The cut points of this family's n-cell grid over ]a, b]."""
+    def edges(self, a, b, n: int, lo: int, hi: int):
+        """Cut points lo..hi of this family's n-cell grid over ]a, b]."""
         if self.family == "uniform":
-            return _uniform_edges(a, b, n)
-        return _shifted_edges(a, b, n)
+            return _uniform_edges(a, b, n, lo, hi)
+        return _shifted_edges(a, b, n, lo, hi)
 
 
 RS_STRATEGIES = (
@@ -434,25 +434,84 @@ def singularity_gauge(ceiling: float, at_origin: float, origin: float = 0.0) -> 
 
 def _fine_sums(h: BurkillIntegrand, strategies: Sequence[TagSelectorStrategy], pieces_at):
     """Strategy callback over delta-fine divisions of the (lo, hi, gauge)
-    pieces `pieces_at(level)` lists; a strategy adds its pieces' sums."""
+    pieces `pieces_at(level)` lists; a strategy adds its pieces' sums.
+    Consecutive strategies of one selector set share each piece's
+    bisection, built when the first of them reaches the piece."""
 
     def sums_at(level: int):
         pieces = pieces_at(level)
         n = 0
         sums = {}
-        for strat in strategies:
-            total = None
-            count = 0
-            for lo, hi, gauge in pieces:
-                division = delta_fine_division(lo, hi, gauge, selectors=strat.selectors)
-                value = riemann_sum(h, division)
-                total = value if total is None else total + value
-                count += division.n
-            sums[strat.name] = total
-            n = max(n, count)
+        for _, group in groupby(strategies, key=lambda s: frozenset(s.selectors)):
+            group = list(group)
+            orders = tuple(strat.selectors for strat in group)
+            built = []  # per piece, one division per strategy of the group
+            for k, strat in enumerate(group):
+                total = None
+                count = 0
+                for i, (lo, hi, gauge) in enumerate(pieces):
+                    if k == 0:
+                        built.append(_delta_fine_divisions(lo, hi, gauge, orders))
+                    division = built[i][k]
+                    value = riemann_sum(h, division)
+                    total = value if total is None else total + value
+                    count += division.n
+                sums[strat.name] = total
+                n = max(n, count)
         return n, sums
 
     return sums_at
+
+
+# Cells per block of an rs level: a level is built and summed block by
+# block, so its edges, tags and integrand values stay cache-sized.
+_BLOCK_CELLS = 2 ** 16
+
+# numpy adds up to this many float64 values in one unrolled loop, so its
+# pairwise summation never splits a run this short.
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise(lo: int, hi: int, block_sum):
+    """block_sum(lo', hi') over blocks of the cells lo..hi - 1, left to
+    right, added up the way numpy's pairwise summation adds the cells'
+    values: a run of more than max(_BLOCK_CELLS, _PAIRWISE_LEAF) cells
+    splits after n // 2 cells rounded down to a multiple of 8, and the
+    halves' sums are added.  So block sums from np.sum add up to np.sum over
+    all the cells, bit for bit."""
+    n = hi - lo
+    if n <= max(_BLOCK_CELLS, _PAIRWISE_LEAF):
+        return block_sum(lo, hi)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(lo, lo + half, block_sum) + _pairwise(lo + half, hi, block_sum)
+
+
+def _grid_family_sums(h: BurkillIntegrand, family: Sequence[GridStrategy], a, b, n: int):
+    """{strategy: sum} over the n-cell grid of one family, built and summed
+    block by block.  The block sums add up to the whole grid's sum, bit for
+    bit in the float regime and in value and type in the exact one.  A fault
+    raises as the whole grid's would: that of the first strategy in `family`
+    order that faults anywhere, at its first faulting cell."""
+    live = list(family)  # the strategies whose fault could still be raised
+    fault = None
+
+    def block_sum(lo: int, hi: int):
+        nonlocal live, fault
+        sums = np.zeros(len(family), dtype=object)
+        if live:
+            edges = family[0].edges(a, b, n, lo, hi)
+        for k, strat in enumerate(live):
+            try:
+                sums[k] = riemann_sum(h, _grid_division(edges, strat.tag_rule))
+            except Exception as exc:  # noqa: BLE001 - raised after the last block
+                fault, live = exc, live[:k]
+                break
+        return sums
+
+    sums = _pairwise(0, n, block_sum)
+    if fault is not None:
+        raise fault
+    return {strat.name: value for strat, value in zip(family, sums.tolist())}
 
 
 def rs_integrate(
@@ -478,11 +537,7 @@ def rs_integrate(
         n = ctrl.schedule.cells_for(level)
         sums = {}
         for _, family in groupby(RS_STRATEGIES, key=attrgetter("family")):
-            family = list(family)
-            edges = family[0].edges(a, b, n)
-            for s in family:
-                sums[s.name] = riemann_sum(h, _grid_division(edges, s.tag_rule))
-            del edges  # before the next family's edges are built
+            sums.update(_grid_family_sums(h, list(family), a, b, n))
         return n, sums
 
     classifier = _Classifier(
@@ -551,7 +606,7 @@ def darboux_riemann(
             i = bad[0]
             raise OracleInconsistencyError(tags[i], sample[i], (lo[i], hi[i]))
         width = vs - us
-        return n, {"lower": np.sum(lo * width), "upper": np.sum(hi * width)}
+        return n, {"lower": float(np.sum(lo * width)), "upper": float(np.sum(hi * width))}
 
     return _ladder(ctrl.schedule, sums_at, _Bracket(ctrl))
 

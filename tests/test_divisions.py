@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from gaugelab.catalog import dirichlet_factor, step_at
-from gaugelab.cells import Gauge, Interval
+from gaugelab.cells import Gauge, Interval, TaggedDivision
 from gaugelab.divisions import (
     DEFAULT_DEPTH_CAP,
     FLOAT_SHIFT,
     MAX_LEVEL,
     TAG_RULES,
     RefinementSchedule,
+    _delta_fine_batched,
+    _delta_fine_divisions,
+    _shifted_edges,
+    _uniform_edges,
     bisect_refine,
     delta_fine_division,
-    is_fine,
     make_shifted_uniform,
     make_uniform,
     riemann_sum,
@@ -29,6 +32,7 @@ from gaugelab.errors import (
 )
 from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtScalar
 from gaugelab.expr import as_function, parse
+from gaugelab.integrators import ANCHORED_STRATEGIES
 from gaugelab.integrand import (
     BurkillIntegrand,
     increments_of,
@@ -142,6 +146,17 @@ class TestGridSharing:
         edges = np.linspace(0.25, 3.0, n + 1)
         mids = make_uniform(0.25, 3.0, n, "midpoint").tags
         assert mids.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
+
+
+def is_fine(division, gauge: Gauge) -> bool:
+    """Whether every cell satisfies s - u < delta(s) and v - s < delta(s).
+
+    Both inequalities are strict.  A gauge that evaluates non-positive
+    raises GaugeContractError rather than returning False.
+    """
+    tags, lefts, rights = division.tags, division.lefts, division.rights
+    widths = gauge.evaluate_batch(tags)
+    return bool(np.all(tags - lefts < widths) and np.all(rights - tags < widths))
 
 
 class TestIsFine:
@@ -573,3 +588,184 @@ class TestOpenCellBisection:
         tags, edges, _ = _whole_array_division(Fraction(0), Fraction(1), width, TAG_RULES, 80)
         assert d.tags.tolist() == tags.tolist() and d.edges.tolist() == edges.tolist()
         assert d.edges[1] == tiny  # a cell at depth 70
+
+
+# --------------------------------------------------------------------------
+# Grid edges: one body per family, whole grids and slices
+# --------------------------------------------------------------------------
+
+
+def _linspace_like_edges(a, b, n):
+    """The whole uniform grid as np.linspace gives it, and for exact bounds
+    as a + (b - a) * (j / n) with the last point b."""
+    if isinstance(a, float):
+        return np.linspace(a, b, n + 1)
+    edges = a + (b - a) * (np.arange(n + 1, dtype=object) * Fraction(1, n))
+    edges[-1] = b
+    return edges
+
+
+def _whole_shifted_edges(a, b, n):
+    """The whole shifted grid as a + (b - a) * ((j + theta) / n) inside,
+    with the ends a and b."""
+    theta = FLOAT_SHIFT if isinstance(a, float) else IRRATIONAL_SHIFT
+    j = np.arange(1, n, dtype=float if isinstance(a, float) else object)
+    if isinstance(a, float):
+        inner = a + (b - a) * ((j + theta) / n)
+    else:
+        inner = a + (b - a) * ((j + theta) * Fraction(1, n))
+    return np.concatenate(([a], inner, [b])).astype(inner.dtype)
+
+
+def _same_points(got, want):
+    assert got.dtype == want.dtype
+    if got.dtype == object:
+        assert got.tolist() == want.tolist()
+        assert [type(x) for x in got.tolist()] == [type(x) for x in want.tolist()]
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+_float_bounds = hst.tuples(
+    hst.floats(min_value=-1e3, max_value=1e3), hst.floats(min_value=1e-9, max_value=1e3)
+).map(lambda t: (t[0], t[0] + t[1])).filter(lambda ab: ab[0] < ab[1])
+
+
+class TestGridEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bounds=_float_bounds | _exact_bounds(),
+        n=hst.integers(min_value=1, max_value=3000),
+        cut=hst.tuples(hst.floats(0, 1), hst.floats(0, 1)),
+    )
+    def test_whole_grids_and_slices(self, bounds, n, cut):
+        a, b = bounds
+        if not isinstance(a, float):
+            n = min(n, 60)  # exact scalars are slow, not different
+        lo, hi = sorted(int(c * n) for c in cut)
+        hi = max(hi, lo + 1)
+        if hi > n:
+            lo, hi = n - 1, n
+        for body, whole in ((_uniform_edges, _linspace_like_edges),
+                            (_shifted_edges, _whole_shifted_edges)):
+            full = body(a, b, n, 0, n)
+            _same_points(full, whole(a, b, n))
+            _same_points(body(a, b, n, lo, hi), full[lo:hi + 1])
+
+    @pytest.mark.parametrize("n", [7, 8, 1024, 2**20])
+    def test_underflowing_step_is_linspace_and_refused(self, n):
+        # (b - a) / n rounds to 0, and np.linspace divides before it scales
+        a, b = 0.0, 3 * 5e-324
+        assert (b - a) / n == 0
+        want = np.linspace(a, b, n + 1)
+        _same_points(_uniform_edges(a, b, n, 0, n), want)
+        _same_points(_uniform_edges(a, b, n, n // 2, n), want[n // 2:])
+        with pytest.raises(ArgumentError) as err:
+            TaggedDivision(want[:-1], want)
+        with pytest.raises(ArgumentError) as got:
+            make_uniform(a, b, n, "left")
+        assert str(got.value) == str(err.value)
+
+
+# --------------------------------------------------------------------------
+# One bisection shared by the selector orders of one selector set
+# --------------------------------------------------------------------------
+
+
+def _call_key(points):
+    return repr(points.tolist())
+
+
+class TestSharedBisection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bounds=_exact_bounds(),
+        floor=hst.fractions(min_value=Fraction(1, 1024), max_value=1, max_denominator=1024),
+        slope=hst.fractions(min_value=0, max_value=2, max_denominator=8),
+        power=hst.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+        at=hst.fractions(min_value=0, max_value=1, max_denominator=16),
+        orders=hst.just(tuple(s.selectors for s in ANCHORED_STRATEGIES))
+        | hst.permutations(TAG_RULES).flatmap(
+            lambda p: hst.integers(1, 3).flatmap(
+                lambda k: hst.lists(hst.permutations(p[:k]).map(tuple), min_size=1, max_size=4)
+            )
+        ).map(tuple),
+        exact=hst.booleans(),
+        depth_cap=hst.sampled_from([8, 20, DEFAULT_DEPTH_CAP]),
+    )
+    def test_same_as_separate_builds(
+        self, bounds, floor, slope, power, at, orders, exact, depth_cap
+    ):
+        a, b = bounds
+        if not exact:
+            a, b, floor, slope, at = map(float, (a, b, floor, slope, at))
+        pole = a + (b - a) * at
+        if exact or power == 1:
+            width = lambda s: floor + slope * abs(s - pole)
+        else:
+            width = lambda s: floor + slope * np.abs(s - pole) ** float(power)
+
+        def logged(calls):
+            def fn(s):
+                calls.append(_call_key(s))
+                return width(s)
+            return Gauge.from_function(fn)
+
+        separate, separate_calls = [], []
+        try:
+            for order in orders:
+                separate.append(delta_fine_division(a, b, logged(separate_calls), order, depth_cap))
+        except GaugeTooDemandingError as err:
+            with pytest.raises(GaugeTooDemandingError) as got:
+                _delta_fine_batched(a, b, logged([]), orders, depth_cap)
+            assert str(got.value) == str(err)
+            return
+        calls = []
+        edges, columns = _delta_fine_batched(a, b, logged(calls), orders, depth_cap)
+        assert not edges.flags.writeable
+        for division, tags in zip(separate, columns):
+            _same_points(edges, division.edges)
+            _same_points(tags, division.tags)
+        # each call is one a separate build makes, made once: at most one
+        # call per selector and depth, as the open cells of one depth are
+        # the same for every order and differ between depths
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(separate_calls)
+        if len(orders) == 1:
+            assert calls == separate_calls
+
+    def test_anchored_orders_share_edges_and_halve_the_calls(self):
+        width = lambda s: np.where(s <= 0.0, 1e-3, np.minimum(s / 2.0, 0.25))
+        calls = []
+
+        def logged(s):
+            calls.append(_call_key(s))
+            return width(s)
+
+        orders = tuple(s.selectors for s in ANCHORED_STRATEGIES)
+        left_first, right_first = _delta_fine_divisions(0.0, 1.0, Gauge.from_function(logged), orders)
+        assert left_first.edges is right_first.edges and not left_first.edges.flags.writeable
+        shared = len(calls)
+        for order, division in zip(orders, (left_first, right_first)):
+            alone = delta_fine_division(0.0, 1.0, Gauge.from_function(logged), order)
+            _same_points(alone.tags, division.tags)
+        # the two orders alone make 32 and 33 calls, nearly all of them the
+        # same three selectors at the same depth
+        assert (shared, len(calls) - shared) == (33, 65)
+        assert left_first.tags[0] == 0.0 and right_first.tags[0] == 0.0
+
+    def test_constant_gauges_and_lone_orders_build_alone(self):
+        gauge = Gauge.constant(0.3)
+        orders = tuple(s.selectors for s in ANCHORED_STRATEGIES)
+        got = _delta_fine_divisions(0.0, 1.0, gauge, orders)
+        for order, division in zip(orders, got):
+            want = delta_fine_division(0.0, 1.0, gauge, order)
+            _same_points(division.edges, want.edges)
+            _same_points(division.tags, want.tags)
+
+    def test_orders_of_different_sets_are_refused(self):
+        gauge = Gauge.from_function(lambda s: 0.1 + s)
+        with pytest.raises(ArgumentError, match="one selector set"):
+            _delta_fine_divisions(0.0, 1.0, gauge, (("left",), ("left", "right")))
+        with pytest.raises(ArgumentError, match="a < b"):
+            _delta_fine_divisions(1.0, 0.0, gauge, (("left", "right"), ("right", "left")))

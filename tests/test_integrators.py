@@ -9,18 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from gaugelab import integrators
-from gaugelab.catalog import get_entry, inv_sqrt, run_entry
-from gaugelab.cells import Gauge
+from gaugelab.catalog import dirichlet_factor, get_entry, inv_sqrt, run_entry, step_at
+from gaugelab.cells import Gauge, TaggedDivision
 from gaugelab.divisions import (
     RefinementSchedule,
     delta_fine_division,
-    is_fine,
     make_shifted_uniform,
     make_uniform,
     riemann_sum,
 )
 from gaugelab.errors import (
     ArgumentError,
+    IntegrandEvalError,
     MonotonicityError,
     NonFiniteSumError,
     OracleInconsistencyError,
@@ -48,6 +48,7 @@ from gaugelab.integrators import (
 )
 from gaugelab.results import Status, TraceRow
 from gaugelab.stochastic import path_from_function
+from test_divisions import is_fine
 
 
 def _ctrl(tol=1e-9, start=4, stop=22, **kw):
@@ -114,8 +115,6 @@ class TestRsIntegrate:
 
     def test_oscillation_between_grid_families(self):
         # rational grids sum 0, shifted grids sum 1: spread never closes
-        from gaugelab.catalog import dirichlet_factor, step_at
-
         h = make_integrand(step_at(Fraction(1, 2)), dirichlet_factor(), "tag")
         result = rs_integrate(h, Fraction(0), Fraction(1), _ctrl(1e-9, 1, 9))
         assert result.status is Status.OSCILLATING
@@ -127,9 +126,10 @@ class TestRsIntegrate:
     def test_each_familys_edges_built_once_per_level(self, monkeypatch, a, b):
         calls = []
         for name in ("_uniform_edges", "_shifted_edges"):
-            def counted(a, b, n, build=getattr(integrators, name), name=name):
+            def counted(a, b, n, lo, hi, build=getattr(integrators, name), name=name):
+                assert (lo, hi) == (0, n)  # one block below _BLOCK_CELLS cells
                 calls.append((name, n))
-                return build(a, b, n)
+                return build(a, b, n, lo, hi)
             monkeypatch.setattr(integrators, name, counted)
         h = make_integrand(lambda s: s * s, length_factor(), "tag")
         result = rs_integrate(h, a, b, _ctrl(1e-12, 2, 5))
@@ -346,8 +346,6 @@ class TestLebesgueRoute:
 
 class TestStrategySums:
     def test_rows_expose_per_strategy_sums(self):
-        from gaugelab.catalog import dirichlet_factor, step_at
-
         h = make_integrand(step_at(Fraction(1, 2)), dirichlet_factor(), "tag")
         result = rs_integrate(h, Fraction(0), Fraction(1), _ctrl(1e-9, 1, 6))
         sums = result.strategy_sums
@@ -472,3 +470,176 @@ def test_property_constant_point_function(c, width):
     result = rs_integrate(h, 0.0, width)
     assert result.status is Status.CONVERGED
     assert result.estimate == pytest.approx(c * width, abs=1e-9 + 1e-12 * abs(c * width))
+
+
+# --------------------------------------------------------------------------
+# Python floats out of every integrator
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: rs_integrate(
+            make_integrand(lambda s: s * s, length_factor(), "tag"), 0.0, 1.0, _ctrl(1e-3, 4, 12)
+        ),
+        lambda: gauge_integrate(
+            make_integrand(lambda s: s * s, length_factor(), "tag"), 0.0, 1.0, _ctrl(1e-3, 4, 12)
+        ),
+        lambda: darboux_riemann(
+            lambda s: s * s, ExtremaOracle.monotone(lambda s: s * s), 0.0, 1.0, _ctrl(1e-3, 4, 12)
+        ),
+        lambda: lebesgue_distribution_integrate(identity_distribution(), _ctrl(1e-4, 4, 16)),
+        lambda: lebesgue_distribution_integrate(
+            step_distribution([(3.0, 1.0)], c=2.0, d=5.0), _ctrl(1e-9, 4, 10)
+        ),
+    ],
+    ids=["rs", "gauge", "darboux", "lebesgue-rs", "lebesgue-anchored"],
+)
+def test_float_regime_estimates_are_python_floats(run):
+    result = run()
+    assert result.status is Status.CONVERGED
+    assert type(result.estimate) is float and type(result.error_bound) is float
+    for sums in result.strategy_sums.values():
+        assert {type(x) for x in sums} == {float}
+
+
+# --------------------------------------------------------------------------
+# rs levels summed in blocks
+# --------------------------------------------------------------------------
+#
+# A level is built and summed in blocks that follow numpy's pairwise
+# summation, so block sums add up to np.sum over the whole level bit for
+# bit.  These tests pin that summation order: a numpy release that changes
+# it makes them fail.
+
+
+def _block_tree_sum(x):
+    return integrators._pairwise(0, len(x), lambda lo, hi: float(np.sum(x[lo:hi])))
+
+
+_RNG = np.random.default_rng(20261018)
+_LENGTHS = sorted(
+    {1, 2, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 8, 2**18, 3 * 2**18}
+    | set(_RNG.integers(1, 3 * 2**18, 12).tolist())
+)
+
+
+@pytest.mark.parametrize("block_cells", [2**16, 64, 1000])
+@pytest.mark.parametrize("kind", ["contiguous", "broadcast", "strided"])
+def test_block_tree_adds_up_to_np_sum(monkeypatch, block_cells, kind):
+    monkeypatch.setattr(integrators, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(block_cells)
+    for n in _LENGTHS:
+        if block_cells < 2**16 and n > 2**17:
+            continue  # small blocks make long runs slow, not different
+        # values over many binades, so the summation order shows in the bits
+        values = rng.standard_normal(2 * n) * np.exp2(rng.integers(-30, 30, 2 * n))
+        x = {
+            "contiguous": values[:n],
+            "broadcast": np.broadcast_to(values[0], (n,)),
+            "strided": values[::2],
+        }[kind]
+        assert _block_tree_sum(x) == float(np.sum(x)), n
+
+
+def test_blocks_cover_the_cells_in_order(monkeypatch):
+    monkeypatch.setattr(integrators, "_BLOCK_CELLS", 1000)
+    blocks = []
+
+    def block_sum(lo, hi):
+        blocks.append((lo, hi))
+        return hi - lo
+
+    n = 3 * 2**14 + 5
+    assert integrators._pairwise(0, n, block_sum) == n
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+    assert max(hi - lo for lo, hi in blocks) <= 1000
+
+
+def _burkill(s, u, v):
+    return (s - u) * np.sin(v) + (v - u) ** 1.5
+
+
+_BLOCKED_CASES = [
+    (make_integrand(lambda s: s, increments_of(lambda u: u * u), "tag"), 0.0, 1.0),
+    (BurkillIntegrand("burkill", _burkill), 0.0, 1.0),
+    (BurkillIntegrand("scalar", lambda s, u, v: 1e-3), 0.25, 3.0),
+    (make_integrand(step_at(Fraction(1, 2)), dirichlet_factor(), "tag"), Fraction(0), Fraction(1)),
+]
+
+
+@pytest.mark.parametrize("h, a, b", _BLOCKED_CASES, ids=["s-dsquare", "burkill", "scalar", "step-dD"])
+def test_blocked_levels_match_whole_levels(monkeypatch, h, a, b):
+    # every level has more than one block of 64 cells (128, numpy's
+    # shortest pairwise run); the tolerance and growth factor let the
+    # non-telescoping integrands run every level
+    stop = 9 if isinstance(a, Fraction) else 11
+    ctrl = _ctrl(1e-15, 8, stop, growth_factor=4.0)
+    default = rs_integrate(h, a, b, ctrl)
+    monkeypatch.setattr(integrators, "_BLOCK_CELLS", 64)
+    blocked = rs_integrate(h, a, b, ctrl)
+    assert default.trace[-1].n >= 256
+    assert repr(blocked) == repr(default)
+    assert repr(blocked.strategy_sums) == repr(default.strategy_sums)
+    for name, sums in default.strategy_sums.items():
+        got = blocked.strategy_sums[name]
+        assert got == sums and [type(x) for x in got] == [type(x) for x in sums]
+    # and the whole-level sums of the public builders
+    n = default.trace[-1].n
+    whole = {
+        "rational-left": riemann_sum(h, make_uniform(a, b, n, "left")),
+        "rational-mid": riemann_sum(h, make_uniform(a, b, n, "midpoint")),
+        "shifted-left": riemann_sum(h, make_shifted_uniform(a, b, n, "left")),
+    }
+    assert repr({k: v[-1] for k, v in blocked.strategy_sums.items()}) == repr(whole)
+
+
+def test_blocked_fault_is_the_whole_levels_fault(monkeypatch):
+    # at 1024 cells left tags fault at 769/1024 and 900/1024, in the
+    # seventh and eighth blocks of 128, and midpoint tags at 201/2048, in
+    # the first: rational-left is summed first, and its first faulting cell
+    # is the one named
+    def rule(s, u, v):
+        if np.any(np.isin(s, (769 / 1024, 900 / 1024, 201 / 2048))):
+            raise ValueError("bad tag")
+        return (v - u) ** 2
+
+    h = BurkillIntegrand("faulty", rule)
+    errors = []
+    for block_cells in (2**16, 64):
+        monkeypatch.setattr(integrators, "_BLOCK_CELLS", block_cells)
+        with pytest.raises(IntegrandEvalError) as err:
+            rs_integrate(h, 0.0, 1.0, _ctrl(1e-15, 10, 10))
+        errors.append(err.value)
+    assert [(e.tag, e.lo, e.hi, str(e)) for e in errors] == [
+        (769 / 1024, 769 / 1024, 770 / 1024, str(errors[0]))
+    ] * 2
+
+
+def test_blocked_non_finite_sum_names_the_same_strategy(monkeypatch):
+    # only the midpoint tag 201/2048 of the 1024-cell grid gives inf
+    h = BurkillIntegrand("spike", lambda s, u, v: np.where(s == 201 / 2048, np.inf, (v - u) ** 2))
+    errors = []
+    for block_cells in (2**16, 64):
+        monkeypatch.setattr(integrators, "_BLOCK_CELLS", block_cells)
+        with pytest.raises(NonFiniteSumError) as err:
+            rs_integrate(h, 0.0, 1.0, _ctrl(1e-15, 4, 10))
+        errors.append(err.value)
+    assert [(e.strategy, e.level, str(e)) for e in errors] == [
+        ("rational-mid", 10, "strategy 'rational-mid' summed to inf at level 10")
+    ] * 2
+
+
+def test_underflowing_grid_is_refused_as_before(monkeypatch):
+    # (b - a) / n rounds to 0: np.linspace's grid has degenerate cells
+    h = make_integrand(lambda s: s, length_factor(), "tag")
+    edges = np.linspace(0.0, 4 * 5e-324, 2**10 + 1)
+    with pytest.raises(ArgumentError) as want:
+        riemann_sum(h, TaggedDivision(edges[:-1], edges))
+    for block_cells in (2**16, 64):
+        monkeypatch.setattr(integrators, "_BLOCK_CELLS", block_cells)
+        with pytest.raises(ArgumentError) as got:
+            rs_integrate(h, 0.0, 4 * 5e-324, _ctrl(1e-9, 10, 10))
+        assert str(got.value) == str(want.value)
