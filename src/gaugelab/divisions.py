@@ -80,11 +80,17 @@ def _check_grid(a, b, n: int):
         raise ArgumentError(f"domain needs a < b, got a={a!r}, b={b!r}")
 
 
-def _grid_division(edges, tag_rule: str) -> TaggedDivision:
-    """The division of grid `edges` tagged by tag_rule.  The edges become
-    read-only, so left and right tags can be views of them."""
+def _grid_columns(edges, tag_rules):
+    """(edges, the tag column of each rule) of grid `edges`.  The edges
+    become read-only, so left and right tags can be views of them."""
     edges.flags.writeable = False
-    return TaggedDivision(_tag_points(tag_rule, edges[:-1], edges[1:]), edges)
+    return edges, [_tag_points(rule, edges[:-1], edges[1:]) for rule in tag_rules]
+
+
+def _grid_division(edges, tag_rule: str) -> TaggedDivision:
+    """The division of grid `edges` tagged by tag_rule."""
+    edges, (tags,) = _grid_columns(edges, (tag_rule,))
+    return TaggedDivision(tags, edges)
 
 
 def _uniform_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
@@ -148,34 +154,6 @@ def make_shifted_uniform(a, b, n: int, tag_rule: str = "left") -> TaggedDivision
     return _grid_division(_shifted_edges(a, b, n, 0, n), tag_rule)
 
 
-def _selector_uniform_depth(selector: str, span, delta, depth_cap: int):
-    """Smallest depth at which a uniform cell accepts this selector, or None:
-    a midpoint tag needs half a cell shorter than delta, an endpoint tag a
-    whole one.  Scaling by a power of two is exact in both regimes."""
-    halvings = int(selector == "midpoint")
-    for depth in range(depth_cap + 1):
-        if span * Fraction(1, 1 << (depth + halvings)) < delta:
-            return depth
-    return None
-
-
-def _delta_fine_constant(a, b, gauge: Gauge, selectors, depth_cap: int) -> TaggedDivision:
-    # Constant gauge: recursive bisection would accept every cell at the same
-    # depth with the same selector, i.e. produce a uniform division.  Build it
-    # directly.
-    delta = gauge.constant_value
-    span = b - a
-    best = None
-    for selector in selectors:
-        depth = _selector_uniform_depth(selector, span, delta, depth_cap)
-        if depth is not None and (best is None or depth < best[0]):
-            best = (depth, selector)
-    if best is None:
-        raise GaugeTooDemandingError(a, b, depth_cap)
-    depth, selector = best
-    return make_uniform(a, b, 2 ** depth, tag_rule=selector)
-
-
 def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
     """(edges, one tag column per selector order) of the bisection shared by
     `orders`, selector orders of one selector set.
@@ -221,7 +199,8 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
                          *(tags[fine] for tags in columns)))
         if fine.all():
             return _assemble(accepted, b)
-        if depth == depth_cap:
+        # the next depth's open cells must not outgrow a MAX_LEVEL grid
+        if depth == depth_cap or 2 * np.count_nonzero(undecided) > 2 ** MAX_LEVEL:
             i = int(np.argmax(undecided))
             raise GaugeTooDemandingError(us[i], vs[i], depth)
         us, vs, index = us[undecided], vs[undecided], index[undecided]
@@ -263,6 +242,31 @@ def _check_orders(a, b, orders):
         raise ArgumentError("shared bisection needs selector orders of one selector set")
 
 
+def _delta_fine(a, b, gauge: Gauge, orders, depth_cap: int):
+    """(read-only edges, one tag column per order) of the delta-fine
+    division of ]a, b] shared by `orders`, selector orders of one selector
+    set.  A constant-gauge grid deeper than MAX_LEVEL, or a bisection that
+    would keep more than 2**MAX_LEVEL cells open, raises
+    GaugeTooDemandingError before it is allocated."""
+    _check_orders(a, b, orders)
+    if not gauge.is_constant:
+        return _delta_fine_batched(a, b, gauge, orders, depth_cap)
+    # Constant gauge: bisection would accept every cell at the smallest depth
+    # at which some selector is fine, so build that uniform grid directly;
+    # each order tags it with its first selector fine there.  A midpoint tag
+    # needs half a cell shorter than delta, an endpoint tag a whole one, and
+    # scaling by a power of two is exact in both regimes.
+    depth_cap = min(depth_cap, MAX_LEVEL)
+    span, delta = b - a, gauge.constant_value
+    for depth in range(depth_cap + 1):
+        fine = {s for s in orders[0]
+                if span * Fraction(1, 1 << (depth + (s == "midpoint"))) < delta}
+        if fine:
+            rules = [next(s for s in order if s in fine) for order in orders]
+            return _grid_columns(_uniform_edges(a, b, 2 ** depth, 0, 2 ** depth), rules)
+    raise GaugeTooDemandingError(a, b, depth_cap)
+
+
 def delta_fine_division(
     a,
     b,
@@ -276,24 +280,11 @@ def delta_fine_division(
     order) produces a fine tag, otherwise it splits at its midpoint.  The
     trial order is fixed, so the output is deterministic; alternative
     selector orders can be injected to probe tag sensitivity.  Exceeding
-    `depth_cap` raises GaugeTooDemandingError carrying the stuck subinterval.
+    `depth_cap`, or outgrowing a MAX_LEVEL grid, raises
+    GaugeTooDemandingError carrying the stuck subinterval.
     """
-    _check_orders(a, b, (selectors,))
-    if gauge.is_constant:
-        return _delta_fine_constant(a, b, gauge, selectors, depth_cap)
-    edges, (tags,) = _delta_fine_batched(a, b, gauge, (selectors,), depth_cap)
+    edges, (tags,) = _delta_fine(a, b, gauge, (selectors,), depth_cap)
     return TaggedDivision(tags, edges)
-
-
-def _delta_fine_divisions(a, b, gauge: Gauge, orders) -> list:
-    """delta_fine_division(a, b, gauge, order) for each of `orders`, selector
-    orders of one selector set.  Under a functional gauge two or more orders
-    share one bisection, and their divisions share its read-only edges."""
-    if len(orders) == 1 or gauge.is_constant:
-        return [delta_fine_division(a, b, gauge, order) for order in orders]
-    _check_orders(a, b, orders)
-    edges, columns = _delta_fine_batched(a, b, gauge, orders, DEFAULT_DEPTH_CAP)
-    return [TaggedDivision(tags, edges) for tags in columns]
 
 
 def bisect_refine(division: TaggedDivision, tag_rule: str = "left") -> TaggedDivision:

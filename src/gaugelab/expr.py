@@ -621,11 +621,4 @@ def derive_extrema_oracle(e: Expression, a: float, b: float, var: str = "s") -> 
             f"cannot certify monotonicity of {to_source(e)} on [{a}, {b}]; "
             "upper/lower sums need a certified oracle, use rs or gauge instead"
         )
-    f = as_function(e, var)
-    if direction == _CONST:
-        def bounds(us, vs):
-            value = f(us)
-            return value, value
-
-        return ExtremaOracle(bounds)
-    return ExtremaOracle.monotone(f)
+    return ExtremaOracle.monotone(as_function(e, var))

@@ -19,17 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from functools import reduce
+from itertools import groupby, starmap
+from operator import add, attrgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cells import Gauge
+from .cells import Gauge, TaggedDivision
 from .divisions import (
+    DEFAULT_DEPTH_CAP,
     RefinementSchedule,
-    _delta_fine_divisions,
-    _grid_division,
+    _delta_fine,
+    _grid_columns,
     _shifted_edges,
     _uniform_edges,
     make_uniform,
@@ -432,37 +434,6 @@ def singularity_gauge(ceiling: float, at_origin: float, origin: float = 0.0) -> 
 # --------------------------------------------------------------------------
 
 
-def _fine_sums(h: BurkillIntegrand, strategies: Sequence[TagSelectorStrategy], pieces_at):
-    """Strategy callback over delta-fine divisions of the (lo, hi, gauge)
-    pieces `pieces_at(level)` lists; a strategy adds its pieces' sums.
-    Consecutive strategies of one selector set share each piece's
-    bisection, built when the first of them reaches the piece."""
-
-    def sums_at(level: int):
-        pieces = pieces_at(level)
-        n = 0
-        sums = {}
-        for _, group in groupby(strategies, key=lambda s: frozenset(s.selectors)):
-            group = list(group)
-            orders = tuple(strat.selectors for strat in group)
-            built = []  # per piece, one division per strategy of the group
-            for k, strat in enumerate(group):
-                total = None
-                count = 0
-                for i, (lo, hi, gauge) in enumerate(pieces):
-                    if k == 0:
-                        built.append(_delta_fine_divisions(lo, hi, gauge, orders))
-                    division = built[i][k]
-                    value = riemann_sum(h, division)
-                    total = value if total is None else total + value
-                    count += division.n
-                sums[strat.name] = total
-                n = max(n, count)
-        return n, sums
-
-    return sums_at
-
-
 # Cells per block of an rs level: a level is built and summed block by
 # block, so its edges, tags and integrand values stay cache-sized.
 _BLOCK_CELLS = 2 ** 16
@@ -486,32 +457,70 @@ def _pairwise(lo: int, hi: int, block_sum):
     return _pairwise(lo, lo + half, block_sum) + _pairwise(lo + half, hi, block_sum)
 
 
-def _grid_family_sums(h: BurkillIntegrand, family: Sequence[GridStrategy], a, b, n: int):
-    """{strategy: sum} over the n-cell grid of one family, built and summed
-    block by block.  The block sums add up to the whole grid's sum, bit for
-    bit in the float regime and in value and type in the exact one.  A fault
-    raises as the whole grid's would: that of the first strategy in `family`
-    order that faults anywhere, at its first faulting cell."""
-    live = list(family)  # the strategies whose fault could still be raised
-    fault = None
+def _level_sums(h: BurkillIntegrand, strategies, key, build, add_up):
+    """(cells, {strategy: sum}) of one level, the one driver of rs, gauge
+    and Lebesgue sums.
 
-    def block_sum(lo: int, hi: int):
-        nonlocal live, fault
-        sums = np.zeros(len(family), dtype=object)
-        if live:
-            edges = family[0].edges(a, b, n, lo, hi)
-        for k, strat in enumerate(live):
-            try:
-                sums[k] = riemann_sum(h, _grid_division(edges, strat.tag_rule))
-            except Exception as exc:  # noqa: BLE001 - raised after the last block
-                fault, live = exc, live[:k]
-                break
-        return sums
+    Consecutive strategies with one `key` form a group that shares its
+    divisions: `build(group, *block)` gives a block's read-only edges and
+    one tag column per strategy of the group, and `add_up(block_sum)` adds
+    up block_sum(*block) over the level's blocks.  Each strategy's division
+    is made when that strategy is summed.  A fault raises as summing each
+    strategy on its own would: that of the first strategy in order that
+    faults, at its first faulting block, a refused division or a failed
+    build included.  A group's first strategy is summed before the others,
+    so its fault raises at once and nothing more is built."""
+    n, sums = 0, {}
+    kept = None  # the last block's edges
+    for _, group in groupby(strategies, key=key):
+        group = list(group)
+        faults = {}  # index in the group -> that strategy's first fault
+        cells = 0
 
-    sums = _pairwise(0, n, block_sum)
-    if fault is not None:
-        raise fault
-    return {strat.name: value for strat, value in zip(family, sums.tolist())}
+        def block_sum(*block):
+            nonlocal cells, kept
+            edges, columns = build(group, *block)
+            # A block's edges are freed only once the next block is built:
+            # freed first, they let glibc's malloc trim the heap, and the
+            # next block faults its pages in again.
+            kept = edges
+            cells += len(edges) - 1
+            block_sums = np.zeros(len(group), dtype=object)
+            for k, tags in enumerate(columns):
+                if k in faults:
+                    continue
+                try:
+                    block_sums[k] = riemann_sum(h, TaggedDivision(tags, edges))
+                except Exception as exc:  # noqa: BLE001 - an earlier strategy may fault later
+                    if k == 0:
+                        raise
+                    faults[k] = exc
+            return block_sums
+
+        group_sums = add_up(block_sum)
+        if faults:
+            raise faults[min(faults)]
+        sums.update(zip((strat.name for strat in group), group_sums.tolist()))
+        n = max(n, cells)
+    return n, sums
+
+
+def _fine_sums(h: BurkillIntegrand, strategies: Sequence[TagSelectorStrategy], pieces_at):
+    """Level callback over delta-fine divisions of the (lo, hi, gauge)
+    pieces `pieces_at(level)` lists; a strategy adds its pieces' sums left
+    to right, and strategies of one selector set share each piece's
+    division."""
+
+    def build(group, lo, hi, gauge):
+        orders = tuple(strat.selectors for strat in group)
+        return _delta_fine(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP)
+
+    def sums_at(level: int):
+        pieces = pieces_at(level)
+        return _level_sums(h, strategies, lambda strat: frozenset(strat.selectors), build,
+                           lambda block_sum: reduce(add, starmap(block_sum, pieces)))
+
+    return sums_at
 
 
 def rs_integrate(
@@ -535,10 +544,13 @@ def rs_integrate(
 
     def sums_at(level: int):
         n = ctrl.schedule.cells_for(level)
-        sums = {}
-        for _, family in groupby(RS_STRATEGIES, key=attrgetter("family")):
-            sums.update(_grid_family_sums(h, list(family), a, b, n))
-        return n, sums
+
+        def build(family, lo, hi):
+            edges = family[0].edges(a, b, n, lo, hi)
+            return _grid_columns(edges, [strat.tag_rule for strat in family])
+
+        return _level_sums(h, RS_STRATEGIES, attrgetter("family"), build,
+                           lambda block_sum: _pairwise(0, n, block_sum))
 
     classifier = _Classifier(
         ctrl, [s.name for s in RS_STRATEGIES], first_level_accept=True

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from gaugelab import divisions
 from gaugelab.catalog import dirichlet_factor, step_at
 from gaugelab.cells import Gauge, Interval, TaggedDivision
 from gaugelab.divisions import (
@@ -15,8 +16,8 @@ from gaugelab.divisions import (
     MAX_LEVEL,
     TAG_RULES,
     RefinementSchedule,
+    _delta_fine,
     _delta_fine_batched,
-    _delta_fine_divisions,
     _shifted_edges,
     _uniform_edges,
     bisect_refine,
@@ -221,6 +222,42 @@ class TestDeltaFineDivision:
         d = delta_fine_division(Fraction(0), Fraction(1), Gauge.constant(Fraction(3, 10)))
         assert d.exact
         assert is_fine(d, Gauge.constant(Fraction(3, 10)))
+
+    def test_constant_gauge_deeper_than_max_level_is_refused(self, monkeypatch):
+        # a 1e-15 gauge would need 2**50 cells: refused before allocating
+        with pytest.raises(GaugeTooDemandingError) as err:
+            delta_fine_division(0.0, 1.0, Gauge.constant(1e-15))
+        assert (err.value.lo, err.value.hi, err.value.depth) == (0.0, 1.0, MAX_LEVEL)
+        monkeypatch.setattr(divisions, "MAX_LEVEL", 4)
+        gauge = Gauge.constant(2.0 ** -4.5)
+        # midpoint tags are fine at depth 4, endpoint tags only at depth 5
+        assert delta_fine_division(0.0, 1.0, gauge, ("midpoint",)).n == 16
+        assert delta_fine_division(0.0, 1.0, gauge, ("left", "midpoint")).n == 16
+        monkeypatch.setattr(divisions, "_uniform_edges", None)  # never reached
+        for selectors in (("left",), ("right", "left")):
+            with pytest.raises(GaugeTooDemandingError) as err:
+                delta_fine_division(0.0, 1.0, gauge, selectors)
+            assert str(err.value).endswith("no fine tag for ]0.0, 1.0] within depth 4")
+
+    def test_bisection_keeps_at_most_a_max_level_grid_open(self, monkeypatch):
+        monkeypatch.setattr(divisions, "MAX_LEVEL", 4)
+        sizes = []
+
+        def tiny(s):
+            sizes.append(len(s))
+            return np.full(len(s), 1e-12)
+
+        # every cell stays open: depth 4 holds 16 open cells, and splitting
+        # them would open 32
+        with pytest.raises(GaugeTooDemandingError) as err:
+            delta_fine_division(0.0, 1.0, Gauge.from_function(tiny))
+        assert (err.value.lo, err.value.hi, err.value.depth) == (0.0, 1 / 16, 4)
+        assert max(sizes) == 16
+        # a gauge that shrinks toward one point keeps few cells open, so its
+        # bisection goes deeper than MAX_LEVEL
+        division = delta_fine_division(
+            0.0, 1.0, Gauge.from_function(lambda s: np.where(s <= 0.0, 1e-9, s / 2.0)))
+        assert division.lefts[1] < 2.0 ** -10
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -743,29 +780,54 @@ class TestSharedBisection:
             return width(s)
 
         orders = tuple(s.selectors for s in ANCHORED_STRATEGIES)
-        left_first, right_first = _delta_fine_divisions(0.0, 1.0, Gauge.from_function(logged), orders)
-        assert left_first.edges is right_first.edges and not left_first.edges.flags.writeable
+        gauge = Gauge.from_function(logged)
+        edges, columns = _delta_fine(0.0, 1.0, gauge, orders, DEFAULT_DEPTH_CAP)
+        assert not edges.flags.writeable
         shared = len(calls)
-        for order, division in zip(orders, (left_first, right_first)):
+        for order, tags in zip(orders, columns):
             alone = delta_fine_division(0.0, 1.0, Gauge.from_function(logged), order)
-            _same_points(alone.tags, division.tags)
+            _same_points(alone.edges, edges)
+            _same_points(alone.tags, tags)
         # the two orders alone make 32 and 33 calls, nearly all of them the
         # same three selectors at the same depth
         assert (shared, len(calls) - shared) == (33, 65)
-        assert left_first.tags[0] == 0.0 and right_first.tags[0] == 0.0
+        assert columns[0][0] == 0.0 and columns[1][0] == 0.0
 
-    def test_constant_gauges_and_lone_orders_build_alone(self):
-        gauge = Gauge.constant(0.3)
-        orders = tuple(s.selectors for s in ANCHORED_STRATEGIES)
-        got = _delta_fine_divisions(0.0, 1.0, gauge, orders)
-        for order, division in zip(orders, got):
-            want = delta_fine_division(0.0, 1.0, gauge, order)
-            _same_points(division.edges, want.edges)
-            _same_points(division.tags, want.tags)
+    @pytest.mark.parametrize("orders, n, rules", [
+        # a delta of 0.3 accepts midpoint tags on halves, endpoint tags on
+        # quarters
+        (tuple(s.selectors for s in ANCHORED_STRATEGIES), 2, ("midpoint", "midpoint")),
+        ((("left", "right"), ("right", "left")), 4, ("left", "right")),
+        ((("right",),), 4, ("right",)),
+    ], ids=["anchored", "left-right", "lone-right"])
+    @pytest.mark.parametrize("a, b, delta", [
+        (0.0, 1.0, 0.3),
+        (Fraction(0), Fraction(1), Fraction(3, 10)),
+    ], ids=["float", "exact"])
+    def test_constant_gauges_share_one_uniform_grid(
+        self, monkeypatch, orders, n, rules, a, b, delta
+    ):
+        grids = []
+
+        def counted(*args):
+            grids.append(args)
+            return _uniform_edges(*args)
+
+        gauge = Gauge.constant(delta)
+        monkeypatch.setattr(divisions, "_uniform_edges", counted)
+        edges, columns = _delta_fine(a, b, gauge, orders, DEFAULT_DEPTH_CAP)
+        assert len(grids) == 1 and not edges.flags.writeable
+        for order, rule, tags in zip(orders, rules, columns):
+            want = make_uniform(a, b, n, rule)
+            _same_points(want.edges, edges)
+            _same_points(want.tags, tags)
+            alone = delta_fine_division(a, b, gauge, order)
+            _same_points(alone.edges, edges)
+            _same_points(alone.tags, tags)
 
     def test_orders_of_different_sets_are_refused(self):
         gauge = Gauge.from_function(lambda s: 0.1 + s)
         with pytest.raises(ArgumentError, match="one selector set"):
-            _delta_fine_divisions(0.0, 1.0, gauge, (("left",), ("left", "right")))
+            _delta_fine(0.0, 1.0, gauge, (("left",), ("left", "right")), DEFAULT_DEPTH_CAP)
         with pytest.raises(ArgumentError, match="a < b"):
-            _delta_fine_divisions(1.0, 0.0, gauge, (("left", "right"), ("right", "left")))
+            _delta_fine(1.0, 0.0, gauge, (("left", "right"), ("right", "left")), DEFAULT_DEPTH_CAP)

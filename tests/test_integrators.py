@@ -2,16 +2,18 @@
 
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from gaugelab import integrators
+from gaugelab import divisions, integrators
 from gaugelab.catalog import dirichlet_factor, get_entry, inv_sqrt, run_entry, step_at
 from gaugelab.cells import Gauge, TaggedDivision
 from gaugelab.divisions import (
+    TAG_RULES,
     RefinementSchedule,
     delta_fine_division,
     make_shifted_uniform,
@@ -20,6 +22,8 @@ from gaugelab.divisions import (
 )
 from gaugelab.errors import (
     ArgumentError,
+    GaugeLabError,
+    GaugeTooDemandingError,
     IntegrandEvalError,
     MonotonicityError,
     NonFiniteSumError,
@@ -36,6 +40,7 @@ from gaugelab.integrators import (
     ConvergenceController,
     DistributionFunction,
     ExtremaOracle,
+    TagSelectorStrategy,
     darboux_riemann,
     gauge_integrate,
     identity_distribution,
@@ -234,6 +239,15 @@ class TestGaugeIntegrate:
             assert result.estimate > previous
             previous = result.estimate
         assert previous == pytest.approx(2.0, abs=1e-3 + 1.0 / 8)
+
+    def test_levels_past_max_level_are_refused(self, monkeypatch):
+        # at level k the constant gauge 2**-k needs 2**k midpoint-tagged
+        # cells, but 2**(k + 1) left- or right-tagged ones
+        monkeypatch.setattr(divisions, "MAX_LEVEL", 6)
+        h = make_integrand(None, length_squared_factor(), "interval-only")
+        with pytest.raises(GaugeTooDemandingError) as err:
+            gauge_integrate(h, 0.0, 1.0, _ctrl(1e-15, 4, 6))
+        assert str(err.value) == "gauge too demanding: no fine tag for ]0.0, 1.0] within depth 6"
 
     def test_custom_gauges_respected(self):
         h = make_integrand(None, length_factor(), "interval-only")
@@ -643,3 +657,188 @@ def test_underflowing_grid_is_refused_as_before(monkeypatch):
         with pytest.raises(ArgumentError) as got:
             rs_integrate(h, 0.0, 4 * 5e-324, _ctrl(1e-9, 10, 10))
         assert str(got.value) == str(want.value)
+
+
+# --------------------------------------------------------------------------
+# The level driver against summing each strategy on its own
+# --------------------------------------------------------------------------
+
+
+def _reference_level_sums(h, strategies, key, build, add_up):
+    """integrators._level_sums as a naive loop: each strategy in order adds
+    up its own block sums, each block in order, and the first fault raises.
+    A group's block is built once, when a strategy first needs it."""
+    n, sums = 0, {}
+    for _, group in groupby(strategies, key=key):
+        group = list(group)
+        built = {}
+        for k, strat in enumerate(group):
+            cells = 0
+
+            def block_sum(*block):
+                nonlocal cells
+                if block not in built:
+                    built[block] = build(group, *block)
+                edges, columns = built[block]
+                cells += len(edges) - 1
+                return riemann_sum(h, TaggedDivision(columns[k], edges))
+
+            sums[strat.name] = add_up(block_sum)
+            n = max(n, cells)
+    return n, sums
+
+
+def _faulty(h, windows, kinds=TAG_RULES, active=lambda: True):
+    """h, raising at each tag inside one of the [lo, hi] windows that is of
+    one of the `kinds`: its cell's left end, right end, or a point inside."""
+
+    def rule(s, u, v):
+        at = {"left": s == u, "right": s == v, "midpoint": (u < s) & (s < v)}
+        at = np.any([at[kind] for kind in kinds], axis=0)
+        if active() and any(np.any((lo <= s) & (s <= hi) & at) for lo, hi in windows):
+            raise ValueError("tag in a faulty window")
+        return h(s, u, v)
+
+    return BurkillIntegrand(h.name, rule)
+
+
+def _driver_and_reference(run):
+    """[(outcome, gauge calls)] of run(monkeypatch, calls) under the driver
+    and under the reference, with rs levels in blocks of 64 cells."""
+    got = []
+    for level_sums in (integrators._level_sums, _reference_level_sums):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrators, "_level_sums", level_sums)
+            mp.setattr(integrators, "_BLOCK_CELLS", 64)
+            try:
+                result = run(mp, calls)
+                outcome = repr((result, result.strategy_sums))
+            except GaugeLabError as exc:
+                outcome = (type(exc), str(exc))
+        got.append((outcome, calls))
+    return got
+
+
+_KINDS = hst.sets(hst.sampled_from(TAG_RULES), min_size=1).map(sorted)
+_WINDOWS = hst.lists(
+    hst.tuples(hst.floats(0.0, 1.0), hst.sampled_from([1e-3, 1e-2, 5e-2])).map(
+        lambda w: (w[0], w[0] + w[1])),
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows=_WINDOWS, kinds=_KINDS, start=hst.integers(6, 10),
+       spike=hst.none() | hst.floats(0.0, 1.0))
+@example(  # rational-mid faults in the first block, rational-left in a later one
+    windows=[(0.0012, 0.0018), (0.9, 0.95)], kinds=["left", "midpoint"], start=10, spike=None,
+)
+def test_driver_matches_reference_on_rs(windows, kinds, start, spike):
+    # levels of 64 to 1024 cells, 1 to 16 blocks; a spike gives an inf sum
+    def rule(s, u, v):
+        values = (v - u) * np.sin(7.0 * s)
+        if spike is None:
+            return values
+        return np.where(np.abs(s - spike) < 1e-3, np.inf, values)
+
+    h = _faulty(BurkillIntegrand("wave", rule), windows, kinds)
+    ctrl = _ctrl(1e-15, start, 10, growth_factor=4.0)
+    (got, _), (want, _) = _driver_and_reference(lambda mp, calls: rs_integrate(h, 0.0, 1.0, ctrl))
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    interior=hst.lists(hst.sampled_from([0.25, 1 / 3, 0.6, 0.7]), max_size=2, unique=True),
+    at_ends=hst.sampled_from([(), (0.0,), (1.0,)]),
+    windows=_WINDOWS,
+    kinds=_KINDS,
+    gauge_fault=hst.tuples(hst.integers(0, 2), hst.integers(3, 8), hst.integers(0, 6)),
+)
+@example(  # right-first faults in the first piece, and the second is built after
+    interior=[0.6], at_ends=(), windows=[(0.5, 0.59)], kinds=["right"], gauge_fault=(0, 8, 0),
+)
+def test_driver_matches_reference_on_anchored_lebesgue(
+    interior, at_ends, windows, kinds, gauge_fault
+):
+    # 1 to 3 pieces split at the interior jumps; a gauge fault is (piece,
+    # first level, first call) after which that piece's gauges return 0, so
+    # a level past 7 or a piece past the last faults no gauge.  Away from
+    # the jumps only right-first tags cells at their right end.
+    jumps = sorted(set(interior) | set(at_ends)) or [1 / 3]
+    g = step_distribution([(p, 1.0) for p in jumps], 0.0, 1.0)
+    ctrl = _ctrl(1e-15, 3, 7)
+
+    def run(mp, calls):
+        levels = []  # the level of each anchoring gauge made, in order
+        real_gauge, real_integrand = integrators.jump_anchoring_gauge, integrators.make_integrand
+
+        def gauge_for(anchors, ceiling):
+            level = round(-math.log2(ceiling))
+            piece = levels.count(level)  # pieces are made left to right
+            levels.append(level)
+            made = real_gauge(anchors, ceiling)
+            count = []
+
+            def fn(s):
+                calls.append((piece, level, repr(s.tolist())))
+                count.append(1)
+                widths = made.evaluate_batch(s)
+                faulty_piece, first_level, first_call = gauge_fault
+                if piece == faulty_piece and level >= first_level and len(count) > first_call:
+                    return 0.0 * widths
+                return widths
+
+            return Gauge.from_function(fn)
+
+        mp.setattr(integrators, "jump_anchoring_gauge", gauge_for)
+        # the constant-mesh phase runs clean, so the anchored one is reached
+        mp.setattr(integrators, "make_integrand",
+                   lambda *args, **kw: _faulty(real_integrand(*args, **kw), windows,
+                                               kinds, lambda: bool(levels)))
+        return lebesgue_distribution_integrate(g, ctrl)
+
+    (got, got_calls), (want, want_calls) = _driver_and_reference(run)
+    assert got == want
+    assert got_calls == want_calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    orders=hst.lists(hst.permutations(TAG_RULES).map(tuple),
+                     min_size=2, max_size=4, unique=True),
+    windows=_WINDOWS,
+    kinds=_KINDS,
+    pole=hst.floats(0.0, 1.0),
+    gauge_fault=hst.tuples(hst.integers(3, 12), hst.integers(0, 20)),
+)
+@example(  # the second and third orders fault at once, at different cells
+    orders=[("midpoint", "left", "right"), ("right", "left", "midpoint"),
+            ("right", "midpoint", "left")],
+    windows=[(0.0, 1.0)], kinds=["left", "right"], pole=0.5, gauge_fault=(12, 0),
+)
+def test_driver_matches_reference_on_shared_orders(orders, windows, kinds, pole, gauge_fault):
+    # two to four orders of one selector set share each level's bisection;
+    # a gauge fault is (first level, first call), and levels stop at 7
+    strategies = [TagSelectorStrategy(f"order-{i}", order) for i, order in enumerate(orders)]
+    h = _faulty(make_integrand(lambda s: s, length_factor(), "tag"), windows, kinds)
+
+    def run(mp, calls):
+        def gauges(level):
+            count = []
+
+            def fn(s):
+                calls.append((level, repr(s.tolist())))
+                count.append(1)
+                faulty = level >= gauge_fault[0] and len(count) > gauge_fault[1]
+                return (0.0 if faulty else 1.0) * (2.0 ** -level + np.abs(s - pole) / 4)
+
+            return Gauge.from_function(fn)
+
+        return gauge_integrate(h, 0.0, 1.0, _ctrl(1e-15, 3, 7), gauges=gauges,
+                               strategies=strategies)
+
+    (got, got_calls), (want, want_calls) = _driver_and_reference(run)
+    assert got == want
+    assert got_calls == want_calls
