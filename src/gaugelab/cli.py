@@ -30,6 +30,7 @@ from .catalog import (
     get_entry,
     run_entry,
     run_method,
+    standard_entries,
 )
 from .divisions import MAX_LEVEL, RefinementSchedule
 from .errors import GaugeLabError
@@ -188,9 +189,10 @@ def _integrate_catalog(args, parser: _Parser) -> IntegralResult:
 
 def _integrate_expr(args, parser: _Parser) -> IntegralResult:
     if args.method == "lebesgue":
+        names = ", ".join(e.name for e in standard_entries() if e.kind == "distribution")
         parser.error(
             "lebesgue integrates the identity against a catalog distribution; "
-            "use --catalog (identity_dist, square_dist, twomass_step)"
+            f"use --catalog ({names})"
         )
     if not args.expr:
         parser.error("--expr or --catalog is required")

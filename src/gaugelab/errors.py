@@ -97,7 +97,8 @@ class NonFiniteSumError(GaugeLabError):
 
 
 class MonotonicityError(GaugeLabError):
-    """A distribution function failed its monotonicity spot check."""
+    """Monotonicity could not be established: a distribution function failed
+    its spot check, or an expression's monotonicity could not be certified."""
 
 
 class EstimatorFailure(GaugeLabError):

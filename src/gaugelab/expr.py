@@ -16,9 +16,10 @@ interval factors are chosen by CLI flags and composed outside the grammar.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, FrozenSet, Optional, Tuple, Union
+from typing import Callable, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -149,50 +150,49 @@ class _Token:
     pos: int  # codepoint index into the source
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-                j = i
+def _tokenize(text: str) -> List[_Token]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == ".":
+                j += 1
                 while j < n and text[j].isdigit():
                     j += 1
-                if j < n and text[j] == ".":
-                    j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
                     while j < n and text[j].isdigit():
                         j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-                self.tokens.append(_Token("number", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(_Token("ident", text[i:j], i))
-                i = j
-                continue
-            if ch in _OPS:
-                self.tokens.append(_Token(ch, ch, i))
-                i += 1
-                continue
-            raise ExprSyntaxError(
-                byte_offset(text, i), ("a number", "a name", "an operator"), repr(ch)
-            )
-        self.tokens.append(_Token("end", "", n))
+            tokens.append(_Token("number", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("ident", text[i:j], i))
+            i = j
+            continue
+        if ch in _OPS:
+            tokens.append(_Token(ch, ch, i))
+            i += 1
+            continue
+        raise ExprSyntaxError(
+            byte_offset(text, i), ("a number", "a name", "an operator"), repr(ch)
+        )
+    tokens.append(_Token("end", "", n))
+    return tokens
 
 
 def byte_offset(text: str, pos: int) -> int:
@@ -210,7 +210,7 @@ _ATOM_EXPECTED = ("a number", "a name", "'('", "'-'")
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _Lexer(text).tokens
+        self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
 
@@ -296,14 +296,7 @@ class _Parser:
             if self.peek().kind == "(":
                 if tok.text not in FUNCTIONS:
                     raise UnknownIdentError(byte_offset(self.text, tok.pos), tok.text)
-                self.take()
-                self.enter()
-                arg = self.expr()
-                self.leave()
-                if self.peek().kind != ")":
-                    self.fail(("')'",))
-                self.take()
-                return Call(tok.text, arg)
+                return Call(tok.text, self.group())
             if tok.text in VARIABLES:
                 return Var(tok.text)
             if tok.text in FUNCTIONS:
@@ -314,15 +307,19 @@ class _Parser:
                 )
             raise UnknownIdentError(byte_offset(self.text, tok.pos), tok.text)
         if tok.kind == "(":
-            self.take()
-            self.enter()
-            e = self.expr()
-            self.leave()
-            if self.peek().kind != ")":
-                self.fail(("')'",))
-            self.take()
-            return e
+            return self.group()
         self.fail(_ATOM_EXPECTED)
+
+    def group(self) -> Expression:
+        """'(' expr ')', one level of nesting deeper."""
+        self.take()
+        self.enter()
+        e = self.expr()
+        self.leave()
+        if self.peek().kind != ")":
+            self.fail(("')'",))
+        self.take()
+        return e
 
 
 def parse(text: str) -> Expression:
@@ -434,178 +431,128 @@ def as_function(e: Expression, var: str) -> Callable:
 #
 # Darboux integration needs true per-cell bounds, and sampling cannot provide
 # them.  For expressions we certify a monotone direction on the whole domain
-# by structural rules plus interval range arithmetic; anything we cannot
-# certify is refused rather than approximated.
+# in one bottom-up walk.  Each node gets an interval that holds its values
+# (range arithmetic as in Moore's Interval Analysis) and the sign of its
+# slope: 1 rising, -1 falling, 0 constant, None unknown.  Structural rules
+# combine the children's slopes; the children's ranges decide the signs of
+# factors, denominators and the arguments of abs, sin and cos.  The range
+# arithmetic is total: overflow gives inf, an end with no value (inf - inf)
+# widens to infinity and ends outside a function's domain are clamped, so the
+# walk raises nothing.  A point where the expression faults is left for its
+# evaluation to report.  Anything we cannot certify is refused rather than
+# approximated.
 
-_INC, _DEC, _CONST = "inc", "dec", "const"
+_INF = math.inf
+# (slope, lo, hi): the function has that slope sign on [lo, hi]
+_PIECES = {
+    "sin": ((1, -math.pi / 2, math.pi / 2), (-1, math.pi / 2, 3 * math.pi / 2)),
+    "cos": ((-1, 0.0, math.pi), (1, -math.pi, 0.0)),
+}
 
 
-def _rng(node, lo: float, hi: float, var: str) -> Tuple[float, float]:
-    inf = float("inf")
+def _times(sign: Optional[int], slope: Optional[int]) -> Optional[int]:
+    """Slope sign of a function whose slope is `sign` times one of sign `slope`."""
+    if sign == 0:
+        return 0
+    return None if sign is None or slope is None else sign * slope
+
+
+def _sum(p: Optional[int], q: Optional[int]) -> Optional[int]:
+    return None if p is None or q is None or p * q < 0 else p or q
+
+
+def _sign(lo: float, hi: float) -> Optional[int]:
+    """Sign of every value in [lo, hi]: 0 only for [0, 0], None if it changes."""
+    if lo == hi == 0:
+        return 0
+    return 1 if lo >= 0 else -1 if hi <= 0 else None
+
+
+def _or_inf(f, *args) -> float:
+    try:
+        return f(*args)
+    except OverflowError:
+        return _INF
+
+
+def _exp(x: float) -> float:
+    # a finite end gives at least exp(-745), the least positive float
+    return 0.0 if x == -_INF else _or_inf(math.exp, max(x, -745.0))
+
+
+def _hull(op, la: float, lb: float, ra: float, rb: float) -> Tuple[float, float]:
+    # 0 * inf and inf / inf have no value; the other corners bound the result
+    corners = [c for c in (op(la, ra), op(la, rb), op(lb, ra), op(lb, rb)) if c == c]
+    return (min(corners), max(corners)) if corners else (-_INF, _INF)
+
+
+def _certify(node, lo: float, hi: float, var: str) -> Tuple[float, float, Optional[int]]:
+    """(inf, sup, slope sign) of the node while `var` runs over [lo, hi]."""
     if isinstance(node, Num):
-        return node.value, node.value
+        return node.value, node.value, 0
     if isinstance(node, Var):
-        return (lo, hi) if node.name == var else (-inf, inf)
+        return (lo, hi, 1) if node.name == var else (-_INF, _INF, 0)
     if isinstance(node, Neg):
-        a, b = _rng(node.operand, lo, hi, var)
-        return -b, -a
+        a, b, d = _certify(node.operand, lo, hi, var)
+        return -b, -a, _times(-1, d)
     if isinstance(node, Call):
-        a, b = _rng(node.arg, lo, hi, var)
+        a, b, d = _certify(node.arg, lo, hi, var)
         if node.func == "exp":
-            return math.exp(max(a, -745.0)) if a > -inf else 0.0, (
-                math.exp(min(b, 709.0)) if b < inf else inf
-            )
+            return _exp(a), _exp(b), d
         if node.func == "sqrt":
-            return (math.sqrt(max(a, 0.0)), math.sqrt(b) if b < inf else inf)
+            return math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0)), d
         if node.func == "log":
-            if a <= 0:
-                return -inf, math.log(b) if 0 < b < inf else inf
-            return math.log(a), math.log(b) if b < inf else inf
+            return math.log(a) if a > 0 else -_INF, math.log(b) if b > 0 else _INF, d
         if node.func == "abs":
             if a >= 0:
-                return a, b
+                return a, b, d
             if b <= 0:
-                return -b, -a
-            return 0.0, max(-a, b)
-        return -1.0, 1.0  # sin, cos
-    la, lb = _rng(node.left, lo, hi, var)
-    ra, rb = _rng(node.right, lo, hi, var)
+                return -b, -a, _times(-1, d)
+            return 0.0, max(-a, b), None
+        slope = next((s for s, p, q in _PIECES[node.func] if p <= a and b <= q), None)
+        return -1.0, 1.0, _times(slope, d)
+    la, lb, dl = _certify(node.left, lo, hi, var)
+    ra, rb, dr = _certify(node.right, lo, hi, var)
     if node.op == "+":
-        return la + ra, lb + rb
-    if node.op == "-":
-        return la - rb, lb - ra
-    if node.op == "*":
-        corners = [la * ra, la * rb, lb * ra, lb * rb]
-        finite = [c for c in corners if not math.isnan(c)]
-        return min(finite), max(finite)
-    if node.op == "/":
+        a, b, d = la + ra, lb + rb, _sum(dl, dr)
+    elif node.op == "-":
+        a, b, d = la - rb, lb - ra, _sum(dl, _times(-1, dr))
+    elif node.op == "*":
+        a, b = _hull(operator.mul, la, lb, ra, rb)
+        if dl == 0:
+            d = _times(_sign(la, lb), dr)
+        elif dr == 0:
+            d = _times(_sign(ra, rb), dl)
+        else:  # two non-negative factors that move the same way
+            d = dl if dl == dr and la >= 0 and ra >= 0 else None
+    elif node.op == "/":
         if ra <= 0 <= rb:
-            return -inf, inf
-        corners = [la / ra, la / rb, lb / ra, lb / rb]
-        return min(corners), max(corners)
-    # '^': only constant integer exponents get a sharp range
-    if isinstance(node.right, Num) and float(node.right.value).is_integer():
-        k = int(node.right.value)
-        if k >= 0 and la >= 0:
-            return la ** k, lb ** k
-    return -inf, inf
-
-
-def _flip(direction: Optional[str]) -> Optional[str]:
-    if direction == _INC:
-        return _DEC
-    if direction == _DEC:
-        return _INC
-    return direction
-
-
-def _combine_sum(a: Optional[str], b: Optional[str]) -> Optional[str]:
-    if a == _CONST:
-        return b
-    if b == _CONST or a == b:
-        return a
-    return None
-
-
-def _mono(node, lo: float, hi: float, var: str) -> Optional[str]:
-    if isinstance(node, Num):
-        return _CONST
-    if isinstance(node, Var):
-        return _INC if node.name == var else _CONST
-    if isinstance(node, Neg):
-        return _flip(_mono(node.operand, lo, hi, var))
-    if isinstance(node, Call):
-        inner = _mono(node.arg, lo, hi, var)
-        if inner is None:
-            return None
-        a, b = _rng(node.arg, lo, hi, var)
-        if node.func in ("exp", "sqrt", "log"):
-            return inner  # monotone increasing wrappers on their domains
-        if node.func == "abs":
-            if a >= 0:
-                return inner
-            if b <= 0:
-                return _flip(inner)
-            return None
-        if node.func == "sin":
-            if -math.pi / 2 <= a and b <= math.pi / 2:
-                return inner
-            if math.pi / 2 <= a and b <= 3 * math.pi / 2:
-                return _flip(inner)
-            return None
-        if node.func == "cos":
-            if 0 <= a and b <= math.pi:
-                return _flip(inner)
-            if -math.pi <= a and b <= 0:
-                return inner
-            return None
-        return None
-    ml = _mono(node.left, lo, hi, var)
-    mr = _mono(node.right, lo, hi, var)
-    if node.op == "+":
-        if ml is None or mr is None:
-            return None
-        return _combine_sum(ml, mr)
-    if node.op == "-":
-        if ml is None or mr is None:
-            return None
-        return _combine_sum(ml, _flip(mr))
-    la, lb = _rng(node.left, lo, hi, var)
-    ra, rb = _rng(node.right, lo, hi, var)
-    if node.op == "*":
-        if ml == _CONST:
-            if la >= 0:
-                return mr if la > 0 or lb > 0 else _CONST
-            if lb <= 0:
-                return _flip(mr)
-            return None
-        if mr == _CONST:
-            if ra >= 0:
-                return ml if ra > 0 or rb > 0 else _CONST
-            if rb <= 0:
-                return _flip(ml)
-            return None
-        if ml is None or mr is None:
-            return None
-        if la >= 0 and ra >= 0 and ml == mr:
-            return ml
-        return None
-    if node.op == "/":
-        if mr == _CONST and not ra <= 0 <= rb:
-            return ml if ra > 0 else _flip(ml)
-        if ml == _CONST and mr is not None and (ra > 0 or rb < 0):
-            if la >= 0:
-                return _flip(mr) if ra > 0 else mr
-            if lb <= 0:
-                return mr if ra > 0 else _flip(mr)
-        return None
-    # '^'
-    if mr == _CONST and isinstance(node.right, Num):
+            return -_INF, _INF, None
+        a, b = _hull(operator.truediv, la, lb, ra, rb)
+        if dr == 0:
+            d = _times(1 if ra > 0 else -1, dl)
+        elif dl == 0:  # the slope of c/g is -sign(c) * slope(g), whatever the sign of g
+            d = _times(-1 if la >= 0 else 1 if lb <= 0 else None, dr)
+        else:
+            d = None
+    elif isinstance(node.right, Num):  # '^' with a constant exponent k
         k = node.right.value
-        if ml is None:
-            return None
-        if la >= 0:
-            if k > 0:
-                return ml
-            if k == 0:
-                return _CONST
-            if la > 0:
-                return _flip(ml)
-        if float(k).is_integer() and lb <= 0:
-            ki = int(k)
-            if ki > 0:
-                return ml if ki % 2 else _flip(ml)
-    if ml == _CONST and isinstance(node.left, Num):
-        base = node.left.value
-        if mr is None:
-            return None
-        if base > 1:
-            return mr
-        if base == 1:
-            return _CONST
-        if 0 < base < 1:
-            return _flip(mr)
-    return None
+        whole = float(k).is_integer()
+        if whole and k >= 0 and la >= 0:
+            a, b = _or_inf(operator.pow, la, k), _or_inf(operator.pow, lb, k)
+        else:
+            a, b = -_INF, _INF
+        if dl is not None and la >= 0 and (k >= 0 or la > 0):
+            d = ((k > 0) - (k < 0)) * dl  # x^k rises on [0, inf[ for k > 0, falls for k < 0
+        elif dl is not None and whole and k > 0 and lb <= 0:
+            d = dl if k % 2 else -dl  # odd powers rise on ]-inf, 0], even ones fall
+        else:
+            d = None
+    else:  # '^': c^g follows g for c > 1 and reverses it for 0 < c < 1
+        a, b = -_INF, _INF
+        base = node.left.value if isinstance(node.left, Num) else 0.0
+        d = None if dr is None or base <= 0 else ((base > 1) - (base < 1)) * dr
+    return (-_INF if a != a else a), (_INF if b != b else b), d
 
 
 def derive_extrema_oracle(e: Expression, a: float, b: float, var: str = "s") -> ExtremaOracle:
@@ -613,10 +560,10 @@ def derive_extrema_oracle(e: Expression, a: float, b: float, var: str = "s") -> 
 
     Succeeds only when the whole expression is certifiably monotone on the
     domain; otherwise raises MonotonicityError naming the failure, and the
-    caller should fall back to the sampling integrators.
+    caller should fall back to the sampling integrators.  It raises nothing
+    else: a domain fault or overflow inside [a, b] is reported by evaluation.
     """
-    direction = _mono(e, float(a), float(b), var)
-    if direction is None:
+    if _certify(e, float(a), float(b), var)[2] is None:
         raise MonotonicityError(
             f"cannot certify monotonicity of {to_source(e)} on [{a}, {b}]; "
             "upper/lower sums need a certified oracle, use rs or gauge instead"

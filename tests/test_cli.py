@@ -6,6 +6,7 @@ fresh interpreter, starts a subprocess.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 import gaugelab
 from gaugelab import stochastic
-from gaugelab.catalog import get_entry, run_entry
+from gaugelab.catalog import get_entry, run_entry, standard_entries
 from gaugelab.cells import TaggedDivision
 from gaugelab.cli import EXIT_CODES, main, main_cli
 from gaugelab.divisions import RefinementSchedule
@@ -146,6 +147,38 @@ class TestIntegrateDispatch:
         assert exc.value.code == 1
         assert "rs or gauge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--expr", "s+2/s", "--a=-3", "--b=-1"],
+             "cannot certify monotonicity of (s + (2 / s)) on [-3.0, -1.0]"),
+            (["--expr", "s*0*sqrt(s-5)"], "cannot evaluate sqrt((s - 5))"),
+            (["--expr", "s*exp(exp(s))", "--a", "7", "--b", "8"],
+             "cannot evaluate exp(exp(s))"),
+            (["--expr", "(s+1e200)^2*s"], "cannot evaluate ((s + 1e200) ^ 2)"),
+            (["--expr", "abs(exp(s)-exp(709.3))", "--a", "709", "--b", "709.7"],
+             "cannot certify monotonicity of abs((exp(s) - exp(709.3)))"),
+        ],
+    )
+    def test_darboux_refusal_or_fault_is_one_error_line(self, argv, message, capsys):
+        # s+2/s peaks at -sqrt(2) and abs(exp(s)-exp(709.3)) dips to 0 at
+        # 709.3; the other three fault when evaluated
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["integrate", "--method", "darboux", *argv, "--no-timestamp"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"gaugelab: error: {message}")
+
+    def test_darboux_certifies_a_rising_quotient_over_negatives(self, capsys):
+        rc = main(["integrate", "--method", "darboux", "--expr", "s-2/s",
+                   "--a=-3", "--b=-1", "--tol", "1e-4", "--no-timestamp"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        estimate = float(out.split("estimate: ")[1].split()[0])
+        assert estimate == pytest.approx(2 * math.log(3) - 4, abs=1e-4)
+
     def test_darboux_monotone_expr(self, capsys):
         rc = main(
             [
@@ -174,6 +207,14 @@ class TestIntegrateDispatch:
             main_cli(["integrate", "--method", "lebesgue", "--expr", "s"])
         assert exc.value.code == 1
         assert "identity_dist" in capsys.readouterr().err
+
+    def test_lebesgue_refusal_names_every_distribution_entry(self, capsys):
+        with pytest.raises(SystemExit):
+            main_cli(["integrate", "--method", "lebesgue", "--expr", "s"])
+        err = capsys.readouterr().err
+        assert "use --catalog (identity_dist, square_dist, twomass_step)" in err
+        named = err.split("use --catalog (")[1].split(")")[0].split(", ")
+        assert named == [e.name for e in standard_entries() if e.kind == "distribution"]
 
     def test_lebesgue_catalog_entry(self, capsys):
         rc = main(["integrate", "--method", "lebesgue", "--catalog",

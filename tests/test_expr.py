@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from gaugelab.catalog import run_method
 from gaugelab.divisions import RefinementSchedule
 from gaugelab.errors import GaugeLabError, MonotonicityError
 from gaugelab.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     EvalFaultError,
@@ -22,6 +23,7 @@ from gaugelab.expr import (
     UnboundVarError,
     UnknownIdentError,
     Var,
+    _certify,
     as_function,
     derive_extrema_oracle,
     evaluate,
@@ -230,6 +232,7 @@ class TestMonotonicityOracle:
             ("sin(s)*s", 0.0, 6.0),
             ("s^2", -1.0, 1.0),
             ("sin(s)", 0.0, 6.28),
+            ("s+2/s", -3.0, -1.0),  # peaks at -sqrt(2)
         ]:
             with pytest.raises(MonotonicityError):
                 derive_extrema_oracle(parse(text), a, b)
@@ -248,6 +251,257 @@ class TestMonotonicityOracle:
         result = darboux_riemann(f, oracle, 0.0, 1.0, ctrl)
         assert result.status is Status.CONVERGED
         assert result.estimate == pytest.approx(1.0 - math.cos(1.0), abs=1e-3)
+
+
+# The certifier as it was before the single walk, kept as a reference: two
+# mutually recursive walks, one over ranges and one over directions, with
+# the quotient rule corrected (the slope of c/g is -sign(c) * slope(g)).  A
+# range that is not an interval, with a NaN end or ends out of order, counts
+# as a failure of the reference, like the exceptions its arithmetic raises,
+# and so does exp of an end past 709, whose clamp made the range too narrow.
+
+_REF_FAILURES = (ArithmeticError, ValueError)
+_REF_DIRECTIONS = {"inc": 1, "dec": -1, "const": 0, None: None}
+
+
+def _ref_rng(node, lo, hi, var):
+    a, b = _ref_rng_ends(node, lo, hi, var)
+    if not a <= b:
+        raise ArithmeticError(f"[{a}, {b}] is not an interval")
+    return a, b
+
+
+def _ref_rng_ends(node, lo, hi, var):
+    inf = float("inf")
+    if isinstance(node, Num):
+        return node.value, node.value
+    if isinstance(node, Var):
+        return (lo, hi) if node.name == var else (-inf, inf)
+    if isinstance(node, Neg):
+        a, b = _ref_rng(node.operand, lo, hi, var)
+        return -b, -a
+    if isinstance(node, Call):
+        a, b = _ref_rng(node.arg, lo, hi, var)
+        if node.func == "exp":
+            if 709.0 < b < inf:
+                raise ArithmeticError("exp's clamp at 709 understates the range")
+            return math.exp(max(a, -745.0)) if a > -inf else 0.0, (
+                math.exp(min(b, 709.0)) if b < inf else inf
+            )
+        if node.func == "sqrt":
+            return (math.sqrt(max(a, 0.0)), math.sqrt(b) if b < inf else inf)
+        if node.func == "log":
+            if a <= 0:
+                return -inf, math.log(b) if 0 < b < inf else inf
+            return math.log(a), math.log(b) if b < inf else inf
+        if node.func == "abs":
+            if a >= 0:
+                return a, b
+            if b <= 0:
+                return -b, -a
+            return 0.0, max(-a, b)
+        return -1.0, 1.0
+    la, lb = _ref_rng(node.left, lo, hi, var)
+    ra, rb = _ref_rng(node.right, lo, hi, var)
+    if node.op == "+":
+        return la + ra, lb + rb
+    if node.op == "-":
+        return la - rb, lb - ra
+    if node.op == "*":
+        corners = [la * ra, la * rb, lb * ra, lb * rb]
+        finite = [c for c in corners if not math.isnan(c)]
+        return min(finite), max(finite)
+    if node.op == "/":
+        if ra <= 0 <= rb:
+            return -inf, inf
+        corners = [la / ra, la / rb, lb / ra, lb / rb]
+        return min(corners), max(corners)
+    if isinstance(node.right, Num) and float(node.right.value).is_integer():
+        k = int(node.right.value)
+        if k >= 0 and la >= 0:
+            return la ** k, lb ** k
+    return -inf, inf
+
+
+def _ref_flip(direction):
+    return {"inc": "dec", "dec": "inc"}.get(direction, direction)
+
+
+def _ref_combine_sum(a, b):
+    if a == "const":
+        return b
+    if b == "const" or a == b:
+        return a
+    return None
+
+
+def _ref_mono(node, lo, hi, var):
+    if isinstance(node, Num):
+        return "const"
+    if isinstance(node, Var):
+        return "inc" if node.name == var else "const"
+    if isinstance(node, Neg):
+        return _ref_flip(_ref_mono(node.operand, lo, hi, var))
+    if isinstance(node, Call):
+        inner = _ref_mono(node.arg, lo, hi, var)
+        if inner is None:
+            return None
+        a, b = _ref_rng(node.arg, lo, hi, var)
+        if node.func in ("exp", "sqrt", "log"):
+            return inner
+        if node.func == "abs":
+            if a >= 0:
+                return inner
+            if b <= 0:
+                return _ref_flip(inner)
+            return None
+        if node.func == "sin":
+            if -math.pi / 2 <= a and b <= math.pi / 2:
+                return inner
+            if math.pi / 2 <= a and b <= 3 * math.pi / 2:
+                return _ref_flip(inner)
+            return None
+        if 0 <= a and b <= math.pi:
+            return _ref_flip(inner)
+        if -math.pi <= a and b <= 0:
+            return inner
+        return None
+    ml = _ref_mono(node.left, lo, hi, var)
+    mr = _ref_mono(node.right, lo, hi, var)
+    if node.op in "+-":
+        if ml is None or mr is None:
+            return None
+        return _ref_combine_sum(ml, mr if node.op == "+" else _ref_flip(mr))
+    la, lb = _ref_rng(node.left, lo, hi, var)
+    ra, rb = _ref_rng(node.right, lo, hi, var)
+    if node.op == "*":
+        if ml == "const":
+            if la >= 0:
+                return mr if la > 0 or lb > 0 else "const"
+            if lb <= 0:
+                return _ref_flip(mr)
+            return None
+        if mr == "const":
+            if ra >= 0:
+                return ml if ra > 0 or rb > 0 else "const"
+            if rb <= 0:
+                return _ref_flip(ml)
+            return None
+        if ml is None or mr is None:
+            return None
+        if la >= 0 and ra >= 0 and ml == mr:
+            return ml
+        return None
+    if node.op == "/":
+        if mr == "const" and not ra <= 0 <= rb:
+            return ml if ra > 0 else _ref_flip(ml)
+        if ml == "const" and mr is not None and (ra > 0 or rb < 0):
+            if la >= 0:
+                return _ref_flip(mr)
+            if lb <= 0:
+                return mr
+        return None
+    if mr == "const" and isinstance(node.right, Num):
+        k = node.right.value
+        if ml is None:
+            return None
+        if la >= 0:
+            if k > 0:
+                return ml
+            if k == 0:
+                return "const"
+            if la > 0:
+                return _ref_flip(ml)
+        if float(k).is_integer() and lb <= 0:
+            ki = int(k)
+            if ki > 0:
+                return ml if ki % 2 else _ref_flip(ml)
+    if ml == "const" and isinstance(node.left, Num):
+        base = node.left.value
+        if mr is None:
+            return None
+        if base > 1:
+            return mr
+        if base == 1:
+            return "const"
+        if 0 < base < 1:
+            return _ref_flip(mr)
+    return None
+
+
+_S_ASTS = hst.recursive(
+    hst.one_of(
+        hst.just(Var("s")),
+        hst.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25]).map(Num),
+    ),
+    lambda inner: hst.one_of(
+        inner.map(Neg),
+        hst.builds(Call, hst.sampled_from(FUNCTIONS), inner),
+        hst.builds(BinOp, hst.sampled_from("+-*/^"), inner, inner),
+    ),
+    max_leaves=8,
+)
+_DOMAINS = hst.sampled_from([(0.0, 1.0), (-3.0, -1.0), (-1.0, 1.0), (1.0, 4.0), (-6.0, 0.0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast=_S_ASTS, domain=_DOMAINS)
+@example(ast=parse("s-2/s"), domain=(-3.0, -1.0))
+@example(ast=parse("0/s+s"), domain=(1.0, 4.0))  # 0/g keeps the reverse of g's slope
+@example(ast=parse("cos(sqrt(s))"), domain=(-3.0, -1.0))  # cos on [0, 0] falls
+def test_walk_matches_reference(ast, domain):
+    """One walk gives the reference's verdict and direction wherever the
+    reference's range arithmetic raises nothing."""
+    a, b = domain
+    try:
+        want = _REF_DIRECTIONS[_ref_mono(ast, a, b, "s")]
+    except _REF_FAILURES:
+        return
+    assert _certify(ast, a, b, "s")[2] == want, to_source(ast)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ast=_S_ASTS, domain=_DOMAINS)
+@example(ast=parse("s+2/s"), domain=(-3.0, -1.0))  # peaks at -sqrt(2)
+@example(ast=parse("s*0*sqrt(s-5)"), domain=(0.0, 1.0))
+@example(ast=parse("s*exp(exp(s))"), domain=(7.0, 8.0))
+@example(ast=parse("(s+1e200)^2*s"), domain=(0.0, 1.0))
+@example(ast=parse("exp(s-49000)*s"), domain=(1.0, 4.0))
+@example(ast=parse("abs(exp(s)-exp(709.3))"), domain=(709.0, 709.7))
+def test_certified_expressions_are_monotone(ast, domain):
+    """The certifier raises nothing but MonotonicityError, and what it
+    certifies is monotone on a 2001-point grid wherever it evaluates."""
+    a, b = domain
+    try:
+        derive_extrema_oracle(ast, a, b)
+    except MonotonicityError:
+        return
+    try:
+        y = evaluate(ast, {"s": np.linspace(a, b, 2001)})
+    except EvalFaultError:
+        return
+    step = np.diff(y)
+    slack = 1e-9 * np.maximum(np.abs(y[:-1]), np.abs(y[1:]))
+    assert np.all(step >= -slack) or np.all(step <= slack), to_source(ast)
+
+
+def test_quotient_slope_ignores_the_sign_of_the_denominator():
+    assert _certify(parse("s-2/s"), -3.0, -1.0, "s")[2] == 1
+    assert _certify(parse("2/s"), -3.0, -1.0, "s")[2] == -1
+    assert _certify(parse("(0-2)/s"), 1.0, 3.0, "s")[2] == 1
+
+
+def test_ranges_are_ordered_and_hold_every_value():
+    """Overflow reads inf, exp of a very negative range stays ordered, and
+    exp keeps its true upper end up to the largest float."""
+    lo, hi, _ = _certify(parse("exp(s)"), -49000.0, -48997.0, "s")
+    assert 0.0 < lo <= hi
+    assert _certify(parse("exp(s)"), 709.0, 709.7, "s")[:2] == (
+        math.exp(709.0), math.exp(709.7)
+    )
+    assert _certify(parse("exp(exp(s))"), 7.0, 8.0, "s")[:2] == (math.inf, math.inf)
+    assert _certify(parse("(s+1e200)^2"), 0.0, 1.0, "s")[:2] == (math.inf, math.inf)
+    assert _certify(parse("1e999-1e999"), 0.0, 1.0, "s")[:2] == (-math.inf, math.inf)
 
 
 def _random_ast(rng, depth=0):
