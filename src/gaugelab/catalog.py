@@ -48,12 +48,7 @@ from .integrators import (
     step_distribution,
 )
 from .results import Status
-from .stochastic import (
-    increment_integral,
-    path_from_function,
-    quadratic_variation,
-    total_variation,
-)
+from .stochastic import PATH_SUMS, path_from_function
 
 # --------------------------------------------------------------------------
 # Dirichlet indicator, exact regime only
@@ -136,7 +131,7 @@ class Expected:
     """What running an entry must produce.
 
     `quantity` is "integral" for integrand/distribution entries; path
-    entries name the pathwise sum being checked instead.
+    entries name the pathwise sum being checked instead, a PATH_SUMS key.
     """
 
     status: Status
@@ -163,7 +158,7 @@ class CatalogEntry:
     bounds: Optional[Tuple[object, object]]
     build: Callable[[], object]
     expected: Expected
-    controller: Callable[[], ConvergenceController] = ConvergenceController
+    controller: ConvergenceController = ConvergenceController()
     gauges: Optional[Callable[[int], Gauge]] = None
     selectors: Optional[Tuple[TagSelectorStrategy, ...]] = None
 
@@ -183,13 +178,8 @@ class CatalogEntry:
         return "exact" if exact else "float"
 
 
-def _ctrl(tol: float, start: int = 4, stop: int = 22) -> Callable[[], ConvergenceController]:
-    def build() -> ConvergenceController:
-        return ConvergenceController(
-            tolerance_abs=tol, schedule=RefinementSchedule(start, stop)
-        )
-
-    return build
+def _ctrl(tol: float, start: int = 4, stop: int = 22) -> ConvergenceController:
+    return ConvergenceController(tolerance_abs=tol, schedule=RefinementSchedule(start, stop))
 
 
 def _h1() -> BurkillIntegrand:
@@ -250,7 +240,7 @@ def _identity_point():
 
 def _step_point():
     f = step_at(0.5)
-    return f, ExtremaOracle.piecewise_monotone(f, (0.5,))
+    return f, ExtremaOracle.monotone(f, (0.5,))
 
 
 def _twomass() -> DistributionFunction:
@@ -423,7 +413,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
             note="constant path: no variation at any level",
             bounds=None,
             build=lambda: path_from_function(lambda s: 1.0, 1.0, 6),
-            expected=Expected(conv, 0.0, 0.0, quantity="total_variation"),
+            expected=Expected(conv, 0.0, 0.0, quantity="variation"),
         ),
         CatalogEntry(
             name="linear_path",
@@ -431,7 +421,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
             note="x(s) = s: increments telescope to 1 exactly on dyadic grids",
             bounds=None,
             build=lambda: path_from_function(lambda s: s, 1.0, 6),
-            expected=Expected(conv, 1.0, 0.0, quantity="increment_integral"),
+            expected=Expected(conv, 1.0, 0.0, quantity="increment"),
         ),
         CatalogEntry(
             name="zigzag_path",
@@ -439,16 +429,13 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
             note="four segments of slope +-2 and length 1/4: variation 4 * 1/2 = 2",
             bounds=None,
             build=lambda: path_from_function(zigzag, 1.0, 6),
-            expected=Expected(conv, 2.0, 0.0, quantity="total_variation"),
+            expected=Expected(conv, 2.0, 0.0, quantity="variation"),
         ),
     )
 
 
-_PATH_QUANTITIES = {
-    "total_variation": total_variation,
-    "increment_integral": increment_integral,
-    "quadratic_variation": quadratic_variation,
-}
+# perfbench/test_perfbench.py reads the path-sum table under this name
+_PATH_QUANTITIES = PATH_SUMS
 
 
 def entry_names() -> Tuple[str, ...]:
@@ -496,12 +483,12 @@ def run_entry(entry: CatalogEntry, ctrl: Optional[ConvergenceController] = None)
     IntegralResult, or the pathwise quantity for path entries."""
     if entry.kind == "path":
         path = entry.build()
-        return _PATH_QUANTITIES[entry.expected.quantity](path, path.level)
+        return PATH_SUMS[entry.expected.quantity](path, path.level)
     return run_method(
         entry.method,
         entry.build(),
         entry.bounds,
-        entry.controller() if ctrl is None else ctrl,
+        entry.controller if ctrl is None else ctrl,
         gauges=entry.gauges,
         selectors=entry.selectors,
     )

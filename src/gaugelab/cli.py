@@ -42,14 +42,12 @@ from .results import EXIT_CODES, IntegralResult
 from .stochastic import (
     BIT_GENERATOR,
     GAUSSIAN_TRANSFORM,
-    increment_integral,
+    PATH_SUMS,
     ito_formula_residual,
     ito_sum,
     mc_run,
-    quadratic_variation,
     refine_path,
     stratonovich_sum,
-    total_variation,
 )
 
 MAX_LEVEL_ENV = "GAUGELAB_MAX_LEVEL"
@@ -182,9 +180,9 @@ def _integrate_catalog(args, parser: _Parser) -> IntegralResult:
         parser.error(
             f"catalog entry {entry.name!r} runs under --method {entry.method}"
         )
-    if args.expr or args.dI or args.a is not None or args.b is not None:
-        parser.error("--catalog replaces --expr/--dI/--a/--b")
-    return run_entry(entry, _controller_from_args(args, entry.controller()))
+    if args.expr or args.dI or args.rule or args.a is not None or args.b is not None:
+        parser.error("--catalog replaces --expr/--dI/--rule/--a/--b")
+    return run_entry(entry, _controller_from_args(args, entry.controller))
 
 
 def _integrate_expr(args, parser: _Parser) -> IntegralResult:
@@ -219,12 +217,14 @@ def _integrate_expr(args, parser: _Parser) -> IntegralResult:
     if args.method == "darboux":
         if args.dI not in (None, "length"):
             parser.error("darboux integrates point functions; only --dI length applies")
+        if args.rule:
+            parser.error("darboux bounds f over each cell; --rule does not apply")
         oracle = derive_extrema_oracle(ast, float(a), float(b))
         f = as_function(ast, "s")
         return run_method("darboux", (f, oracle), (float(a), float(b)), ctrl)
 
     dI = args.dI or "length"
-    convention = _RULES[args.rule]
+    convention = _RULES[args.rule or "tag"]
     if dI == "length":
         factor = length_factor()
     elif dI == "dD":
@@ -306,14 +306,25 @@ def cmd_integrate(args, parser: _Parser, config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 
+# The brownian subs over point functions of x: the flags each reads, in the
+# order its pathwise sum takes them before the level, and that sum.  Each
+# sum looks its functions up at call time, so the benchmark's tracer, which
+# rebinds module names, times them.
+_POINT_SUMS = {
+    "ito": (("f",), lambda p, *fs: ito_sum(p, *fs)),
+    "strat": (("f",), lambda p, *fs: stratonovich_sum(refine_path(p), *fs)),
+    "ito-residual": (("f", "df", "d2f"), lambda p, *fs: ito_formula_residual(p, *fs)),
+}
+
+
 def _point_function(args, parser: _Parser, flag: str) -> Callable:
-    text = getattr(args, flag.lstrip("-").replace("-", "_"))
+    text = vars(args)[flag]
     if not text:
-        parser.error(f"{args.sub} requires {flag} <expression in x>")
+        parser.error(f"{args.sub} requires --{flag} <expression in x>")
     ast = parse(text)
     unknown = free_vars(ast) - {"x"}
     if unknown:
-        parser.error(f"{flag} expressions use the variable x; found {sorted(unknown)}")
+        parser.error(f"--{flag} expressions use the variable x; found {sorted(unknown)}")
     return as_function(ast, "x")
 
 
@@ -323,24 +334,13 @@ def cmd_brownian(args, parser: _Parser, config: RunConfig) -> int:
     if args.level < 0:
         parser.error("--level must be >= 0")
     level = args.level
-
-    if args.sub == "qv":
-        estimator = lambda p: quadratic_variation(p, level)
-    elif args.sub == "increment":
-        estimator = lambda p: increment_integral(p, level)
-    elif args.sub == "variation":
-        estimator = lambda p: total_variation(p, level)
-    elif args.sub == "ito":
-        f = _point_function(args, parser, "--f")
-        estimator = lambda p: ito_sum(p, f, level)
-    elif args.sub == "strat":
-        f = _point_function(args, parser, "--f")
-        estimator = lambda p: stratonovich_sum(refine_path(p), f, level)
-    else:  # ito-residual
-        f = _point_function(args, parser, "--f")
-        df = _point_function(args, parser, "--df")
-        d2f = _point_function(args, parser, "--d2f")
-        estimator = lambda p: ito_formula_residual(p, f, df, d2f, level)
+    flags, path_sum = _POINT_SUMS.get(args.sub) or ((), PATH_SUMS[args.sub])
+    ignored = [f"--{flag}" for flag in ("f", "df", "d2f")
+               if vars(args)[flag] is not None and flag not in flags]
+    if ignored:
+        parser.error(f"{args.sub} does not read {'/'.join(ignored)}")
+    fs = [_point_function(args, parser, flag) for flag in flags]
+    estimator = lambda p: path_sum(p, *fs, level)
 
     stats = mc_run(estimator, args.paths, args.t, level, args.seed)
     print(
@@ -434,8 +434,9 @@ def build_parser() -> _Parser:
                     choices=("darboux", "rs", "gauge", "lebesgue"))
     pi.add_argument("--expr", help="point function of s")
     pi.add_argument("--dI", help="interval factor: length | dD | dg:<catalog name>")
-    pi.add_argument("--rule", choices=tuple(_RULES), default="tag",
-                    help="where the point factor is sampled (default: the tag)")
+    pi.add_argument("--rule", choices=tuple(_RULES),
+                    help="where an --expr point factor is sampled under rs or "
+                    "gauge (default: the tag)")
     pi.add_argument("--catalog", help=f"named entry: {', '.join(entry_names())}")
     pi.add_argument("--a", help="left endpoint (default 0)")
     pi.add_argument("--b", help="right endpoint (default 1)")
@@ -444,8 +445,7 @@ def build_parser() -> _Parser:
 
     pb = sub.add_parser("brownian", parents=[common],
                         help="Monte Carlo over dyadic Brownian paths")
-    pb.add_argument("sub", choices=("qv", "ito", "strat", "increment",
-                                    "variation", "ito-residual"))
+    pb.add_argument("sub", choices=(*PATH_SUMS, *_POINT_SUMS))
     pb.add_argument("--t", type=float, required=True, help="time horizon")
     pb.add_argument("--level", type=int, required=True, help="dyadic level L")
     pb.add_argument("--paths", type=int, required=True, help="number of paths M")

@@ -292,19 +292,9 @@ class ExtremaOracle:
         return lo, hi
 
     @classmethod
-    def monotone(cls, f: Callable) -> "ExtremaOracle":
-        """Oracle for an elementwise f monotone on the whole domain of use."""
-
-        def bounds(us, vs):
-            fu, fv = f(us), f(vs)
-            rising = fu <= fv
-            return np.where(rising, fu, fv), np.where(rising, fv, fu)
-
-        return cls(bounds)
-
-    @classmethod
-    def piecewise_monotone(cls, f: Callable, breakpoints: Sequence) -> "ExtremaOracle":
-        """Oracle for an elementwise f monotone between the given breakpoints.
+    def monotone(cls, f: Callable, breakpoints: Sequence = ()) -> "ExtremaOracle":
+        """Oracle for an elementwise f monotone between the given breakpoints
+        (on the whole domain of use when there are none).
 
         Valid for continuous pieces and for jump functions whose one-sided
         limits are attained at the breakpoints themselves.

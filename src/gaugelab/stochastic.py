@@ -172,16 +172,17 @@ def _standard_normals(keys: np.ndarray, count: int) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def _bridge(values: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
+def _bridge(values: np.ndarray, keys: np.ndarray, t: float) -> np.ndarray:
     """One dyadic level for every row: (M, n+1) values -> (M, 2n+1).
 
     Midpoints follow the bridge rule x(m) = (x(u)+x(v))/2 + xi with
-    Var xi = (v-u)/4, from N(0,1) draws xi of shape (M, n), which are
-    scaled in place.  The midpoints are computed in the output array, so a
-    step holds no temporaries, with the rounding of the one-expression
-    form 0.5*(x(u)+x(v)) + (0.5*sqrt(h))*z.
+    Var xi = (v-u)/4, where row i draws its n normals from the Philox stream
+    keys[i] and scales them in place.  The midpoints are computed in the
+    output array, so a step holds no temporaries, with the rounding of the
+    one-expression form 0.5*(x(u)+x(v)) + (0.5*sqrt(h))*z.
     """
     n = values.shape[1] - 1
+    xi = _standard_normals(keys, n)
     out = np.empty((values.shape[0], 2 * n + 1))
     out[:, 0::2] = values
     mid = out[:, 1::2]
@@ -204,21 +205,19 @@ def _brownian_values(master_seed: int, path_ids, t: float, level: int) -> np.nda
     values = np.zeros((len(keys), 2))
     values[:, 1] = math.sqrt(t) * z[:, 0]
     for new_level in range(1, level + 1):
-        xi = _standard_normals(keys[:, new_level], 1 << (new_level - 1))
-        values = _bridge(values, xi, t)
+        values = _bridge(values, keys[:, new_level], t)
     return values
 
 
-def _check_path_id(path_id: int) -> None:
-    if not 0 <= path_id <= _MASK32:
-        raise ArgumentError(f"path id must be in 0..2^32-1, got {path_id}")
-
-
-def _check_brownian(t: float, level: int) -> None:
+def _check_path(t: float, level: int, path_id: Optional[int] = None) -> None:
+    """The one check of every dyadic path, Brownian or deterministic, made
+    before any value is sampled or drawn."""
     if not (math.isfinite(t) and t > 0):
         raise ArgumentError(f"horizon must be finite and positive, got {t}")
     if not 0 <= level <= MAX_LEVEL:
         raise ArgumentError(f"level must be in 0..MAX_LEVEL={MAX_LEVEL}, got {level}")
+    if path_id is not None and not 0 <= path_id <= _MASK32:
+        raise ArgumentError(f"path id must be in 0..2^32-1, got {path_id}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,12 +237,7 @@ class DyadicPath:
     source: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t > 0):
-            raise ArgumentError(f"horizon must be finite and positive, got {self.t}")
-        if self.path_id is not None:
-            _check_path_id(self.path_id)
-        if self.level < 0:
-            raise ArgumentError(f"level must be >= 0, got {self.level}")
+        _check_path(self.t, self.level, self.path_id)
         expected = (1 << self.level) + 1
         if len(self.values) != expected:
             raise ArgumentError(
@@ -267,7 +261,8 @@ class DyadicPath:
         held before any refinement past that level."""
         if not 0 <= level <= self.level:
             raise ArgumentError(
-                f"level {level} not available on a level-{self.level} path"
+                f"level {level} not available on a level-{self.level} path; "
+                "call refine_path first"
             )
         stride = 1 << (self.level - level)
         return self.values[::stride]
@@ -276,6 +271,7 @@ class DyadicPath:
 def path_from_function(f: Callable[[float], float], t: float, level: int) -> DyadicPath:
     """Deterministic dyadic path sampling an elementwise f on the level grid
     in one call; a scalar result broadcasts."""
+    _check_path(t, level)
     h = t / (1 << level)
     grid = np.arange((1 << level) + 1, dtype=np.float64) * h
     values = np.broadcast_to(np.asarray(f(grid), dtype=np.float64), grid.shape)
@@ -289,8 +285,7 @@ def brownian_path(master_seed: int, path_id: int, t: float, level: int) -> Dyadi
     substream, so paths at different levels share every common grid value
     bitwise.
     """
-    _check_brownian(t, level)
-    _check_path_id(path_id)
+    _check_path(t, level, path_id)
     values = _brownian_values(master_seed, [path_id], t, level)[0]
     return DyadicPath(
         t=t, level=level, values=values, master_seed=master_seed, path_id=path_id
@@ -304,15 +299,13 @@ def refine_path(path: DyadicPath) -> DyadicPath:
     new level; deterministic paths resample their source.
     """
     new_level = path.level + 1
-    if new_level > MAX_LEVEL:
-        raise ArgumentError(f"level {new_level} exceeds MAX_LEVEL={MAX_LEVEL}")
+    _check_path(path.t, new_level)
     if path.master_seed is not None and path.path_id is not None:
         keys = _substream_keys(path.master_seed, path.path_id, new_level)
-        xi = _standard_normals(keys[None], path.n)
         return DyadicPath(
             t=path.t,
             level=new_level,
-            values=_bridge(path.values[None], xi, path.t)[0],
+            values=_bridge(path.values[None], keys[None], path.t)[0],
             master_seed=path.master_seed,
             path_id=path.path_id,
         )
@@ -332,26 +325,26 @@ def refine_path(path: DyadicPath) -> DyadicPath:
 # f of the change-of-variable residuals is called on scalars, at the ends.
 
 
-def _level_values(path: DyadicPath, level: int) -> np.ndarray:
-    if level > path.level:
-        raise ArgumentError(
-            f"level {level} sums need a level >= {level} path (have {path.level}); "
-            "call refine_path first"
-        )
-    return path.values_at_level(level)
+def _cells(path: DyadicPath, level: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Grid values x of the level cells and their increments dx = x(v) - x(u)."""
+    x = path.values_at_level(level)
+    return x, np.diff(x)
+
+
+def _dot(weight, d: np.ndarray) -> float:
+    """Sum over the cells of weight * d; a scalar weight broadcasts."""
+    return float(np.sum(np.broadcast_to(weight, d.shape) * d))
 
 
 def increment_integral(path: DyadicPath, level: int) -> float:
     """Sum of x(v) - x(u) over level cells; telescopes to x(t) - x(0)."""
-    x = _level_values(path, level)
-    return float(np.sum(np.diff(x)))
+    return float(np.sum(_cells(path, level)[1]))
 
 
 def ito_sum(path: DyadicPath, f: Callable, level: int) -> float:
     """Sum of f(x(u)) * (x(v) - x(u)), the left-endpoint convention."""
-    x = _level_values(path, level)
-    dx = np.diff(x)
-    return float(np.sum(np.broadcast_to(f(x[:-1]), dx.shape) * dx))
+    x, dx = _cells(path, level)
+    return _dot(f(x[:-1]), dx)
 
 
 def stratonovich_sum(path: DyadicPath, f: Callable, level: int) -> float:
@@ -360,28 +353,31 @@ def stratonovich_sum(path: DyadicPath, f: Callable, level: int) -> float:
     The midpoint values live one level deeper, so the path must already be
     refined past `level`.
     """
-    if path.level < level + 1:
-        raise ArgumentError(
-            f"temporal midpoints of level {level} live at level {level + 1}; "
-            f"path is at level {path.level}, refine_path it first"
-        )
-    x = _level_values(path, level)
     w = path.values_at_level(level + 1)[1::2]
-    dx = np.diff(x)
-    return float(np.sum(np.broadcast_to(f(w), dx.shape) * dx))
+    return _dot(f(w), _cells(path, level)[1])
 
 
 def quadratic_variation(path: DyadicPath, level: int) -> float:
     """Sum of (x(v) - x(u))^2 over level cells."""
-    dx = np.diff(_level_values(path, level))
+    dx = _cells(path, level)[1]
     dx *= dx  # in place: one path-sized temporary, not two
     return float(np.sum(dx))
 
 
 def total_variation(path: DyadicPath, level: int) -> float:
     """Sum of |x(v) - x(u)|; grows without bound on Brownian paths."""
-    dx = np.diff(_level_values(path, level))
+    dx = _cells(path, level)[1]
     return float(np.sum(np.abs(dx, out=dx)))
+
+
+# The pathwise sums of a path and a level alone, by the name `brownian`
+# runs them under.  Values are the functions themselves: the benchmark's
+# tracer rebinds traced functions in module-level dicts by identity.
+PATH_SUMS = {
+    "qv": quadratic_variation,
+    "increment": increment_integral,
+    "variation": total_variation,
+}
 
 
 def ito_formula_residual(
@@ -391,12 +387,11 @@ def ito_formula_residual(
 
     f(x(t)) - f(x(0)) - sum f'(x(u)) dx - 1/2 sum f''(x(u)) (dx)^2.
     """
-    x = _level_values(path, level)
-    dx = np.diff(x)
+    x, dx = _cells(path, level)
     left = x[:-1]
     change = float(f(float(x[-1]))) - float(f(float(x[0])))
-    drift = float(np.sum(np.broadcast_to(df(left), dx.shape) * dx))
-    curvature = 0.5 * float(np.sum(np.broadcast_to(d2f(left), dx.shape) * dx * dx))
+    drift = _dot(df(left), dx)
+    curvature = 0.5 * _dot(d2f(left) * dx, dx)
     return change - drift - curvature
 
 
@@ -417,16 +412,14 @@ def ito_formula_residual_time(
     f(t, x(t)) - f(0, x(0)) - sum [df/ds + 1/2 d2f/dx2](u, x(u)) h
                             - sum df/dx(u, x(u)) dx.
     """
-    x = _level_values(path, level)
-    dx = np.diff(x)
+    x, dx = _cells(path, level)
     times = path.times(level)
     su = times[:-1]
     xu = x[:-1]
     h = path.t / (1 << level)
     change = float(f(float(times[-1]), float(x[-1]))) - float(f(0.0, float(x[0])))
-    ds_rate = np.broadcast_to(df_ds(su, xu) + 0.5 * d2f_dx2(su, xu), dx.shape)
-    ds_part = float(np.sum(ds_rate * h))
-    dx_part = float(np.sum(np.broadcast_to(df_dx(su, xu), dx.shape) * dx))
+    ds_part = _dot(df_ds(su, xu) + 0.5 * d2f_dx2(su, xu), np.full_like(dx, h))
+    dx_part = _dot(df_dx(su, xu), dx)
     return change - ds_part - dx_part
 
 
@@ -473,7 +466,7 @@ def mc_run(
         raise ArgumentError(f"need at least one path, got {paths}")
     if paths > MAX_PATHS:
         raise ArgumentError(f"at most MAX_PATHS={MAX_PATHS} paths, got {paths}")
-    _check_brownian(t, level)
+    _check_path(t, level)
     block = max(1, _BLOCK_VALUES >> level)
     out = np.empty(paths)
     # Overflow and invalid values are checked below, so numpy's warnings

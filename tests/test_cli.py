@@ -202,6 +202,32 @@ class TestIntegrateDispatch:
             main_cli(["integrate", "--method", "gauge", "--catalog", "h1", "--expr", "s"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--method", "gauge", "--catalog", "h3", "--rule", "left"],
+            ["--method", "rs", "--catalog", "const_dD", "--rule", "tag"],
+            ["--method", "darboux", "--expr", "s", "--rule", "mid"],
+        ],
+        ids=["catalog", "catalog-tag", "darboux"],
+    )
+    def test_rule_refused_where_nothing_reads_it(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["integrate", *argv, "--no-timestamp"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].startswith("gaugelab: error:")
+        assert "--rule" in err.splitlines()[-1]
+
+    def test_expr_rule_defaults_to_tag(self, capsys):
+        argv = ["integrate", "--method", "rs", "--expr", "s^2", "--levels", "4:8",
+                "--tol", "1e-2", "--no-timestamp"]
+        main(argv)
+        default = capsys.readouterr().out
+        main(argv + ["--rule", "tag"])
+        assert capsys.readouterr().out == default
+
     def test_lebesgue_refuses_expr(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main_cli(["integrate", "--method", "lebesgue", "--expr", "s"])
@@ -461,7 +487,7 @@ class TestCatalogOverride:
     def test_artifact_matches_run_entry(self, method, monkeypatch, tmp_path, capsys):
         name, _, fields = self.CASES[method]
         entry = get_entry(name)
-        result = run_entry(entry, replace(entry.controller(), **fields))
+        result = run_entry(entry, replace(entry.controller, **fields))
         rc, artifact = self.run(method, monkeypatch, tmp_path)
         assert rc == EXIT_CODES[result.status]
         fmt = lambda x: "%.17g" % x if isinstance(x, float) else str(x)
@@ -521,6 +547,30 @@ class TestBrownian:
             main_cli(["brownian", "ito-residual", *self.COMMON])
         assert exc.value.code == 1
         assert "--f" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sub,given,refused",
+        [
+            ("qv", ["--f", "x"], "--f"),
+            ("increment", ["--df", "1"], "--df"),
+            ("variation", ["--d2f", "0"], "--d2f"),
+            ("ito", ["--f", "x", "--df", "1"], "--df"),
+            ("strat", ["--f", "x", "--d2f", "0"], "--d2f"),
+        ],
+    )
+    def test_point_function_flags_a_sub_ignores_are_refused(
+        self, sub, given, refused, capsys, monkeypatch
+    ):
+        def no_draws(*args):
+            raise AssertionError("drew normals for a refused command")
+
+        monkeypatch.setattr(stochastic, "_standard_normals", no_draws)
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["brownian", sub, *self.COMMON, *given])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"gaugelab: error: {sub} does not read {refused}"
 
     def test_ito_residual_square(self, capsys):
         rc = main(

@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import gaugelab
+from gaugelab import catalog, cli, stochastic
 from gaugelab.divisions import make_uniform
 from gaugelab.integrand import BurkillIntegrand
 
@@ -34,3 +35,16 @@ def test_every_name_the_tracer_wraps_resolves():
     h = BurkillIntegrand("length", lambda s, u, v: v - u)
     key = tracer._key_riemann(h, make_uniform(0.0, 1.0, 4))
     assert key == "divisions.riemann_sum.batched"
+
+
+def test_path_sums_hold_the_functions_themselves():
+    # The tracer rebinds a wrapped function in every module-level dict that
+    # holds it, by identity: a plain dict of the functions keeps traced
+    # catalog rounds and brownian commands timing them.
+    table = stochastic.PATH_SUMS
+    assert type(table) is dict
+    assert list(table) == ["qv", "increment", "variation"]
+    assert table["qv"] is stochastic.quadratic_variation
+    assert table["increment"] is stochastic.increment_integral
+    assert table["variation"] is stochastic.total_variation
+    assert catalog.PATH_SUMS is table and cli.PATH_SUMS is table

@@ -136,6 +136,17 @@ class TestBrownianPath:
         with pytest.raises(ArgumentError, match="MAX_LEVEL"):
             refine_path(path_from_function(lambda s: s, 1.0, 2))
 
+    def test_deterministic_levels_above_max_refused_before_sampling(self, monkeypatch):
+        def never(s):
+            raise AssertionError("sampled f for an oversize level")
+
+        monkeypatch.setattr(stochastic, "MAX_LEVEL", 2)
+        with pytest.raises(ArgumentError, match="MAX_LEVEL"):
+            path_from_function(never, 1.0, 3)
+        with pytest.raises(ArgumentError, match="MAX_LEVEL"):
+            DyadicPath(t=1.0, level=3, values=np.zeros(9), source=never)
+        assert path_from_function(lambda s: s, 1.0, 2).level == 2
+
 
 class TestGenerator:
     """The batched generator against the one-substream-at-a-time route."""
@@ -296,6 +307,74 @@ class TestPathwiseSums:
     def test_total_variation_monotone_is_increment(self):
         p = path_from_function(lambda s: s * s, 1.0, 5)
         assert total_variation(p, 5) == pytest.approx(1.0)
+
+
+class TestSumsKeepTheirFormulas:
+    """Each pathwise sum, bit for bit, against its formula written out with
+    the operand order of the one-function-per-sum version."""
+
+    PATHS = {
+        "brownian": lambda: refine_path(brownian_path(61, 2, 1.3, 9)),
+        "deterministic": lambda: path_from_function(np.sin, 1.3, 10),
+    }
+    # (f, df, d2f) of x and (f, df_ds, df_dx, d2f_dx2) of (s, x)
+    FUNCTIONS = {
+        "scalar": (
+            (lambda x: 3.0, lambda x: 0.5, lambda x: 2),
+            (lambda s, x: 3.0, lambda s, x: 0.25, lambda s, x: 0.5, lambda s, x: 2),
+        ),
+        "array": (
+            (np.sin, np.cos, lambda x: -np.sin(x)),
+            (
+                lambda s, x: np.exp(s) * np.sin(x),
+                lambda s, x: np.exp(s) * np.sin(x),
+                lambda s, x: np.exp(s) * np.cos(x),
+                lambda s, x: -np.exp(s) * np.sin(x),
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FUNCTIONS))
+    @pytest.mark.parametrize("source", sorted(PATHS))
+    @pytest.mark.parametrize("level", [0, 5, 9])
+    def test_bitwise(self, source, kind, level):
+        path = self.PATHS[source]()
+        (f, df, d2f), (g, dg_ds, dg_dx, d2g_dx2) = self.FUNCTIONS[kind]
+        x = path.values[:: 1 << (path.level - level)]
+        w = path.values[1 << (path.level - level - 1) :: 1 << (path.level - level)]
+        dx = np.diff(x)
+        spread = lambda v: np.broadcast_to(v, dx.shape)
+        times = np.arange((1 << level) + 1, dtype=np.float64) * (path.t / (1 << level))
+        su, xu, h = times[:-1], x[:-1], path.t / (1 << level)
+        expected = {
+            "increment": float(np.sum(np.diff(x))),
+            "ito": float(np.sum(spread(f(x[:-1])) * dx)),
+            "strat": float(np.sum(spread(f(w)) * dx)),
+            "qv": float(np.sum(dx * dx)),
+            "variation": float(np.sum(np.abs(dx))),
+            "residual": (float(f(float(x[-1]))) - float(f(float(x[0]))))
+            - float(np.sum(spread(df(xu)) * dx))
+            - 0.5 * float(np.sum(spread(d2f(xu)) * dx * dx)),
+            "residual_time": (
+                float(g(float(times[-1]), float(x[-1]))) - float(g(0.0, float(x[0])))
+            )
+            - float(np.sum(spread(dg_ds(su, xu) + 0.5 * d2g_dx2(su, xu)) * h))
+            - float(np.sum(spread(dg_dx(su, xu)) * dx)),
+        }
+        got = {
+            "increment": increment_integral(path, level),
+            "ito": ito_sum(path, f, level),
+            "strat": stratonovich_sum(path, f, level),
+            "qv": quadratic_variation(path, level),
+            "variation": total_variation(path, level),
+            "residual": ito_formula_residual(path, f, df, d2f, level),
+            "residual_time": ito_formula_residual_time(
+                path, g, dg_ds, dg_dx, d2g_dx2, level
+            ),
+        }
+        assert {k: repr(v) for k, v in got.items()} == {
+            k: repr(v) for k, v in expected.items()
+        }
 
 
 # f = x^2/2, whose change-of-variable residual telescopes to zero exactly
