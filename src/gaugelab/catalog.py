@@ -22,6 +22,7 @@ import numpy as np
 from .cells import Gauge
 from .divisions import RefinementSchedule
 from .errors import ArgumentError, ScalarRegimeError
+from . import exact
 from .exact import QuadExtScalar, is_exact_scalar
 from .integrand import (
     BurkillIntegrand,
@@ -61,29 +62,25 @@ _FLOAT_DIRICHLET = (
 )
 
 
-def _dirichlet_scalar(s) -> int:
+def dirichlet_point(s):
+    """1 if s is rational, else 0; defined only on exact scalars, and
+    elementwise on exact columns: a QuadExtArray, or an array of exact
+    scalars, gives a QuadExtArray of ints."""
     if isinstance(s, QuadExtScalar):
         return 1 if s.is_rational() else 0
     if is_exact_scalar(s):
         return 1
     if isinstance(s, float):
         raise ScalarRegimeError(_FLOAT_DIRICHLET)
-    raise ScalarRegimeError(
-        f"Dirichlet indicator is undefined on {type(s).__name__}"
-    )
-
-
-_dirichlet_cells = np.frompyfunc(_dirichlet_scalar, 1, 1)
-
-
-def dirichlet_point(s):
-    """1 if s is rational, else 0; defined only on exact scalars, and
-    elementwise on `object` arrays of them."""
-    if not isinstance(s, np.ndarray):
-        return _dirichlet_scalar(s)
-    if s.dtype != object:
+    if isinstance(s, np.ndarray) and s.dtype.kind == "f":
         raise ScalarRegimeError(f"{_FLOAT_DIRICHLET}; got a {s.dtype} array")
-    return _dirichlet_cells(s)
+    if not isinstance(s, (np.ndarray, exact.QuadExtArray)):
+        raise ScalarRegimeError(f"Dirichlet indicator is undefined on {type(s).__name__}")
+    try:
+        s = exact.QuadExtArray(s)
+    except ScalarRegimeError as exc:
+        raise ScalarRegimeError(_FLOAT_DIRICHLET) from exc
+    return exact.QuadExtArray(s.is_rational())
 
 
 def dirichlet_factor() -> IntervalFactor:
@@ -98,8 +95,9 @@ def dirichlet_factor() -> IntervalFactor:
 def step_at(c, low=0, high=1) -> Callable:
     """Step function jumping from low to high just above c.
 
-    Elementwise on float arrays, and exact on exact scalars: with c a
-    Fraction the comparison stays exact for QuadExtScalar arguments.
+    Elementwise on float arrays and exact columns, and exact on exact
+    scalars: with c a Fraction the comparison stays exact for QuadExtScalar
+    arguments.
     """
 
     def step(s):

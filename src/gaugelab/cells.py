@@ -7,7 +7,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, GaugeContractError, ScalarRegimeError, _plain
+from . import exact
+from .errors import ArgumentError, GaugeContractError, _plain
+
+
+def _column(values):
+    """A column of the values' regime: a float64 array for binary floats, a
+    QuadExtArray for exact scalars (int, Fraction, QuadExtScalar), which
+    refuses a binary float among them with ScalarRegimeError."""
+    if isinstance(values, (list, tuple, float, np.floating)):
+        values = np.asarray(values)
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return values.astype(float, copy=False)
+    return exact.QuadExtArray(values)
 
 
 @dataclass(frozen=True)
@@ -37,28 +49,24 @@ class TaggedDivision:
     half-open ]edges[i], edges[i + 1]] with the tag tags[i] anywhere in its
     closure, the excluded left endpoint included, which is what lets a gauge
     force specific tags.  `lefts`, `rights` and `domain` are views derived
-    from `edges`.  Both columns are numpy arrays: float64 in the float
-    regime, `object` arrays of exact scalars (int, Fraction, QuadExtScalar)
-    in the exact one, so every layer runs one array body for both.  Adjacent
-    cells may share a tag: a point can legally tag the cell on each side of
-    itself, and sums are indifferent to the duplication.
+    from `edges`.  Both columns are float64 arrays in the float regime and
+    QuadExtArray columns of exact values in the exact one, so every layer
+    runs one array body for both.  Adjacent cells may share a tag: a point
+    can legally tag the cell on each side of itself, and sums are
+    indifferent to the duplication.
     """
 
     __slots__ = ("tags", "edges", "exact")
 
     def __init__(self, tags, edges):
-        columns = [np.asarray(c) for c in (tags, edges)]
         # A column of binary floats makes the division float, lists included;
         # int, Fraction and QuadExtScalar columns stay exact.  A binary float
         # among exact scalars is refused: it would pass as exact.
-        for c in columns:
-            if c.dtype == object and any(
-                issubclass(t, (float, np.floating)) for t in set(map(type, c.flat))
-            ):
-                raise ScalarRegimeError("division mixes binary floats with exact scalars")
-        self.exact = all(c.dtype.kind != "f" for c in columns)
-        dtype = object if self.exact else float
-        self.tags, self.edges = (c.astype(dtype, copy=False) for c in columns)
+        columns = [_column(c) for c in (tags, edges)]
+        self.exact = not any(isinstance(c, np.ndarray) for c in columns)
+        if not self.exact:
+            columns = [np.asarray(c, dtype=float) for c in columns]
+        self.tags, self.edges = columns
         self._validate()
 
     @property
@@ -148,15 +156,17 @@ class Gauge:
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Widths at an array of points in one call; a scalar width
-        broadcasts.  Exact points (an `object` array) keep exact widths,
-        float points get float64 ones.  A width that is not positive raises
+        broadcasts.  Exact points keep exact widths in a QuadExtArray, float
+        points get float64 ones.  A width that is not positive raises
         GaugeContractError naming the first such point."""
-        points = np.asarray(points)
-        if points.dtype != object:
-            points = points.astype(float, copy=False)
+        points = _column(points)
         if self._constant is not None:
-            return np.full(points.shape, self._constant, dtype=points.dtype)
-        widths = np.asarray(self._fn(points), dtype=points.dtype)
+            return np.full_like(points, self._constant)
+        widths = self._fn(points)
+        if isinstance(points, np.ndarray):
+            widths = np.asarray(widths, dtype=float)
+        else:
+            widths = exact.exact_or_objects(widths)
         if widths.shape != points.shape:
             widths = np.broadcast_to(widths, points.shape)
         bad = ~(widths > 0)

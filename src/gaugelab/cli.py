@@ -458,6 +458,9 @@ def build_parser() -> _Parser:
     ps = sub.add_parser("series", parents=[common],
                         help="alternating harmonic partial sums")
     ps.add_argument("--n", type=int, required=True, help="number of terms")
+    # each command reports its usage errors through its own parser
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -473,10 +476,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         timestamp=not args.no_timestamp,
     )
     if args.command == "integrate":
-        return cmd_integrate(args, parser, config)
+        return cmd_integrate(args, args.command_parser, config)
     if args.command == "brownian":
-        return cmd_brownian(args, parser, config)
-    return cmd_series(args, parser, config)
+        return cmd_brownian(args, args.command_parser, config)
+    return cmd_series(args, args.command_parser, config)
 
 
 def main_cli(argv: Optional[Sequence[str]] = None) -> None:

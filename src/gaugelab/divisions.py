@@ -11,6 +11,7 @@ import numpy as np
 
 from .cells import Gauge, TaggedDivision
 from .errors import ArgumentError, GaugeTooDemandingError, IntegrandEvalError
+from . import exact
 from .exact import IRRATIONAL_SHIFT, is_exact_scalar
 from .integrand import BurkillIntegrand, midpoint
 
@@ -53,12 +54,17 @@ class RefinementSchedule:
         return 2 ** level
 
 
+def _float_column(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
 def _regime(a, b):
-    """(a, b, dtype) for a division of ]a, b]: exact bounds keep their exact
-    scalars in `object` arrays, anything else runs in float64."""
+    """(a, b, column) for a division of ]a, b]: exact bounds keep their
+    exact scalars and `column` makes a QuadExtArray of a list or an int
+    array; anything else runs in float64."""
     if is_exact_scalar(a) and is_exact_scalar(b):
-        return a, b, object
-    return float(a), float(b), float
+        return a, b, exact.QuadExtArray
+    return float(a), float(b), _float_column
 
 
 def _tag_points(rule: str, u, v):
@@ -83,7 +89,7 @@ def _check_grid(a, b, n: int):
 def _grid_columns(edges, tag_rules):
     """(edges, the tag column of each rule) of grid `edges`.  The edges
     become read-only, so left and right tags can be views of them."""
-    edges.flags.writeable = False
+    edges.setflags(write=False)
     return edges, [_tag_points(rule, edges[:-1], edges[1:]) for rule in tag_rules]
 
 
@@ -99,9 +105,9 @@ def _uniform_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
     bit for bit: j * ((b - a) / n) + a, or j / n * (b - a) + a when the step
     underflows to 0, with the last point set to b."""
     _check_grid(a, b, n)
-    a, b, dtype = _regime(a, b)
-    edges = np.arange(lo, hi + 1, dtype=dtype)
-    if dtype is object:
+    a, b, column = _regime(a, b)
+    edges = column(np.arange(lo, hi + 1))
+    if column is not _float_column:
         edges = a + (b - a) * (edges * Fraction(1, n))
     else:
         step = (b - a) / n
@@ -120,9 +126,9 @@ def _shifted_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
     """Cut points lo..hi of make_shifted_uniform's n-cell grid over ]a, b];
     (0, n) is the whole grid."""
     _check_grid(a, b, n)
-    a, b, dtype = _regime(a, b)
-    edges = np.arange(lo, hi + 1, dtype=dtype)
-    if dtype is object:
+    a, b, column = _regime(a, b)
+    edges = column(np.arange(lo, hi + 1))
+    if column is not _float_column:
         edges = a + (b - a) * ((edges + IRRATIONAL_SHIFT) * Fraction(1, n))
     else:
         # a + (b - a) * ((j + FLOAT_SHIFT) / n), evaluated in place
@@ -168,18 +174,20 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
     # hold them left to right, `index` numbering cells of width
     # (b - a) / 2**depth from a.  Each open cell either is accepted and set
     # aside, or splits at its midpoint into two open cells.
-    a, b, dtype = _regime(a, b)
-    us, vs = np.array([a], dtype=dtype), np.array([b], dtype=dtype)
+    a, b, column = _regime(a, b)
+    ends = column([a, b])
+    us, vs = ends[:1], ends[1:]
     # the position key index << (depth_cap - depth) must fit in the dtype
     index = np.zeros(1, dtype=np.int64 if depth_cap < 63 else object)
     accepted = []  # (key, left, tags of each order) arrays, one per depth
     for depth in range(depth_cap + 1):
         # "left" and "right" hand the gauge these arrays themselves
-        us.flags.writeable = vs.flags.writeable = False
+        us.setflags(write=False)
+        vs.setflags(write=False)
         candidates = {}  # selector -> (tag points, fine mask)
         columns = []
         for order in orders:
-            tags = np.empty(len(us), dtype=dtype)
+            tags = None  # cells that stay undecided keep any tag: they are dropped
             undecided = np.ones(len(us), dtype=bool)
             for selector in order:
                 if selector not in candidates:
@@ -188,7 +196,7 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
                     candidates[selector] = cand, (cand - us < widths) & (vs - cand < widths)
                 cand, fine = candidates[selector]
                 fine = fine & undecided
-                tags[fine] = cand[fine]
+                tags = cand if tags is None else np.where(fine, cand, tags)
                 undecided &= ~fine
                 if not undecided.any():
                     break
@@ -198,7 +206,7 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
         accepted.append((index[fine] << (depth_cap - depth), us[fine],
                          *(tags[fine] for tags in columns)))
         if fine.all():
-            return _assemble(accepted, b)
+            return _assemble(accepted, ends[1:])
         # the next depth's open cells must not outgrow a MAX_LEVEL grid
         if depth == depth_cap or 2 * np.count_nonzero(undecided) > 2 ** MAX_LEVEL:
             i = int(np.argmax(undecided))
@@ -212,20 +220,19 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
 
 def _interleave(x, y):
     """x[0], y[0], x[1], y[1], ...: the halves of split cells in order."""
-    out = np.empty(2 * len(x), dtype=x.dtype)
+    out = np.empty_like(x, shape=2 * len(x))
     out[0::2], out[1::2] = x, y
     return out
 
 
-def _assemble(accepted, b):
+def _assemble(accepted, end):
     """(read-only edges, tag columns) of the accepted cells, put in order by
-    position key."""
+    position key and closed by `end`, the right end as a 1-element array."""
     keys, lefts, *columns = (np.concatenate(column) for column in zip(*accepted))
     # each depth adds an ascending run of keys, which a stable sort merges
     order = np.argsort(keys, kind="stable")
-    edges = np.empty(len(lefts) + 1, dtype=lefts.dtype)
-    edges[:-1], edges[-1] = lefts[order], b
-    edges.flags.writeable = False
+    edges = np.concatenate((lefts[order], end))
+    edges.setflags(write=False)
     return edges, [tags[order] for tags in columns]
 
 
@@ -290,7 +297,7 @@ def delta_fine_division(
 def bisect_refine(division: TaggedDivision, tag_rule: str = "left") -> TaggedDivision:
     """Split every cell at its midpoint; tags reassigned by tag_rule."""
     edges = division.edges
-    refined = np.empty(2 * len(edges) - 1, dtype=edges.dtype)
+    refined = np.empty_like(edges, shape=2 * len(edges) - 1)
     refined[0::2], refined[1::2] = edges, midpoint(edges[:-1], edges[1:])
     return _grid_division(refined, tag_rule)
 
@@ -299,10 +306,11 @@ def riemann_sum(h: BurkillIntegrand, division: TaggedDivision) -> object:
     """Sum h over the division's cells.
 
     h is evaluated once on the whole (tags, lefts, rights) arrays.  A float
-    division sums the values pairwise into a float; an exact one adds them
-    in ascending order starting from 0, so the sum keeps its exact type.  A
-    fault raises IntegrandEvalError naming the first cell whose own
-    evaluation fails.  Deterministic for identical inputs.
+    division sums the values pairwise into a float; an exact one sums their
+    integer numerators, so the sum is exact and of the type Python's sum()
+    of the values from 0 gives (a float if a float value left the exact
+    regime).  A fault raises IntegrandEvalError naming the first cell whose
+    own evaluation fails.  Deterministic for identical inputs.
     """
     tags, lefts, rights = division.tags, division.lefts, division.rights
     try:
@@ -312,12 +320,13 @@ def riemann_sum(h: BurkillIntegrand, division: TaggedDivision) -> object:
         if cell_exc is None:
             raise
         raise IntegrandEvalError(tags[i], lefts[i], rights[i], cell_exc) from cell_exc
-    values = np.asarray(values, dtype=None if division.exact else float)
+    values = exact.exact_or_objects(values) if division.exact else np.asarray(values, dtype=float)
     if values.shape != tags.shape:
         values = np.broadcast_to(values, tags.shape)
-    if division.exact:
-        return sum(values.tolist())
-    return float(np.sum(values))
+    if not division.exact:
+        return float(np.sum(values))
+    # float values that left the exact regime add as Python's sum from 0
+    return sum(values.tolist()) if isinstance(values, np.ndarray) else values.sum()
 
 
 def _first_failing_cell(h: BurkillIntegrand, tags, lefts, rights):

@@ -1,4 +1,5 @@
-"""Exact scalars of the form p + q*sqrt(2) with arbitrary-precision rational p, q.
+"""Exact scalars of the form p + q*sqrt(2) with arbitrary-precision rational
+p, q, and exact columns of them.
 
 This tiny quadratic extension of the rationals is just big enough to hold
 every grid the samplers build (uniform rational grids and their
@@ -11,6 +12,13 @@ A scalar is stored as three Python integers (a, b, d) with value
 (a + b*sqrt(2)) / d, d > 0 and gcd(a, b, d) == 1, so every value has one
 form and arithmetic and the sign test never build a Fraction; p = a/d and
 q = b/d are derived on demand.
+
+A column of exact values, `QuadExtArray`, holds the same numbers as two
+integer numerator arrays over one common denominator, so exact divisions run
+on integer arrays; each element reads back as the scalar the same Python
+arithmetic would have produced (an int, a Fraction or a QuadExtScalar).  Its
+code lives in `gaugelab._columns` and is loaded on first use, so a run that
+never builds an exact division does not compile it at start-up.
 """
 
 from __future__ import annotations
@@ -173,7 +181,8 @@ class QuadExtScalar:
     # Comparisons accept floats (converted exactly to a ratio of integers);
     # arithmetic does not.  Comparing against a float threshold loses nothing.
 
-    def _diff_sign(self, other) -> int:
+    def _diff_sign(self, other):
+        """Sign of self - other, or None when other is a foreign type."""
         if isinstance(other, float):
             if not math.isfinite(other):
                 return -1 if other > 0 else 1
@@ -182,30 +191,30 @@ class QuadExtScalar:
         else:
             o = _parts(other)
             if o is NotImplemented:
-                raise TypeError(
-                    f"cannot compare QuadExtScalar with {type(other).__name__}"
-                )
+                return None
             c, e, f = o
         a, b, d = self._abd
         return _sign(a * f - c * d, b * f - e * d)
 
     def __eq__(self, other):
-        try:
-            return self._diff_sign(other) == 0
-        except TypeError:
-            return NotImplemented
+        s = self._diff_sign(other)
+        return NotImplemented if s is None else s == 0
 
     def __lt__(self, other):
-        return self._diff_sign(other) < 0
+        s = self._diff_sign(other)
+        return NotImplemented if s is None else s < 0
 
     def __le__(self, other):
-        return self._diff_sign(other) <= 0
+        s = self._diff_sign(other)
+        return NotImplemented if s is None else s <= 0
 
     def __gt__(self, other):
-        return self._diff_sign(other) > 0
+        s = self._diff_sign(other)
+        return NotImplemented if s is None else s > 0
 
     def __ge__(self, other):
-        return self._diff_sign(other) >= 0
+        s = self._diff_sign(other)
+        return NotImplemented if s is None else s >= 0
 
     def __hash__(self):
         if self.is_rational():
@@ -256,3 +265,14 @@ IRRATIONAL_SHIFT = QuadExtScalar(Fraction(-1, 2), Fraction(1, 2))
 def is_exact_scalar(x) -> bool:
     """True for scalars that live in the exact regime (int, Fraction, QuadExtScalar)."""
     return isinstance(x, (int, Fraction, QuadExtScalar)) and not isinstance(x, bool)
+
+
+def __getattr__(name):
+    # QuadExtArray and exact_or_objects load with their module on first use,
+    # and are module attributes from then on
+    if name in ("QuadExtArray", "exact_or_objects"):
+        from ._columns import QuadExtArray, exact_or_objects
+
+        globals().update(QuadExtArray=QuadExtArray, exact_or_objects=exact_or_objects)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

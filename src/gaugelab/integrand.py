@@ -30,8 +30,8 @@ def _floating(x) -> bool:
 
 def midpoint(u, v):
     """Midpoint of [u, v], elementwise: halved in float64 when either side
-    is a float or a float array, exactly for exact scalars and `object`
-    arrays of them.  The float sum is halved in place, as 0.5 * (u + v)."""
+    is a float or a float array, exactly for exact scalars and exact
+    columns.  The float sum is halved in place, as 0.5 * (u + v)."""
     if _floating(u) or _floating(v):
         m = u + v
         m *= 0.5
@@ -44,7 +44,7 @@ class IntervalFactor:
     """A function of cells alone, g(I) = apply(u, v) for I = ]u, v].
 
     `apply` is elementwise: divisions hand it whole arrays of left and right
-    endpoints, float64 or `object` arrays of exact scalars.
+    endpoints, float64 arrays or QuadExtArray exact columns.
     """
 
     name: str
@@ -82,7 +82,7 @@ class BurkillIntegrand:
 
     A cell is its tag s and its endpoints u < v.  The rule is elementwise:
     a division evaluates it once on its whole arrays, float64 ones or
-    `object` arrays of exact scalars.  It is already fully assembled: a
+    QuadExtArray exact columns.  It is already fully assembled: a
     rule built by make_integrand under a convention other than "tag"
     ignores the tag by construction.
     """

@@ -194,17 +194,22 @@ def _bridge(values: np.ndarray, keys: np.ndarray, t: float) -> np.ndarray:
 
 
 def _brownian_values(master_seed: int, path_ids, t: float, level: int) -> np.ndarray:
-    """Values of Brownian paths path_ids on the level grid, one row each.
+    """Values of Brownian paths path_ids on the level grid, one row each."""
+    ids = np.asarray(path_ids, dtype=np.uint64)[:, None]
+    return _bridged(_substream_keys(master_seed, ids, np.arange(level + 1, dtype=np.uint64)), t)
+
+
+def _bridged(keys: np.ndarray, t: float) -> np.ndarray:
+    """Values on the level grid of the paths whose substream keys per level
+    are the rows of keys, shape (M, level + 1, 2).
 
     Level 0 followed by bridge steps, each level from its own substream, so
     paths at different levels share every common grid value bitwise.
     """
-    ids = np.asarray(path_ids, dtype=np.uint64)[:, None]
-    keys = _substream_keys(master_seed, ids, np.arange(level + 1, dtype=np.uint64))
     z = _standard_normals(keys[:, 0], 1)
     values = np.zeros((len(keys), 2))
     values[:, 1] = math.sqrt(t) * z[:, 0]
-    for new_level in range(1, level + 1):
+    for new_level in range(1, keys.shape[1]):
         values = _bridge(values, keys[:, new_level], t)
     return values
 
@@ -286,7 +291,9 @@ def brownian_path(master_seed: int, path_id: int, t: float, level: int) -> Dyadi
     bitwise.
     """
     _check_path(t, level, path_id)
-    values = _brownian_values(master_seed, [path_id], t, level)[0]
+    # one path: its id word is hashed on Python ints, the levels as an array
+    levels = np.arange(level + 1, dtype=np.uint64)
+    values = _bridged(_substream_keys(master_seed, operator.index(path_id), levels)[None], t)[0]
     return DyadicPath(
         t=t, level=level, values=values, master_seed=master_seed, path_id=path_id
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 
 from gaugelab.cells import Gauge, Interval, TaggedDivision
 from gaugelab.errors import ArgumentError, GaugeContractError, ScalarRegimeError, _plain
-from gaugelab.exact import IRRATIONAL_SHIFT
+from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray
 
 
 class TestInterval:
@@ -79,7 +79,7 @@ class TestTaggedDivision:
         d = TaggedDivision([Fraction(1, 4), half], [0, half, 1])
         assert d.exact
         for column in (d.tags, d.edges, d.lefts, d.rights):
-            assert isinstance(column, np.ndarray) and column.dtype == object
+            assert isinstance(column, QuadExtArray)
         assert d.tags.tolist() == [Fraction(1, 4), half]
         assert type(d.lefts[0]) is int
 

@@ -50,6 +50,26 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integrate", "--method", "rs", "--catalog", "step_dD", "--rule", "tag"],
+            ["brownian", "qv", "--t", "1", "--level", "4", "--paths", "10", "--seed", "1",
+             "--f", "x"],
+            ["series", "--n", "0"],
+        ],
+        ids=["integrate", "brownian", "series"],
+    )
+    def test_refused_flag_prints_the_commands_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_cli([*argv, "--no-timestamp"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        command = argv[0]
+        assert out == ""
+        assert err.startswith(f"usage: gaugelab {command} [-h]")
+        assert err.splitlines()[-1].startswith(f"gaugelab {command}: error:")
+
 
 def test_inconclusive_short_schedule(capsys, tmp_path):
     # sin(s) over one octave of refinement cannot satisfy the three-level
@@ -217,7 +237,7 @@ class TestIntegrateDispatch:
         assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines()[-1].startswith("gaugelab: error:")
+        assert err.splitlines()[-1].startswith("gaugelab integrate: error:")
         assert "--rule" in err.splitlines()[-1]
 
     def test_expr_rule_defaults_to_tag(self, capsys):
@@ -570,7 +590,7 @@ class TestBrownian:
         assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines()[-1] == f"gaugelab: error: {sub} does not read {refused}"
+        assert err.splitlines()[-1] == f"gaugelab brownian: error: {sub} does not read {refused}"
 
     def test_ito_residual_square(self, capsys):
         rc = main(

@@ -31,7 +31,7 @@ from gaugelab.errors import (
     GaugeTooDemandingError,
     IntegrandEvalError,
 )
-from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtScalar
+from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray, QuadExtScalar
 from gaugelab.expr import as_function, parse
 from gaugelab.integrators import ANCHORED_STRATEGIES
 from gaugelab.integrand import (
@@ -380,10 +380,10 @@ class TestRiemannSum:
 # The exact regime against per-cell references
 # --------------------------------------------------------------------------
 #
-# Exact divisions are object arrays that every layer handles with the same
-# array body as float ones.  The references below are the per-cell loops
-# the exact regime used to run, kept here to pin the array bodies to them
-# in value and in Python type.
+# Exact divisions are QuadExtArray columns that every layer handles with
+# the same array body as float ones.  The references below are the per-cell
+# loops the exact regime used to run, kept here to pin the array bodies to
+# them in value and in Python type.
 
 HALF = Fraction(1, 2)
 
@@ -458,7 +458,7 @@ class TestExactRegimeMatchesPerCell:
     )
     def test_riemann_sum_value_and_type(self, bounds, n, build, rule):
         division = build(*bounds, n, rule)
-        assert division.exact and division.tags.dtype == object
+        assert division.exact and isinstance(division.tags, QuadExtArray)
         for h in _EXACT_INTEGRANDS:
             got, want = riemann_sum(h, division), _per_cell_sum(h, division)
             assert got == want and type(got) is type(want)

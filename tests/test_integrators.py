@@ -29,6 +29,7 @@ from gaugelab.errors import (
     NonFiniteSumError,
     OracleInconsistencyError,
 )
+from gaugelab.exact import QuadExtArray
 from gaugelab.integrand import (
     BurkillIntegrand,
     increments_of,
@@ -442,16 +443,16 @@ def test_float_callables_see_whole_arrays_a_fixed_number_of_times(level):
     assert set(width.args) == {np.ndarray}
     assert len(width.args) <= 3 * (level + 1)
 
-    # exact divisions hand the same callables object arrays, as often
+    # exact divisions hand the same callables exact columns, as often
     point = _Recorder(lambda s: s)
     h = make_integrand(point, length_factor(), "tag")
     riemann_sum(h, make_shifted_uniform(Fraction(0), Fraction(1), 2 ** level))
-    assert point.args == [np.ndarray]
+    assert point.args == [QuadExtArray]
 
     width = _Recorder(lambda s: Fraction(1, 2 ** level))
     division = delta_fine_division(Fraction(0), Fraction(1), Gauge.from_function(width))
     assert division.exact and division.n == 2 ** level
-    assert set(width.args) == {np.ndarray}
+    assert set(width.args) == {QuadExtArray}
     assert len(width.args) <= 3 * (level + 1)
 
     source = _Recorder(np.sin)

@@ -177,6 +177,20 @@ class TestGenerator:
                 keys = stochastic._substream_keys(seed, int(pid), int(lv))
                 assert np.array_equal(keys, expected[i, j])
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_path_keys_hash_the_id_on_ints(self, seed):
+        # brownian_path hashes its path-id word on Python ints and its
+        # levels as an array: bitwise the keys of the block body
+        levels = np.arange(stochastic.MAX_LEVEL + 1, dtype=np.uint64)
+        for pid in (0, 1, 1000, 2**32 - 1):
+            one = stochastic._substream_keys(seed, pid, levels)
+            block = stochastic._substream_keys(seed, np.array([[pid]], dtype=np.uint64), levels)
+            assert one.dtype == np.uint64 and one.tobytes() == block[0].tobytes()
+        for level in (0, 3, 9):
+            path = brownian_path(seed, 5, 1.0, level)
+            block = stochastic._brownian_values(seed, [5], 1.0, level)
+            assert path.values.tobytes() == block[0].tobytes()
+
     def test_raw_top_bits_are_generator_integers(self):
         # Lemire's bounded method on the power-of-two range 2^53 never
         # rejects and keeps the top 53 bits of each raw output
