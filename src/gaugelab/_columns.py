@@ -88,9 +88,16 @@ def _from_values(values) -> "QuadExtArray":
     kind = kinds[0] if len(set(kinds)) == 1 else np.array(kinds, np.int8).reshape(arr.shape)
     m = max(map(abs, A + B), default=0)
     dtype = np.int64 if _fits(m) else object
-    A = np.array(A, dtype=dtype).reshape(arr.shape)
-    B = np.array(B, dtype=dtype).reshape(arr.shape) if any(B) else None
-    return _column(A, B, d, kind, m)
+    return _column(_owned(A, dtype, arr.shape), _owned(B, dtype, arr.shape) if any(B) else None,
+                   d, kind, m)
+
+
+def _owned(values: list, dtype, shape) -> np.ndarray:
+    """A flat list as an array of this shape that owns its data: a reshaped
+    array is a view, and `__setitem__` reads a column on a view as a view."""
+    out = np.empty(shape, dtype)
+    out.reshape(-1)[:] = values
+    return out
 
 
 def _operand(x):
@@ -181,20 +188,11 @@ def _signed(P, Q, m: int):
     return np.where(P * P - 2 * Q * Q >= 0, P, Q)
 
 
-def _compare_operand(x):
-    """An operand for comparisons, where a finite binary float is the
-    rational it stands for; None sends the comparison to the slow path."""
-    if isinstance(x, (float, np.floating)):
-        if not math.isfinite(x):
-            return None
-        c, f = float(x).as_integer_ratio()
-        return c, None, f, _FRACTION, abs(c)
-    return _operand(x)
-
-
 def _compare(x, y, ufunc):
-    """ufunc(x, y) for a comparison ufunc, as a bool array."""
-    ox, oy = _compare_operand(x), _compare_operand(y)
+    """ufunc(x, y) for a comparison ufunc, as a bool array.  An operand that
+    is not exact (a binary float, say) takes the slow path, where each
+    element compares with it exactly, as its scalar does."""
+    ox, oy = _operand(x), _operand(y)
     if ox is None or oy is None:
         return ufunc(*_objects((x, y)))
     A1, B1, d1, _, m1 = ox
@@ -446,29 +444,42 @@ class QuadExtArray:
         return _column(A, None if self.B is None else self.B[key], self.d, kind, self.m)
 
     def __setitem__(self, key, value):
+        """Assignment, as in numpy, while the values fit the column as it is:
+        its denominator, its bound on the numerators, their int64 or
+        Python-int arrays, its sqrt(2) part and its kind codes; views of the
+        column then see the write.  Values that need more give the column
+        new arrays, so its views keep the values they had; in a view, whose
+        new arrays would not reach the column it views, they raise
+        ValueError."""
         if not self.A.flags.writeable:
             raise ValueError("assignment destination is read-only")
-        a, b, d, kind, m = _operand(value)
-        f1, f2, common = _common(self.d, d)
-        m = max(self.m * f1, m * f2)
-        wide = not _fits(m, f1, f2)
-        if wide:
-            a, b = _wide(a), _wide(b)
-        if f1 != 1 or (wide and self.A.dtype != object):
-            # a new denominator: rescale into new arrays, so views keep theirs
-            self.A = _wide(self.A) * f1 if wide else self.A * f1
-            if self.B is not None:
-                self.B = _wide(self.B) * f1 if wide else self.B * f1
-        if b is not None and self.B is None:
-            self.B = np.zeros_like(self.A)
-        self.A[key] = a * f2
+        x = QuadExtArray(value)
+        f1, f2, d = _common(self.d, x.d)
+        m = max(self.m * f1, x.m * f2)
+        wide = self.A.dtype == object or not _fits(m, f1, f2)
+        kind = self.kind
+        if isinstance(kind, int) and not (isinstance(x.kind, int) and x.kind == kind):
+            kind = np.full(self.shape, kind, np.int8)
+        if (f1 != 1 or m > self.m or wide != (self.A.dtype == object)
+                or (x.B is not None and self.B is None) or kind is not self.kind):
+            if self.A.base is not None:
+                raise ValueError(
+                    "a view cannot take values that need a new denominator, bound, "
+                    "sqrt(2) part or kind codes; assign to the column it views"
+                )
+            B = np.zeros_like(self.A) if self.B is None and x.B is not None else self.B
+            self.A, self.B = (None if X is None else (_wide(X) if wide else X) * f1
+                              for X in (self.A, B))
+            if kind is self.kind and not isinstance(kind, int):
+                kind = kind.copy()
+            self.kind = kind
+        A, B = (_wide(X) if wide else X for X in (x.A, x.B))
+        self.A[key] = A * f2
         if self.B is not None:
-            self.B[key] = 0 if b is None else b * f2
-        if isinstance(self.kind, int) and not (isinstance(kind, int) and kind == self.kind):
-            self.kind = np.full(self.A.shape, self.kind, np.int8)
+            self.B[key] = 0 if B is None else B * f2
         if not isinstance(self.kind, int):
-            self.kind[key] = kind
-        self.d, self.m = common, m
+            self.kind[key] = x.kind
+        self.d, self.m = d, m
 
     # -- predicates and sums --------------------------------------------------
 

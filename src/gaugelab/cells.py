@@ -8,18 +8,21 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import exact
-from .errors import ArgumentError, GaugeContractError, _plain
+from .errors import ArgumentError, GaugeContractError, ScalarRegimeError, _plain
 
 
 def _column(values):
-    """A column of the values' regime: a float64 array for binary floats, a
-    QuadExtArray for exact scalars (int, Fraction, QuadExtScalar), which
-    refuses a binary float among them with ScalarRegimeError."""
+    """A division column of the values' regime: a float64 array for binary
+    floats, a QuadExtArray for exact scalars (int, Fraction, QuadExtScalar).
+    A binary float among exact scalars is refused: it would pass as exact."""
     if isinstance(values, (list, tuple, float, np.floating)):
         values = np.asarray(values)
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         return values.astype(float, copy=False)
-    return exact.QuadExtArray(values)
+    try:
+        return exact.QuadExtArray(values)
+    except ScalarRegimeError:
+        raise ScalarRegimeError("division mixes binary floats with exact scalars") from None
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,7 @@ class TaggedDivision:
 
     def __init__(self, tags, edges):
         # A column of binary floats makes the division float, lists included;
-        # int, Fraction and QuadExtScalar columns stay exact.  A binary float
-        # among exact scalars is refused: it would pass as exact.
+        # int, Fraction and QuadExtScalar columns stay exact.
         columns = [_column(c) for c in (tags, edges)]
         self.exact = not any(isinstance(c, np.ndarray) for c in columns)
         if not self.exact:
@@ -156,17 +158,24 @@ class Gauge:
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Widths at an array of points in one call; a scalar width
-        broadcasts.  Exact points keep exact widths in a QuadExtArray, float
-        points get float64 ones.  A width that is not positive raises
+        broadcasts.  Exact points (a QuadExtArray or an `object` array) keep
+        exact widths in a QuadExtArray, any other points are read as float64
+        and get float64 widths.  A width that is not positive raises
         GaugeContractError naming the first such point."""
-        points = _column(points)
+        if getattr(points, "dtype", None) != object:
+            points = np.asarray(points)
+        exact_points = points.dtype == object
+        if exact_points:
+            points = exact.exact_or_objects(points)
+        else:
+            points = points.astype(float, copy=False)
         if self._constant is not None:
             return np.full_like(points, self._constant)
         widths = self._fn(points)
-        if isinstance(points, np.ndarray):
-            widths = np.asarray(widths, dtype=float)
-        else:
+        if exact_points:
             widths = exact.exact_or_objects(widths)
+        else:
+            widths = np.asarray(widths, dtype=float)
         if widths.shape != points.shape:
             widths = np.broadcast_to(widths, points.shape)
         bad = ~(widths > 0)

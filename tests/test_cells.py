@@ -71,7 +71,7 @@ class TestTaggedDivision:
     def test_binary_float_among_exact_scalars_rejected(self, tags, edges):
         # an object column would otherwise pass as exact: with the inf edge,
         # a Riemann sum of s * length came out as inf
-        with pytest.raises(ScalarRegimeError):
+        with pytest.raises(ScalarRegimeError, match="division mixes binary floats with exact scalars"):
             TaggedDivision(tags, edges)
 
     def test_exact_regime_uses_object_arrays(self):
@@ -227,6 +227,13 @@ class TestGauge:
             Gauge.from_function(lambda s: s - Fraction(1, 2)).evaluate_batch(points)
         assert err.value.point == Fraction(1, 4)
         assert err.value.value == Fraction(-1, 4)
+
+    def test_int_points_are_read_as_floats(self):
+        # only QuadExtArray and object points are exact
+        g = Gauge.from_function(np.sqrt)
+        for points in (np.array([1, 4]), [1, 4]):
+            widths = g.evaluate_batch(points)
+            assert widths.dtype == float and widths.tolist() == [1.0, 2.0]
 
     def test_nonpositive_constant_rejected(self):
         with pytest.raises((ArgumentError, GaugeContractError)):

@@ -177,12 +177,32 @@ class TestColumn:
     def test_writes_through_views_and_rescaling(self):
         x = QuadExtArray([Fraction(1, 2), Fraction(3, 2)])
         view = x[1:]
-        x[1] = Fraction(5, 2)  # same denominator: written in place
-        assert view.tolist() == [Fraction(5, 2)]
-        x[0] = Fraction(1, 3)  # a new common denominator
-        assert x.tolist() == [Fraction(1, 3), Fraction(5, 2)]
+        x[1] = Fraction(-1, 2)  # fits the column: written in place
+        assert view.tolist() == [Fraction(-1, 2)]
+        view[0] = Fraction(3, 2)  # and through the view
+        assert x.tolist() == [Fraction(1, 2), Fraction(3, 2)]
+        x[0] = Fraction(1, 3)  # a new common denominator: new arrays
+        assert x.tolist() == [Fraction(1, 3), Fraction(3, 2)]
+        assert view.tolist() == [Fraction(3, 2)]
         x[0] = SQRT2
         assert [type(v) for v in x] == [QuadExtScalar, Fraction]
+
+    @pytest.mark.parametrize("value", [SQRT2, 1, Fraction(1, 3), Fraction(7, 2), 2**70],
+                             ids=["sqrt2-part", "int-kind", "denominator", "bound", "python-int"])
+    def test_views_refuse_values_that_do_not_fit(self, value):
+        x = QuadExtArray([Fraction(1, 2), Fraction(3, 2)])
+        with pytest.raises(ValueError, match="view"):
+            x[1:][0] = value
+        _same(x.tolist(), [Fraction(1, 2), Fraction(3, 2)])
+
+    def test_a_write_past_the_bound_leaves_views_their_values(self):
+        # a view's bound on its numerators stays true: int64 products of the
+        # view cannot overflow on a value written into the column it views
+        x = QuadExtArray([1, 2])
+        view = x[1:]
+        x[1] = 2**40
+        assert (view * view).tolist() == [4]
+        assert (x * x).tolist() == [1, 2**80]
 
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                        lambda x: pickle.loads(pickle.dumps(x))])
