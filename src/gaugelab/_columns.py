@@ -1,6 +1,9 @@
 """Exact columns: `QuadExtArray`, an array of values (a + b*sqrt(2)) / d held
 as two integer numerator arrays over one common denominator.
 
+Operators are numpy ufunc calls, which `__array_ufunc__` alone sends to the
+integer bodies; other numpy calls read the `object` array of the elements.
+
 Reached as `gaugelab.exact.QuadExtArray`; `gaugelab.exact` imports this
 module on first use, so runs that never build an exact division do not
 compile it.
@@ -10,8 +13,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .errors import ScalarRegimeError
 from .exact import QuadExtScalar, _make
@@ -142,13 +147,23 @@ def _kind_max(k1, k2):
     return np.maximum(k1, k2)
 
 
+def _array(X, shape, dtype) -> np.ndarray:
+    """X as an array of this shape that owns its data: numpy gives a 0-d
+    result as a scalar, and a scalar operand leaves a Python int, or an
+    array smaller than the result, where a whole array belongs."""
+    if isinstance(X, np.ndarray) and X.shape == shape:
+        return X
+    return np.broadcast_to(np.asarray(X, dtype), shape).copy()
+
+
 def _finish(A, B, d, kind, m) -> "QuadExtArray":
-    """A column from arithmetic results: a B that a scalar operand left as a
-    Python int, or left smaller than A, is made A's shape."""
-    if B is not None and (not isinstance(B, np.ndarray) or B.shape != A.shape):
-        B = np.broadcast_to(np.asarray(B, A.dtype), A.shape).copy()
-    if not isinstance(kind, int) and kind.shape != A.shape:
-        kind = np.broadcast_to(kind, A.shape).copy()
+    """The column of arithmetic results, each part an array of A's shape."""
+    if not isinstance(A, np.ndarray):
+        A = _array(A, (), np.int64 if _fits(m) else object)
+    if B is not None:
+        B = _array(B, A.shape, A.dtype)
+    if not isinstance(kind, int):
+        kind = _array(kind, A.shape, np.int8)
     return _column(A, B, d, kind, m)
 
 
@@ -180,7 +195,8 @@ def _mul(x, y) -> "QuadExtArray":
 def _signed(P, Q, m: int):
     """An integer array with the sign of each P + Q*sqrt(2), for integers
     bounded by m.  When P^2 - 2 Q^2 >= 0, |P| >= |Q|*sqrt(2) and the sum has
-    P's sign; otherwise Q's (P^2 == 2 Q^2 only where P == Q == 0)."""
+    P's sign; otherwise Q's.  sqrt(2) is irrational, so P^2 == 2 Q^2 only
+    where P == Q == 0: the sign is 0 exactly there."""
     if Q is None:
         return P
     if not _fits(3 * m * m):
@@ -189,68 +205,32 @@ def _signed(P, Q, m: int):
 
 
 def _compare(x, y, ufunc):
-    """ufunc(x, y) for a comparison ufunc, as a bool array.  An operand that
-    is not exact (a binary float, say) takes the slow path, where each
-    element compares with it exactly, as its scalar does."""
-    ox, oy = _operand(x), _operand(y)
-    if ox is None or oy is None:
-        return ufunc(*_objects((x, y)))
-    A1, B1, d1, _, m1 = ox
-    A2, B2, d2, _, m2 = oy
+    """ufunc(x, y) for a comparison ufunc, as a bool array: ufunc(x - y, 0)
+    on the sign of x - y."""
+    A1, B1, d1, _, m1 = x
+    A2, B2, d2, _, m2 = y
     f1, f2, _ = _common(d1, d2)
     m = m1 * f1 + m2 * f2
     if not _fits(m, f1, f2):
         A1, B1, A2, B2 = map(_wide, (A1, B1, A2, B2))
     if B1 is None and B2 is None:
         return ufunc(A1 * f1 if f1 != 1 else A1, A2 * f2 if f2 != 1 else A2)
-    P, Q = _lin(A1, f1, A2, f2, -1), _lin(B1, f1, B2, f2, -1)
-    if ufunc is np.equal or ufunc is np.not_equal:
-        # sqrt(2) is irrational: P + Q*sqrt(2) == 0 exactly when P == Q == 0
-        zero = (P == 0) & (Q == 0)
-        return zero if ufunc is np.equal else ~zero
-    return ufunc(_signed(P, Q, m), 0)
+    return ufunc(_signed(_lin(A1, f1, A2, f2, -1), _lin(B1, f1, B2, f2, -1), m), 0)
 
 
-def _arith(fn, ufunc):
-    """The body of a binary arithmetic ufunc.  An operand that is not exact
-    (a binary float, say) takes the slow path, where each element meets it
-    as its scalar would: an int or a Fraction gives a float, a
-    QuadExtScalar raises ScalarRegimeError."""
-
-    def body(x, y):
-        ox, oy = _operand(x), _operand(y)
-        if ox is None or oy is None:
-            return ufunc(*_objects((x, y)))
-        return fn(ox, oy)
-
-    return body
-
-
-_add_body = _arith(lambda x, y: _add(x, y, 1), np.add)
-_sub_body = _arith(lambda x, y: _add(x, y, -1), np.subtract)
-_mul_body = _arith(_mul, np.multiply)
-
-
-def _neg(x: "QuadExtArray") -> "QuadExtArray":
-    kind = x.kind if isinstance(x.kind, int) else x.kind.copy()
-    return _column(-x.A, None if x.B is None else -x.B, x.d, kind, x.m)
-
-
-def _abs(x: "QuadExtArray") -> "QuadExtArray":
-    kind = x.kind if isinstance(x.kind, int) else x.kind.copy()
-    if x.B is None:
-        return _column(np.abs(x.A), None, x.d, kind, x.m)
-    s = np.sign(_signed(x.A, x.B, x.m))
-    return _column(x.A * s, x.B * s, x.d, kind, x.m)
+def _abs(x) -> "QuadExtArray":
+    """x times the sign of each element."""
+    A, B, _, _, m = x
+    return _mul(x, (np.sign(_signed(A, B, m)), None, 1, _INT, 1))
 
 
 _UFUNCS = {
-    np.add: _add_body,
-    np.subtract: _sub_body,
-    np.multiply: _mul_body,
-    np.negative: _neg,
+    np.add: lambda x, y: _add(x, y, 1),
+    np.subtract: lambda x, y: _add(x, y, -1),
+    np.multiply: _mul,
+    np.negative: lambda x: _mul(x, (-1, None, 1, _INT, 1)),
     np.absolute: _abs,
-    **{u: (lambda u: lambda x, y: _compare(x, y, u))(u)
+    **{u: partial(_compare, ufunc=u)
        for u in (np.less, np.less_equal, np.greater, np.greater_equal,
                  np.equal, np.not_equal)},
 }
@@ -268,76 +248,7 @@ def _objects(args):
     return args
 
 
-def _concatenate(arrays, axis=0, **kwargs):
-    if axis != 0 or kwargs:
-        return NotImplemented
-    columns = [QuadExtArray(a) for a in arrays]
-    d = math.lcm(*(c.d for c in columns))
-    scales = [d // c.d for c in columns]
-    m = max(c.m * f for c, f in zip(columns, scales))
-    wide = not _fits(m, *scales)
-    B = None
-    if any(c.B is not None for c in columns):
-        B = [np.zeros_like(c.A) if c.B is None else c.B for c in columns]
-        B = np.concatenate([(_wide(X) if wide else X) * f for X, f in zip(B, scales)])
-    A = np.concatenate([(_wide(c.A) if wide else c.A) * f for c, f in zip(columns, scales)])
-    kind = np.concatenate([np.broadcast_to(np.int8(c.kind), c.shape) for c in columns])
-    return _column(A, B, d, kind, m)
-
-
-def _where(condition, x=None, y=None):
-    if x is None or y is None:
-        return NotImplemented
-    ox, oy = _operand(x), _operand(y)
-    if ox is None or oy is None:
-        return NotImplemented
-    A1, B1, d1, k1, m1 = ox
-    A2, B2, d2, k2, m2 = oy
-    f1, f2, d = _common(d1, d2)
-    m = max(m1 * f1, m2 * f2)
-    if not _fits(m, f1, f2):
-        A1, B1, A2, B2 = map(_wide, (A1, B1, A2, B2))
-    A = np.where(condition, A1 * f1, A2 * f2)
-    B = None
-    if B1 is not None or B2 is not None:
-        B = np.where(condition, 0 if B1 is None else B1 * f1, 0 if B2 is None else B2 * f2)
-    if isinstance(k1, int) and isinstance(k2, int) and k1 == k2:
-        kind = k1
-    else:
-        kind = np.where(condition, k1, k2).astype(np.int8)
-    return _finish(A, B, d, kind, m)
-
-
-def _empty_like(prototype, dtype=None, order="K", subok=True, shape=None):
-    if dtype is not None and np.dtype(dtype) != object:
-        return NotImplemented
-    shape = prototype.shape if shape is None else shape
-    return _column(np.zeros(shape, np.int64), None, 1, _INT, 0)
-
-
-def _full_like(a, fill_value, dtype=None, order="K", subok=True, shape=None):
-    if (dtype is not None and np.dtype(dtype) != object) or _operand(fill_value) is None:
-        return NotImplemented
-    return np.broadcast_to(QuadExtArray(fill_value), a.shape if shape is None else shape)
-
-
-def _broadcast_to(array, shape, subok=False):
-    x = QuadExtArray(array)
-    kind = x.kind if isinstance(x.kind, int) else np.broadcast_to(x.kind, shape)
-    B = None if x.B is None else np.broadcast_to(x.B, shape)
-    return _column(np.broadcast_to(x.A, shape), B, x.d, kind, x.m)
-
-
-_FUNCTIONS = {
-    np.concatenate: _concatenate,
-    np.where: _where,
-    np.empty_like: _empty_like,
-    np.full_like: _full_like,
-    np.broadcast_to: _broadcast_to,
-}
-
-
-class QuadExtArray:
+class QuadExtArray(NDArrayOperatorsMixin):
     """An array of exact values (a + b*sqrt(2)) / d: the numerators as two
     integer arrays `A` and `B` over one common denominator `d`, a Python int.
 
@@ -349,22 +260,22 @@ class QuadExtArray:
     `tolist()` and `sum()` give an int, a Fraction or a QuadExtScalar
     exactly as the same arithmetic on scalars would.
 
-    `+ - *`, unary `-`, `abs` and the comparisons run on the integers; the
-    comparisons give bool arrays.  Indexing follows numpy: an integer gives
-    the element, slices give views, boolean and fancy indexing give copies.
-    np.concatenate, np.where, np.empty_like, np.full_like and
-    np.broadcast_to have column bodies too.  Any other numpy call, division
-    and powers included, sees the `object` array of the elements that
-    `np.asarray` gives and returns what numpy returns for it: correct, only
-    slow.  A column never holds a binary float: building one from floats
-    raises ScalarRegimeError, and a float operand takes the slow path.
+    The operators are numpy ufunc calls (NDArrayOperatorsMixin), and
+    `__array_ufunc__` runs np.add, np.subtract, np.multiply, np.negative,
+    np.absolute and the six comparisons on the integers when every operand
+    is exact: a column, an exact scalar, or an int, bool or `object` array
+    of them.  Any other numpy call, division, powers, np.concatenate and
+    np.where included, and any call with a binary float operand, sees the
+    `object` array of the elements and returns what numpy returns for it:
+    correct, only slow.  Indexing follows numpy: an integer gives the
+    element, slices give views, boolean and fancy indexing give copies.  A
+    column never holds a binary float: building one raises ScalarRegimeError.
     """
 
     __slots__ = ("A", "B", "d", "kind", "m")
 
     # np.asarray(column) is an array of Python scalars
     dtype = np.dtype(object)
-    __hash__ = None
 
     def __new__(cls, values):
         """The column of exact values: a column itself, an exact scalar (a
@@ -468,7 +379,9 @@ class QuadExtArray:
                     "sqrt(2) part or kind codes; assign to the column it views"
                 )
             B = np.zeros_like(self.A) if self.B is None and x.B is not None else self.B
-            self.A, self.B = (None if X is None else (_wide(X) if wide else X) * f1
+            dtype = object if wide else np.int64
+            self.A, self.B = (None if X is None else _array((_wide(X) if wide else X) * f1,
+                                                            self.shape, dtype)
                               for X in (self.A, B))
             if kind is self.kind and not isinstance(kind, int):
                 kind = kind.copy()
@@ -492,9 +405,12 @@ class QuadExtArray:
     def __bool__(self) -> bool:
         return bool(np.asarray(self))
 
-    def sum(self):
+    def sum(self, axis=None, out=None, **kwargs):
         """The exact sum of the elements, of the type Python's sum() of
-        them from 0 gives."""
+        them from 0 gives; np.sum(column) calls this.  Given any argument,
+        numpy sums the `object` array."""
+        if axis is not None or out is not None or kwargs:
+            return np.sum(np.asarray(self), axis=axis, out=out, **kwargs)
         kind = self.kind if isinstance(self.kind, int) else int(self.kind.max(initial=_INT))
 
         def total(X):
@@ -509,73 +425,16 @@ class QuadExtArray:
     # -- arithmetic and comparison -------------------------------------------
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method == "__call__" and not kwargs:
-            body = _UFUNCS.get(ufunc)
-            if body is not None:
-                out = body(*inputs)
-                if out is not NotImplemented:
-                    return out
-        return getattr(ufunc, method)(*_objects(inputs), **_objects(kwargs))
-
-    def __array_function__(self, func, types, args, kwargs):
-        body = _FUNCTIONS.get(func)
+        # `x += y` passes out=(x,) and rebinds x to what this returns: a new
+        # column, as the sum may need a new denominator or wider integers
+        if kwargs and kwargs.get("out", (None,))[0] is self:
+            del kwargs["out"]
+        body = _UFUNCS.get(ufunc) if method == "__call__" and not kwargs else None
         if body is not None:
-            out = body(*args, **kwargs)
-            if out is not NotImplemented:
-                return out
-        return func(*_objects(args), **_objects(kwargs))
-
-    def __add__(self, other):
-        return _add_body(self, other)
-
-    def __radd__(self, other):
-        return _add_body(other, self)
-
-    def __sub__(self, other):
-        return _sub_body(self, other)
-
-    def __rsub__(self, other):
-        return _sub_body(other, self)
-
-    def __mul__(self, other):
-        return _mul_body(self, other)
-
-    def __rmul__(self, other):
-        return _mul_body(other, self)
-
-    # the slow path: each element divides or powers as its scalar does
-    def __truediv__(self, other):
-        return np.true_divide(*_objects((self, other)))
-
-    def __rtruediv__(self, other):
-        return np.true_divide(*_objects((other, self)))
-
-    def __pow__(self, other):
-        return np.power(*_objects((self, other)))
-
-    def __neg__(self):
-        return _neg(self)
-
-    def __abs__(self):
-        return _abs(self)
-
-    def __lt__(self, other):
-        return _compare(self, other, np.less)
-
-    def __le__(self, other):
-        return _compare(self, other, np.less_equal)
-
-    def __gt__(self, other):
-        return _compare(self, other, np.greater)
-
-    def __ge__(self, other):
-        return _compare(self, other, np.greater_equal)
-
-    def __eq__(self, other):
-        return _compare(self, other, np.equal)
-
-    def __ne__(self, other):
-        return _compare(self, other, np.not_equal)
+            operands = tuple(map(_operand, inputs))
+            if None not in operands:
+                return body(*operands)
+        return getattr(ufunc, method)(*_objects(inputs), **_objects(kwargs))
 
     def __repr__(self) -> str:
         return f"QuadExtArray({self.tolist()!r})"

@@ -170,14 +170,15 @@ class Gauge:
         else:
             points = points.astype(float, copy=False)
         if self._constant is not None:
-            return np.full_like(points, self._constant)
+            widths = np.full(points.shape, self._constant, points.dtype)
+            return exact.exact_or_objects(widths) if exact_points else widths
         widths = self._fn(points)
+        if np.shape(widths) != points.shape:
+            widths = np.broadcast_to(widths, points.shape)
         if exact_points:
             widths = exact.exact_or_objects(widths)
         else:
             widths = np.asarray(widths, dtype=float)
-        if widths.shape != points.shape:
-            widths = np.broadcast_to(widths, points.shape)
         bad = ~(widths > 0)
         if np.any(bad):
             i = int(np.argmax(bad))

@@ -206,7 +206,7 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
         accepted.append((index[fine] << (depth_cap - depth), us[fine],
                          *(tags[fine] for tags in columns)))
         if fine.all():
-            return _assemble(accepted, ends[1:])
+            return _assemble(accepted, ends[1:], column)
         # the next depth's open cells must not outgrow a MAX_LEVEL grid
         if depth == depth_cap or 2 * np.count_nonzero(undecided) > 2 ** MAX_LEVEL:
             i = int(np.argmax(undecided))
@@ -219,21 +219,26 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
 
 
 def _interleave(x, y):
-    """x[0], y[0], x[1], y[1], ...: the halves of split cells in order."""
-    out = np.empty_like(x, shape=2 * len(x))
+    """x[0], y[0], x[1], y[1], ..., for len(y) == len(x) or len(x) - 1: the
+    halves of split cells in order, as an array of x's type.  An exact
+    column is filled through a copy of its own first element."""
+    n = len(x) + len(y)
+    out = np.empty(n, x.dtype) if isinstance(x, np.ndarray) else x[np.zeros(n, np.intp)]
     out[0::2], out[1::2] = x, y
     return out
 
 
-def _assemble(accepted, end):
+def _assemble(accepted, end, column):
     """(read-only edges, tag columns) of the accepted cells, put in order by
-    position key and closed by `end`, the right end as a 1-element array."""
-    keys, lefts, *columns = (np.concatenate(column) for column in zip(*accepted))
+    position key and closed by `end`, the right end as a 1-element array.
+    np.concatenate gives exact cells as `object` arrays, which `column`
+    makes columns again."""
+    keys, lefts, *columns = (np.concatenate(parts) for parts in zip(*accepted))
     # each depth adds an ascending run of keys, which a stable sort merges
     order = np.argsort(keys, kind="stable")
-    edges = np.concatenate((lefts[order], end))
+    edges = column(np.concatenate((lefts[order], end)))
     edges.setflags(write=False)
-    return edges, [tags[order] for tags in columns]
+    return edges, [column(tags[order]) for tags in columns]
 
 
 def _check_orders(a, b, orders):
@@ -297,9 +302,7 @@ def delta_fine_division(
 def bisect_refine(division: TaggedDivision, tag_rule: str = "left") -> TaggedDivision:
     """Split every cell at its midpoint; tags reassigned by tag_rule."""
     edges = division.edges
-    refined = np.empty_like(edges, shape=2 * len(edges) - 1)
-    refined[0::2], refined[1::2] = edges, midpoint(edges[:-1], edges[1:])
-    return _grid_division(refined, tag_rule)
+    return _grid_division(_interleave(edges, midpoint(edges[:-1], edges[1:])), tag_rule)
 
 
 def riemann_sum(h: BurkillIntegrand, division: TaggedDivision) -> object:

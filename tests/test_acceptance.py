@@ -126,7 +126,7 @@ def test_criterion_03_tag_sensitivity():
 def test_criterion_04_increment_identity(paths_1000_L14):
     with criterion(4, "increment-identity"):
         for path in paths_1000_L14:
-            scale = max(1.0, max(abs(v) for v in path.values))
+            scale = max(1.0, np.abs(path.values).max())
             endpoint = path.values[-1] - path.values[0]
             for level in range(0, 15):
                 got = increment_integral(path, level)

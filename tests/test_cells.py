@@ -223,6 +223,13 @@ class TestGauge:
         assert widths.dtype == object and widths.tolist() == [Fraction(1, 3)] * 2
         widths = Gauge.from_function(lambda s: s / 2).evaluate_batch(points)
         assert widths.dtype == object and widths.tolist() == [Fraction(1, 8), Fraction(3, 8)]
+        # a scalar width broadcasts to an exact column
+        for width, gauge in ((Fraction(1, 3), Gauge.constant(Fraction(1, 3))),
+                             (Fraction(1, 8), Gauge.from_function(lambda s: Fraction(1, 8)))):
+            for exact_points in (points, QuadExtArray(points)):
+                widths = gauge.evaluate_batch(exact_points)
+                assert isinstance(widths, QuadExtArray) and widths.tolist() == [width] * 2
+                assert all(type(w) is Fraction for w in widths)
         with pytest.raises(GaugeContractError) as err:
             Gauge.from_function(lambda s: s - Fraction(1, 2)).evaluate_batch(points)
         assert err.value.point == Fraction(1, 4)

@@ -63,6 +63,23 @@ def _same(got, want):
             assert g._abd == w._abd  # one stored form per value
 
 
+_int64s = (hst.builds(operator.mul, hst.integers(-1, 1),
+                      hst.sampled_from([1, 7, 2**31 + 11, 2**62 - 5, 2**63 - 1]))
+           | hst.integers(-50, 50))
+
+
+def _other_operands(data, n):
+    """Operands that are not columns, each with the scalars its n elements
+    meet: int64 and bool arrays, as `step_at`'s `s > c` makes them (a bool
+    array reads as its 0/1 ints), a Fraction and a QuadExtScalar."""
+    ints = data.draw(hst.lists(_int64s, min_size=n, max_size=n))
+    bools = data.draw(hst.lists(hst.booleans(), min_size=n, max_size=n))
+    f = Fraction(data.draw(_numerators), data.draw(_denominators))
+    q = QuadExtScalar(f, Fraction(data.draw(_numerators), data.draw(_denominators)))
+    return [(np.array(ints, dtype=np.int64), ints), (np.array(bools), [int(b) for b in bools]),
+            (f, [f] * n), (q, [q] * n)]
+
+
 _pairs = hst.integers(1, 6).flatmap(
     lambda n: hst.tuples(hst.lists(_scalars(), min_size=n, max_size=n),
                          hst.lists(_scalars(), min_size=n, max_size=n)))
@@ -70,24 +87,36 @@ _pairs = hst.integers(1, 6).flatmap(
 
 class TestDifferential:
     @settings(max_examples=300, deadline=None)
-    @given(pair=_pairs)
-    def test_elementwise_arithmetic(self, pair):
+    @given(pair=_pairs, data=hst.data())
+    def test_elementwise_arithmetic(self, pair, data):
         xs, ys = pair
         x, y = QuadExtArray(xs), QuadExtArray(ys)
         _same(x.tolist(), xs)
+        others = _other_operands(data, len(xs))
         for op in _ARITHMETIC:
             _same(op(x, y).tolist(), [op(a, b) for a, b in zip(xs, ys)])
             # a scalar operand on either side broadcasts
             _same(op(x, ys[0]).tolist(), [op(a, ys[0]) for a in xs])
             _same(op(ys[0], x).tolist(), [op(ys[0], a) for a in xs])
+            for other, scalars in others:
+                for got, want in ((op(x, other), map(op, xs, scalars)),
+                                  (op(other, x), map(op, scalars, xs))):
+                    assert isinstance(got, QuadExtArray)
+                    _same(got.tolist(), list(want))
         _same((-x).tolist(), [-a for a in xs])
         _same(abs(x).tolist(), [abs(a) for a in xs])
+        # x += y rebinds x to the column x + y, as Python does without +=
+        z = x
+        z += y
+        assert isinstance(z, QuadExtArray) and z is not x
+        _same(x.tolist(), xs)
 
     @settings(max_examples=300, deadline=None)
-    @given(pair=_pairs)
-    def test_elementwise_comparisons(self, pair):
+    @given(pair=_pairs, data=hst.data())
+    def test_elementwise_comparisons(self, pair, data):
         xs, ys = pair
         x, y = QuadExtArray(xs), QuadExtArray(ys)
+        others = _other_operands(data, len(xs))
         for op in _COMPARISONS:
             got = op(x, y)
             assert isinstance(got, np.ndarray) and got.dtype == bool
@@ -96,6 +125,9 @@ class TestDifferential:
             assert op(ys[0], x).tolist() == [op(ys[0], a) for a in xs]
             # the sign test: comparisons against 0
             assert op(x, 0).tolist() == [op(a, 0) for a in xs]
+            for other, scalars in others:
+                _same(op(x, other).tolist(), list(map(op, xs, scalars)))
+                _same(op(other, x).tolist(), list(map(op, scalars, xs)))
         assert x.is_rational().tolist() == [
             not isinstance(a, QuadExtScalar) or a.is_rational() for a in xs
         ]
@@ -166,6 +198,20 @@ class TestColumn:
         assert objects.dtype == object and objects.tolist() == x.tolist()
         assert np.maximum(x, Fraction(1, 3)).tolist() == [Fraction(1, 3), Fraction(1, 3), 3]
         assert np.array_equal(x, objects)
+        # np.sum calls the column's exact sum, or sums the object array
+        assert np.sum(x) == x.sum() and type(np.sum(x)) is QuadExtScalar
+        assert np.sum(x, keepdims=True).tolist() == [x.sum()]
+
+    def test_results_own_their_arrays(self):
+        # numpy gives a 0-d result as a scalar; a column keeps it an array
+        for x in (QuadExtArray(Fraction(1, 2)) + 1, -QuadExtArray(SQRT2),
+                  abs(QuadExtArray(-3)) * Fraction(1, 3)):
+            x[()] = 3
+            assert type(x[()]) is int and x[()] == 3
+        x = QuadExtArray([Fraction(1, 2), SQRT2])
+        for y in (-x, abs(x), x + 0, x * 1):
+            y[0], y[1] = Fraction(1, 3), 7
+        _same(x.tolist(), [Fraction(1, 2), SQRT2])
 
     def test_read_only_columns_refuse_writes(self):
         x = QuadExtArray([1, 2, 3])

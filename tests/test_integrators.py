@@ -38,6 +38,7 @@ from gaugelab.integrand import (
     make_integrand,
 )
 from gaugelab.integrators import (
+    RS_STRATEGIES,
     ConvergenceController,
     DistributionFunction,
     ExtremaOracle,
@@ -603,11 +604,9 @@ def test_blocked_levels_match_whole_levels(monkeypatch, h, a, b):
         assert got == sums and [type(x) for x in got] == [type(x) for x in sums]
     # and the whole-level sums of the public builders
     n = default.trace[-1].n
-    whole = {
-        "rational-left": riemann_sum(h, make_uniform(a, b, n, "left")),
-        "rational-mid": riemann_sum(h, make_uniform(a, b, n, "midpoint")),
-        "shifted-left": riemann_sum(h, make_shifted_uniform(a, b, n, "left")),
-    }
+    builders = {"uniform": make_uniform, "shifted-uniform": make_shifted_uniform}
+    whole = {strat.name: riemann_sum(h, builders[strat.family](a, b, n, strat.tag_rule))
+             for strat in RS_STRATEGIES}
     assert repr({k: v[-1] for k, v in blocked.strategy_sums.items()}) == repr(whole)
 
 
