@@ -17,7 +17,8 @@ import functools
 import math
 import operator
 import threading
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -28,7 +29,8 @@ from .errors import ArgumentError, EstimatorFailure, NonFiniteEstimateError
 BIT_GENERATOR = "philox"
 GAUSSIAN_TRANSFORM = "inverse-cdf"
 
-_TWO53 = 1 << 53
+# Half a unit of the 53-bit uniform grid k * 2^-53: the shift to (k + 1/2)/2^53.
+_HALF_ULP = 2.0**-54
 
 # mc_run refuses more paths than this before any allocation or draw: its
 # output array is then 128 MiB, and every path id has to fit the single
@@ -131,16 +133,17 @@ def _substream_keys(master_seed: int, path_id, level) -> np.ndarray:
 _local = threading.local()
 
 
-def _bit_generator() -> np.random.Philox:
-    """This thread's Philox.  _standard_normals replaces its whole state
-    before every row, so nothing carries over between uses; reusing it
-    saves the constructor (about 25 us, mostly seeding from OS entropy),
-    which one refine_path call would otherwise pay on top of its draw."""
+def _generator() -> np.random.Generator:
+    """This thread's Generator over this thread's Philox.  _standard_normals
+    replaces the Philox's whole state before every row, so nothing carries
+    over between uses; reusing them saves the constructors (about 25 us,
+    mostly seeding from OS entropy), which one refine_path call would
+    otherwise pay on top of its draw."""
     try:
-        return _local.philox
+        return _local.generator
     except AttributeError:
-        _local.philox = np.random.Philox()
-        return _local.philox
+        _local.generator = np.random.Generator(np.random.Philox())
+        return _local.generator
 
 
 def _standard_normals(keys: np.ndarray, count: int) -> np.ndarray:
@@ -149,26 +152,32 @@ def _standard_normals(keys: np.ndarray, count: int) -> np.ndarray:
     Uniforms are (k + 1/2)/2^53 over the top 53 bits k of each raw 64-bit
     output (what Generator.integers(0, 2^53) returns on the same stream),
     pushed through the inverse normal CDF; both choices are part of the
-    reproducibility contract and are echoed in run metadata.
+    reproducibility contract and are echoed in run metadata.  Each row is
+    filled in place by Generator.random, which gives k * 2^-53, and one pass
+    adds 2^-54: scaling by a power of two commutes with rounding, so
+    k * 2^-53 + 2^-54 is (k + 1/2)/2^53 bitwise for every k < 2^53.
     """
     from scipy.special import ndtri
 
-    bit_gen = _bit_generator()
+    gen = _generator()
+    bit_gen = gen.bit_generator
+    # Python ints and lists: the state setter reads them elementwise, and
+    # does so faster than from numpy arrays and scalars
+    inner = {"counter": [0, 0, 0, 0], "key": None}
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": inner,
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,  # empty: the first output is counter 0's first word
         "has_uint32": 0,
         "uinteger": 0,
     }
     u = np.empty((len(keys), count))
-    for row, key in zip(u, keys):
-        state["state"]["key"] = key
+    for row, key in zip(u, keys.tolist()):
+        inner["key"] = key
         bit_gen.state = state
-        row[:] = bit_gen.random_raw(count) >> 11
-    u += 0.5
-    u /= _TWO53
+        gen.random(out=row)
+    u += _HALF_ULP
     return ndtri(u, out=u)
 
 
@@ -177,19 +186,22 @@ def _bridge(values: np.ndarray, keys: np.ndarray, t: float) -> np.ndarray:
 
     Midpoints follow the bridge rule x(m) = (x(u)+x(v))/2 + xi with
     Var xi = (v-u)/4, where row i draws its n normals from the Philox stream
-    keys[i] and scales them in place.  The midpoints are computed in the
-    output array, so a step holds no temporaries, with the rounding of the
-    one-expression form 0.5*(x(u)+x(v)) + (0.5*sqrt(h))*z.
+    keys[i] and scales them in place.  The means 0.5*(x(u)+x(v)) are formed
+    in out[:, :n], which the interleave below overwrites, and added into the
+    scaled draws, so every pass but the interleave runs on contiguous rows
+    and a step holds no temporaries; addition commutes, so the midpoints
+    have the rounding of the one-expression form 0.5*(x(u)+x(v)) +
+    (0.5*sqrt(h))*z.
     """
     n = values.shape[1] - 1
     xi = _standard_normals(keys, n)
-    out = np.empty((values.shape[0], 2 * n + 1))
-    out[:, 0::2] = values
-    mid = out[:, 1::2]
-    np.add(values[:, :-1], values[:, 1:], out=mid)
-    mid *= 0.5
     xi *= 0.5 * math.sqrt(t / n)
-    mid += xi
+    out = np.empty((values.shape[0], 2 * n + 1))
+    mean = np.add(values[:, :-1], values[:, 1:], out=out[:, :n])
+    mean *= 0.5
+    xi += mean
+    out[:, 0::2] = values
+    out[:, 1::2] = xi
     return out
 
 
@@ -256,19 +268,24 @@ class DyadicPath:
     def n(self) -> int:
         return 1 << self.level
 
+    def _check_level(self, level: int) -> None:
+        """Refuse a grid level this path does not hold, before any allocation."""
+        if not 0 <= level <= self.level:
+            raise ArgumentError(
+                f"level {level} not available on a level-{self.level} path; "
+                "call refine_path first"
+            )
+
     def times(self, level: Optional[int] = None) -> np.ndarray:
         level = self.level if level is None else level
+        self._check_level(level)
         h = self.t / (1 << level)
         return np.arange((1 << level) + 1, dtype=np.float64) * h
 
     def values_at_level(self, level: int) -> np.ndarray:
         """Restriction to the coarser grid; bitwise equal to what the path
         held before any refinement past that level."""
-        if not 0 <= level <= self.level:
-            raise ArgumentError(
-                f"level {level} not available on a level-{self.level} path; "
-                "call refine_path first"
-            )
+        self._check_level(level)
         stride = 1 << (self.level - level)
         return self.values[::stride]
 
@@ -437,13 +454,21 @@ def ito_formula_residual_time(
 
 @dataclass(frozen=True)
 class PathStatistics:
-    """Sample statistics of one estimator over M independent paths."""
+    """Sample statistics of one estimator over M independent paths.
+
+    generation_s and estimator_s split mc_run's wall time between drawing
+    the path blocks and running the estimator on their paths (a refine_path
+    inside the estimator counts as estimator time); they are neither shown
+    nor compared.
+    """
 
     count: int
     mean: float
     variance: float
     stderr: float
     values: Optional[Tuple[float, ...]] = None
+    generation_s: float = field(default=0.0, repr=False, compare=False)
+    estimator_s: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self):
         if self.count < 1:
@@ -476,13 +501,17 @@ def mc_run(
     _check_path(t, level)
     block = max(1, _BLOCK_VALUES >> level)
     out = np.empty(paths)
+    generation_s = estimator_s = 0.0
     # Overflow and invalid values are checked below, so numpy's warnings
     # are silenced; expression faults still raise (evaluate sets its own).
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, paths + 1, block):
             ids = range(first, min(first + block, paths + 1))
+            start = time.perf_counter()
             # a fresh array per block: handed-out rows are never overwritten
             rows = _brownian_values(master_seed, ids, t, level)
+            drawn = time.perf_counter()
+            generation_s += drawn - start
             for path_id, values in zip(ids, rows):
                 path = DyadicPath(
                     t=t, level=level, values=values, master_seed=master_seed, path_id=path_id
@@ -491,6 +520,7 @@ def mc_run(
                     out[path_id - 1] = float(estimator(path))
                 except Exception as exc:
                     raise EstimatorFailure(path_id, exc) from exc
+            estimator_s += time.perf_counter() - drawn
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             raise NonFiniteEstimateError("estimator value", out[bad[0]], int(bad[0]) + 1)
@@ -506,4 +536,6 @@ def mc_run(
         variance=variance,
         stderr=math.sqrt(variance / paths),
         values=tuple(float(v) for v in out) if keep_values else None,
+        generation_s=generation_s,
+        estimator_s=estimator_s,
     )

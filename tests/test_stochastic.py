@@ -1,6 +1,7 @@
 """Dyadic paths, pathwise sums, and Monte Carlo plumbing."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ class TestDyadicPath:
         p = path_from_function(lambda s: s, 1.0, 3)
         with pytest.raises(ArgumentError):
             p.values_at_level(4)
+
+    @pytest.mark.parametrize("level", [-1, 30])
+    def test_times_only_at_held_levels(self, level):
+        # refused before any allocation: level 30 would be an 8 GiB grid
+        p = path_from_function(lambda s: s, 1.0, 4)
+        for grid in (p.times, p.values_at_level):
+            with pytest.raises(ArgumentError, match=f"level {level} not available"):
+                grid(level)
 
     def test_refine_deterministic_path_keeps_coarse_values(self):
         p = path_from_function(np.sin, 1.0, 5)
@@ -200,6 +209,20 @@ class TestGenerator:
             0, 2**53, size=4096, dtype=np.uint64
         )
         assert np.array_equal(raw, ints)
+        # Generator.random on a re-keyed Philox is k * 2^-53 over those k
+        philox = np.random.Philox()
+        state = philox.state
+        state["state"]["key"] = key
+        philox.state = state
+        uniforms = np.random.Generator(philox).random(4096)
+        assert uniforms.tobytes() == (raw.astype(np.float64) * 2.0**-53).tobytes()
+        # and k * 2^-53 + 2^-54 == (k + 1/2)/2^53 bitwise for every k < 2^53,
+        # also from 2^52 on, where k + 1/2 itself rounds
+        edges = [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1]
+        sample = np.random.default_rng(0).integers(0, 2**53, size=100_000, dtype=np.uint64)
+        k = np.concatenate([np.array(edges, dtype=np.uint64), sample]).astype(np.float64)
+        shifted = k * 2.0**-53 + stochastic._HALF_ULP
+        assert shifted.tobytes() == ((k + 0.5) / 2**53).tobytes()
 
     def test_standard_normals_rows_follow_their_keys(self):
         keys = stochastic._substream_keys(5, np.arange(1, 4, dtype=np.uint64), 2)
@@ -218,6 +241,19 @@ class TestGenerator:
         assert path.values.tobytes() == _reference_path(seed, pid, 1.5, level).tobytes()
         refined = refine_path(path)
         assert refined.values.tobytes() == _reference_path(seed, pid, 1.5, level + 1).tobytes()
+
+    def test_deep_blocks_match_reference_route(self):
+        # a full level-12 mc_run block of 16 rows and one level-16 path,
+        # each row against the one-substream-at-a-time route
+        seed = 2**64 - 3
+        ids = [0, 1, 2, 3, 15, 16, 17, 255, 1000, 65_535, 65_536,
+               2**31 - 1, 2**31, 3_000_000_000, 2**32 - 2, 2**32 - 1]
+        block = stochastic._brownian_values(seed, ids, 1.5, 12)
+        assert block.shape == (16, 4097)
+        for pid, row in zip(ids, block):
+            assert row.tobytes() == _reference_path(seed, pid, 1.5, 12).tobytes()
+        path = brownian_path(seed, 2**32 - 1, 1.5, 16)
+        assert path.values.tobytes() == _reference_path(seed, 2**32 - 1, 1.5, 16).tobytes()
 
     @pytest.mark.parametrize(
         "estimator",
@@ -527,6 +563,18 @@ class TestMcRun:
         )
         assert stats.values is not None and len(stats.values) == 10
         assert stats.mean == pytest.approx(float(np.mean(stats.values)))
+
+    def test_time_split_is_neither_shown_nor_compared(self):
+        def slow(p):
+            time.sleep(0.002)
+            return increment_integral(p, 4)
+
+        stats = mc_run(slow, 3, 1.0, 4, 6)
+        assert stats.estimator_s >= 0.006 and stats.generation_s > 0
+        assert "_s=" not in repr(stats)
+        again = mc_run(lambda p: increment_integral(p, 4), 3, 1.0, 4, 6)
+        assert again == stats and hash(again) == hash(stats)
+        assert again.estimator_s < stats.estimator_s
 
     def test_estimator_may_refine_its_path(self):
         stats = mc_run(
