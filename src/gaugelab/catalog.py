@@ -491,24 +491,3 @@ def run_entry(entry: CatalogEntry, ctrl: Optional[ConvergenceController] = None)
         selectors=entry.selectors,
     )
 
-
-# --------------------------------------------------------------------------
-# Conditionally convergent series
-# --------------------------------------------------------------------------
-
-
-def conditional_series(n: int) -> Tuple[float, float, float]:
-    """Partial sums of sum (-1)^j / j and of its positive and negative parts.
-
-    The full series drifts toward -ln 2 while the split parts grow like
-    half-harmonic sums: cancelation, not absolute smallness, is what
-    converges here.
-    """
-    if n < 1:
-        raise ArgumentError(f"need n >= 1, got {n}")
-    j = np.arange(1, n + 1, dtype=np.float64)
-    terms = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0) / j
-    partial = float(np.sum(terms))
-    positive = float(np.sum(terms[terms > 0]))
-    negative = float(np.sum(terms[terms < 0]))
-    return partial, positive, negative

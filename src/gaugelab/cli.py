@@ -20,24 +20,10 @@ import shlex
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from . import __version__
-from .catalog import (
-    conditional_series,
-    dirichlet_factor,
-    entry_names,
-    get_entry,
-    run_entry,
-    run_method,
-    standard_entries,
-)
-from .divisions import MAX_LEVEL, RefinementSchedule
-from .errors import GaugeLabError
-from .expr import ExprError, as_function, evaluate, free_vars, parse
-from .expr import derive_extrema_oracle
-from .integrand import length_factor, make_integrand
-from .integrators import ConvergenceController
+from .errors import MAX_LEVEL, GaugeLabError
 from .results import EXIT_CODES, IntegralResult
 from .stochastic import (
     BIT_GENERATOR,
@@ -49,6 +35,11 @@ from .stochastic import (
     refine_path,
     stratonovich_sum,
 )
+
+# Each command imports the modules it runs inside its own functions, so a
+# cold `gaugelab series` or `gaugelab brownian` never loads the integrators.
+if TYPE_CHECKING:
+    from .integrators import ConvergenceController
 
 MAX_LEVEL_ENV = "GAUGELAB_MAX_LEVEL"
 
@@ -65,7 +56,16 @@ _RULES = {"tag": "tag", "left": "left-endpoint", "mid": "midpoint"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, but usage failures exit 1 as documented (not argparse's 2)."""
+    """argparse, but usage failures exit 1 as documented (not argparse's 2),
+    and `--catalog` lists the entries only when help is shown."""
+
+    def format_help(self):
+        for action in self._actions:
+            if action.dest == "catalog" and action.help is None:
+                from .catalog import entry_names
+
+                action.help = f"named entry: {', '.join(entry_names())}"
+        return super().format_help()
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -161,6 +161,8 @@ def _parse_levels(text: str) -> Tuple[int, int]:
 
 
 def _controller_from_args(args, base: ConvergenceController) -> ConvergenceController:
+    from .divisions import RefinementSchedule
+
     changes = {}
     if args.tol is not None:
         changes["tolerance_abs"] = args.tol
@@ -170,6 +172,8 @@ def _controller_from_args(args, base: ConvergenceController) -> ConvergenceContr
 
 
 def _integrate_catalog(args, parser: _Parser) -> IntegralResult:
+    from .catalog import get_entry, run_entry
+
     entry = get_entry(args.catalog)
     if entry.kind == "path":
         parser.error(
@@ -186,6 +190,12 @@ def _integrate_catalog(args, parser: _Parser) -> IntegralResult:
 
 
 def _integrate_expr(args, parser: _Parser) -> IntegralResult:
+    from .catalog import dirichlet_factor, get_entry, run_method, standard_entries
+    from .divisions import RefinementSchedule
+    from .expr import as_function, derive_extrema_oracle, evaluate, free_vars, parse
+    from .integrand import length_factor, make_integrand
+    from .integrators import ConvergenceController
+
     if args.method == "lebesgue":
         names = ", ".join(e.name for e in standard_entries() if e.kind == "distribution")
         parser.error(
@@ -318,6 +328,8 @@ _POINT_SUMS = {
 
 
 def _point_function(args, parser: _Parser, flag: str) -> Callable:
+    from .expr import as_function, free_vars, parse
+
     text = vars(args)[flag]
     if not text:
         parser.error(f"{args.sub} requires --{flag} <expression in x>")
@@ -380,6 +392,8 @@ def cmd_brownian(args, parser: _Parser, config: RunConfig) -> int:
 def cmd_series(args, parser: _Parser, config: RunConfig) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
+    from .series import conditional_series
+
     partial, positive, negative = conditional_series(args.n)
     print(
         f"{args.n},{_fmt_num(partial)},{_fmt_num(positive)},{_fmt_num(negative)}"
@@ -437,7 +451,7 @@ def build_parser() -> _Parser:
     pi.add_argument("--rule", choices=tuple(_RULES),
                     help="where an --expr point factor is sampled under rs or "
                     "gauge (default: the tag)")
-    pi.add_argument("--catalog", help=f"named entry: {', '.join(entry_names())}")
+    pi.add_argument("--catalog")  # help filled in by _Parser.format_help
     pi.add_argument("--a", help="left endpoint (default 0)")
     pi.add_argument("--b", help="right endpoint (default 1)")
     pi.add_argument("--tol", type=float, help="stability tolerance override")
@@ -485,6 +499,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def main_cli(argv: Optional[Sequence[str]] = None) -> None:
     try:
         raise SystemExit(main(argv))
-    except (ExprError, GaugeLabError) as exc:
+    except GaugeLabError as exc:
         print(f"gaugelab: error: {exc}", file=sys.stderr)
         raise SystemExit(1) from exc

@@ -10,7 +10,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .cells import Gauge, TaggedDivision
-from .errors import ArgumentError, GaugeTooDemandingError, IntegrandEvalError
+from .errors import MAX_LEVEL, ArgumentError, GaugeTooDemandingError, IntegrandEvalError
 from . import exact
 from .exact import IRRATIONAL_SHIFT, is_exact_scalar
 from .integrand import BurkillIntegrand, midpoint
@@ -22,12 +22,6 @@ TAG_RULES = ("left", "midpoint", "right")
 DEFAULT_DEPTH_CAP = 60
 
 FLOAT_SHIFT = (math.sqrt(2.0) - 1.0) / 2.0
-
-
-# Deepest refinement level anywhere in the package, for schedules here and
-# for dyadic paths in `stochastic`: a level-26 float division is three
-# 512 MiB arrays, and refine_path briefly holds about three 512 MiB paths.
-MAX_LEVEL = 26
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ from typing import Optional
 
 import numpy as np
 
+# Deepest refinement level anywhere in the package, for schedules in
+# `divisions`, dyadic paths in `stochastic` and the CLI's limits: a level-26
+# float division is three 512 MiB arrays, and refine_path briefly holds
+# about three 512 MiB paths.  It lives here, beside the errors that enforce
+# it, so that modules reading it need not import `divisions`.
+MAX_LEVEL = 26
+
 
 def _plain(value: object) -> object:
     """A numpy scalar as the Python number it holds, so messages read

@@ -19,12 +19,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, FrozenSet, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import GaugeLabError, MonotonicityError
-from .integrators import ExtremaOracle
+
+if TYPE_CHECKING:
+    from .integrators import ExtremaOracle
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 VARIABLES = ("s", "x")
@@ -568,4 +570,6 @@ def derive_extrema_oracle(e: Expression, a: float, b: float, var: str = "s") -> 
             f"cannot certify monotonicity of {to_source(e)} on [{a}, {b}]; "
             "upper/lower sums need a certified oracle, use rs or gauge instead"
         )
+    from .integrators import ExtremaOracle
+
     return ExtremaOracle.monotone(as_function(e, var))

@@ -120,8 +120,12 @@ class ConvergenceController:
     schedule: RefinementSchedule = field(default_factory=RefinementSchedule)
 
     def __post_init__(self):
-        if not self.tolerance_abs > 0 or not self.tolerance_rel >= 0:
-            raise ArgumentError("tolerances must be positive")
+        # an infinite tolerance would call any two finite sums stable
+        if not 0 < self.tolerance_abs < math.inf or not 0 <= self.tolerance_rel < math.inf:
+            raise ArgumentError(
+                "tolerances must be finite, with tolerance_abs > 0 and tolerance_rel >= 0; "
+                f"got tolerance_abs={self.tolerance_abs!r}, tolerance_rel={self.tolerance_rel!r}"
+            )
         if self.window < 2:
             raise ArgumentError("stability window must be >= 2")
         if not self.growth_factor > 1:

@@ -23,8 +23,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .divisions import MAX_LEVEL
-from .errors import ArgumentError, EstimatorFailure, NonFiniteEstimateError
+from .errors import MAX_LEVEL, ArgumentError, EstimatorFailure, NonFiniteEstimateError
 
 BIT_GENERATOR = "philox"
 GAUSSIAN_TRANSFORM = "inverse-cdf"

@@ -9,7 +9,6 @@ import pytest
 
 from gaugelab.catalog import (
     Expected,
-    conditional_series,
     dirichlet_point,
     entry_names,
     get_entry,
@@ -22,6 +21,8 @@ from gaugelab.errors import ArgumentError, ScalarRegimeError
 from gaugelab.exact import IRRATIONAL_SHIFT, SQRT2
 from gaugelab.integrators import ConvergenceController
 from gaugelab.results import Status
+from gaugelab import series
+from gaugelab.series import conditional_series
 
 
 class TestDirichletPoint:
@@ -200,3 +201,10 @@ class TestConditionalSeries:
     def test_invalid_n(self):
         with pytest.raises(ArgumentError):
             conditional_series(0)
+
+    def test_n_bounded_by_the_deepest_grid_before_any_array(self, monkeypatch):
+        monkeypatch.setattr(series, "MAX_LEVEL", 3)
+        assert conditional_series(8)[0] == pytest.approx(-533 / 840)
+        monkeypatch.setattr(series, "np", None)  # any array made now fails
+        with pytest.raises(ArgumentError, match="MAX_LEVEL"):
+            conditional_series(9)

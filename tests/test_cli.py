@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 import gaugelab
-from gaugelab import stochastic
-from gaugelab.catalog import get_entry, run_entry, standard_entries
+from gaugelab import series, stochastic
+from gaugelab.catalog import entry_names, get_entry, run_entry, standard_entries
 from gaugelab.cells import TaggedDivision
 from gaugelab.cli import EXIT_CODES, main, main_cli
 from gaugelab.divisions import RefinementSchedule
@@ -294,6 +294,16 @@ class TestIntegrateDispatch:
             ]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_refused(self, tol, capsys):
+        # --tol inf once printed `status: converged` for s on [0, 1] at 0.484
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["integrate", "--method", "rs", "--expr", "s", "--tol", tol])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert "status:" not in out
+        assert err.startswith("gaugelab: error:") and "finite" in err
 
     def test_env_var_extends_schedule(self, capsys, monkeypatch):
         monkeypatch.setenv("GAUGELAB_MAX_LEVEL", "6")
@@ -700,6 +710,16 @@ class TestSeries:
         header = lines[2].split(",")
         assert "partial" in header
 
+    def test_n_above_the_deepest_grid_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(series, "MAX_LEVEL", 3)
+        assert main(["series", "--n", "8", "--no-timestamp"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["series", "--n", "9", "--no-timestamp"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("gaugelab: error:") and "MAX_LEVEL" in err
+
 
 class TestHelp:
     def test_grammar_in_integrate_help(self, capsys):
@@ -707,6 +727,14 @@ class TestHelp:
             main(["integrate", "--help"])
         assert exc.value.code == 0
         assert "expr" in capsys.readouterr().out
+
+    def test_integrate_help_lists_every_catalog_entry(self, capsys):
+        # the list is filled in only when help is formatted
+        with pytest.raises(SystemExit):
+            main(["integrate", "--help"])
+        out = capsys.readouterr().out
+        block = out.split("\n  --catalog CATALOG", 1)[1].split("\n  --a A", 1)[0]
+        assert " ".join(block.split()) == f"named entry: {', '.join(entry_names())}"
 
     def test_main_cli_wraps_library_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -79,6 +79,13 @@ class TestConvergenceController:
         with pytest.raises(ArgumentError):
             ConvergenceController(growth_factor=0.9)
 
+    @pytest.mark.parametrize("field", ["tolerance_abs", "tolerance_rel"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_tolerances_must_be_finite(self, field, value):
+        # an infinite tolerance calls any two finite sums stable: a wrong converged
+        with pytest.raises(ArgumentError, match="finite"):
+            ConvergenceController(**{field: value})
+
     def test_tolerance_scales_with_magnitude(self):
         ctrl = ConvergenceController(tolerance_abs=1e-9, tolerance_rel=1e-9)
         assert ctrl.tolerance_at(0.0) == 1e-9

@@ -1,8 +1,14 @@
-"""The package's export list, and the names the benchmark tracer wraps."""
+"""The package's export list, its import graph, and the names the
+benchmark tracer wraps."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import gaugelab
 from gaugelab import catalog, cli, stochastic
@@ -10,6 +16,7 @@ from gaugelab.divisions import make_uniform
 from gaugelab.integrand import BurkillIntegrand
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SRC = str(Path(gaugelab.__file__).resolve().parents[1])
 
 
 def test_star_import_binds_every_export():
@@ -17,6 +24,50 @@ def test_star_import_binds_every_export():
     exec("from gaugelab import *", namespace)
     assert len(set(gaugelab.__all__)) == len(gaugelab.__all__)
     assert set(gaugelab.__all__) <= namespace.keys()
+
+
+def test_every_export_is_the_object_its_submodule_defines():
+    for name in gaugelab.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"gaugelab.{gaugelab._EXPORTS[name]}")
+        assert getattr(gaugelab, name) is vars(module)[name], name
+
+
+def test_dir_covers_the_exports_and_unknown_names_raise():
+    assert set(gaugelab.__all__) <= set(dir(gaugelab))
+    assert not hasattr(gaugelab, "no_such_name")
+
+
+def _submodules_loaded_by(code):
+    """The gaugelab submodules a fresh interpreter holds after running `code`."""
+    probe = f"{code}\nimport sys; print(*sys.modules, file=sys.stderr)"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    err = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stderr
+    return {m.split(".", 1)[1] for m in err.split() if m.startswith("gaugelab.")}
+
+
+def test_import_loads_no_submodule():
+    assert _submodules_loaded_by("import gaugelab") == set()
+
+
+# A cold CLI run compiles every module it imports, so an eager top-level
+# import of the integrators would slow every command.
+@pytest.mark.parametrize(
+    "argv, never",
+    [
+        (["series", "--n", "3"],
+         {"catalog", "integrators", "divisions", "cells", "exact", "_columns", "expr"}),
+        (["brownian", "qv", "--t", "1", "--level", "2", "--paths", "2", "--seed", "1"],
+         {"catalog", "integrators", "divisions", "cells", "exact"}),
+    ],
+    ids=["series", "brownian"],
+)
+def test_commands_load_only_their_own_modules(argv, never):
+    loaded = _submodules_loaded_by(f"from gaugelab import cli; cli.main({argv!r})")
+    assert "cli" in loaded and loaded.isdisjoint(never), sorted(loaded)
 
 
 def test_every_name_the_tracer_wraps_resolves():
