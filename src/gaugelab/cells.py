@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -9,6 +10,8 @@ import numpy as np
 
 from . import exact
 from .errors import ArgumentError, GaugeContractError, ScalarRegimeError, _plain
+
+_FLOAT64 = np.dtype(float)
 
 
 def _column(values):
@@ -44,6 +47,17 @@ class Interval:
         return f"]{self.u}, {self.v}]"
 
 
+def _is_end_view(t: np.ndarray, e: np.ndarray) -> bool:
+    """Whether the float64 column t is e[:-1] or e[1:] (t has len(e) - 1
+    elements): the same buffer, offset and strides.  Constant time; a column
+    that is no view is turned down by its base alone."""
+    base = t.base
+    if base is None or (base is not e and base is not e.base) or t.strides != e.strides:
+        return False
+    offset = t.__array_interface__["data"][0] - e.__array_interface__["data"][0]
+    return offset == 0 or offset == e.strides[0]
+
+
 class TaggedDivision:
     """A tagged division of ]a, b]: cut points a = x0 < x1 < ... < xn = b
     and one tag per cell.
@@ -57,18 +71,31 @@ class TaggedDivision:
     runs one array body for both.  Adjacent cells may share a tag: a point
     can legally tag the cell on each side of itself, and sums are
     indifferent to the duplication.
+
+    The constructor proves the division valid: n >= 1 tags and n + 1 edges,
+    edges strictly increasing between two finite ends (so every value is
+    finite), and each tag inside the closure of its cell.  A float tag
+    column that is `lefts` or `rights` itself (the same buffer, offset and
+    strides, as a grid's left and right tags are) is inside its cells once
+    the edges increase, so those two comparisons are skipped for it.
+    Plain float64 arrays are stored as given, other columns are converted.
     """
 
     __slots__ = ("tags", "edges", "exact")
 
     def __init__(self, tags, edges):
-        # A column of binary floats makes the division float, lists included;
-        # int, Fraction and QuadExtScalar columns stay exact.
-        columns = [_column(c) for c in (tags, edges)]
-        self.exact = not any(isinstance(c, np.ndarray) for c in columns)
-        if not self.exact:
-            columns = [np.asarray(c, dtype=float) for c in columns]
-        self.tags, self.edges = columns
+        if (type(tags) is np.ndarray and type(edges) is np.ndarray
+                and tags.dtype == _FLOAT64 and edges.dtype == _FLOAT64):
+            # what the grid and bisection builders hand over: stored as is
+            self.exact = False
+        else:
+            # A column of binary floats makes the division float, lists
+            # included; int, Fraction and QuadExtScalar columns stay exact.
+            tags, edges = _column(tags), _column(edges)
+            self.exact = not (isinstance(tags, np.ndarray) or isinstance(edges, np.ndarray))
+            if not self.exact:
+                tags, edges = np.asarray(tags, dtype=float), np.asarray(edges, dtype=float)
+        self.tags, self.edges = tags, edges
         self._validate()
 
     @property
@@ -96,10 +123,15 @@ class TaggedDivision:
         lo, hi = e[:-1], e[1:]
         # Strictly increasing edges between finite ends are finite, and so
         # are tags inside their cells: three passes prove the division valid.
-        # Only a refused division is scanned for non-finite values, so that
-        # it is refused for the first reason in the order below.
-        ends_finite = self.exact or bool(np.isfinite(e[0]) and np.isfinite(e[-1]))
-        if ends_finite and np.all(lo < hi) and np.all(lo <= t) and np.all(t <= hi):
+        # A tag column that is lo or hi itself needs only the edge pass: its
+        # two tag comparisons then read lo <= lo and lo <= hi (or lo <= hi
+        # and hi <= hi), true wherever lo < hi is, NaN excluded.  Only a
+        # refused division is scanned for non-finite values, so that it is
+        # refused for the first reason in the order below.
+        ends_finite = self.exact or (math.isfinite(e[0]) and math.isfinite(e[-1]))
+        if ends_finite and (lo < hi).all() and (
+            (not self.exact and _is_end_view(t, e)) or ((lo <= t).all() and (t <= hi).all())
+        ):
             return
         if not self.exact and not (np.all(np.isfinite(t)) and np.all(np.isfinite(e))):
             raise ArgumentError("division contains non-finite values")
@@ -179,9 +211,9 @@ class Gauge:
             widths = exact.exact_or_objects(widths)
         else:
             widths = np.asarray(widths, dtype=float)
-        bad = ~(widths > 0)
-        if np.any(bad):
-            i = int(np.argmax(bad))
+        positive = widths > 0
+        if not positive.all():
+            i = int(np.argmin(positive))
             raise GaugeContractError(points[i], widths[i])
         return widths
 

@@ -10,7 +10,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .cells import Gauge, TaggedDivision
-from .errors import MAX_LEVEL, ArgumentError, GaugeTooDemandingError, IntegrandEvalError
+from .errors import MAX_LEVEL, ArgumentError, GaugeTooDemandingError, IntegrandEvalError, _plain
 from . import exact
 from .exact import IRRATIONAL_SHIFT, is_exact_scalar
 from .integrand import BurkillIntegrand, midpoint
@@ -73,11 +73,20 @@ def _tag_points(rule: str, u, v):
     raise ArgumentError(f"unknown tag rule {rule!r}")
 
 
+def _check_domain(a, b):
+    """Refuse ]a, b] unless a < b, and a float domain unless both ends are
+    finite: an infinite end would only surface later, as non-finite cells or
+    as a gauge no bisection can satisfy."""
+    if not a < b:
+        raise ArgumentError(f"domain needs a < b, got a={a!r}, b={b!r}")
+    if any(not is_exact_scalar(x) and math.isinf(x) for x in (a, b)):
+        raise ArgumentError(f"domain needs finite ends, got a={_plain(a)!r}, b={_plain(b)!r}")
+
+
 def _check_grid(a, b, n: int):
     if n < 1:
         raise ArgumentError(f"cell count must be >= 1, got {n}")
-    if not a < b:
-        raise ArgumentError(f"domain needs a < b, got a={a!r}, b={b!r}")
+    _check_domain(a, b)
 
 
 def _grid_columns(edges, tag_rules):
@@ -181,17 +190,26 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
         candidates = {}  # selector -> (tag points, fine mask)
         columns = []
         for order in orders:
-            tags = None  # cells that stay undecided keep any tag: they are dropped
-            undecided = np.ones(len(us), dtype=bool)
-            for selector in order:
+            # cells that stay undecided keep any tag: they are dropped
+            for k, selector in enumerate(order):
                 if selector not in candidates:
                     cand = _tag_points(selector, us, vs)
                     widths = gauge.evaluate_batch(cand)
-                    candidates[selector] = cand, (cand - us < widths) & (vs - cand < widths)
+                    if selector == "midpoint":
+                        fine = (cand - us < widths) & (vs - cand < widths)
+                    else:
+                        # an endpoint tag is 0 from its own end, and widths
+                        # are positive (evaluate_batch refuses others): it
+                        # is fine exactly when its cell is shorter
+                        fine = vs - us < widths
+                    candidates[selector] = cand, fine
                 cand, fine = candidates[selector]
-                fine = fine & undecided
-                tags = cand if tags is None else np.where(fine, cand, tags)
-                undecided &= ~fine
+                if k == 0:
+                    tags, undecided = cand, ~fine
+                else:
+                    fine = fine & undecided
+                    tags = np.where(fine, cand, tags)
+                    undecided &= ~fine
                 if not undecided.any():
                     break
             columns.append(tags)
@@ -199,16 +217,21 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
         fine = ~undecided
         accepted.append((index[fine] << (depth_cap - depth), us[fine],
                          *(tags[fine] for tags in columns)))
-        if fine.all():
+        still_open = np.count_nonzero(undecided)
+        if not still_open:
             return _assemble(accepted, ends[1:], column)
         # the next depth's open cells must not outgrow a MAX_LEVEL grid
-        if depth == depth_cap or 2 * np.count_nonzero(undecided) > 2 ** MAX_LEVEL:
+        if depth == depth_cap or 2 * still_open > 2 ** MAX_LEVEL:
             i = int(np.argmax(undecided))
             raise GaugeTooDemandingError(us[i], vs[i], depth)
-        us, vs, index = us[undecided], vs[undecided], index[undecided]
+        us, vs = us[undecided], vs[undecided]
         mids = midpoint(us, vs)
         us, vs = _interleave(us, mids), _interleave(mids, vs)
-        index = _interleave(2 * index, 2 * index + 1)
+        # cell i splits into cells 2i and 2i + 1 of the next depth
+        parents = index[undecided]
+        index = np.empty(2 * len(parents), parents.dtype)
+        np.left_shift(parents, 1, out=index[0::2])
+        np.add(index[0::2], 1, out=index[1::2])
     raise GaugeTooDemandingError(a, b, depth_cap)
 
 
@@ -236,8 +259,7 @@ def _assemble(accepted, end, column):
 
 
 def _check_orders(a, b, orders):
-    if not a < b:
-        raise ArgumentError(f"domain needs a < b, got a={a!r}, b={b!r}")
+    _check_domain(a, b)
     for selectors in orders:
         if not selectors:
             raise ArgumentError("need at least one tag selector")
@@ -260,13 +282,20 @@ def _delta_fine(a, b, gauge: Gauge, orders, depth_cap: int):
     # Constant gauge: bisection would accept every cell at the smallest depth
     # at which some selector is fine, so build that uniform grid directly;
     # each order tags it with its first selector fine there.  A midpoint tag
-    # needs half a cell shorter than delta, an endpoint tag a whole one, and
-    # scaling by a power of two is exact in both regimes.
+    # needs half a cell shorter than delta, an endpoint tag a whole one.
+    # Scaling by 2**-k is exact in the exact regime and correctly rounded in
+    # floats, where float * Fraction(1, 2**k) is span * 2.0**-k: ldexp gives
+    # the same float without building the Fraction.
     depth_cap = min(depth_cap, MAX_LEVEL)
     span, delta = b - a, gauge.constant_value
+    if isinstance(span, float) and isinstance(delta, float):
+        def below(k):
+            return math.ldexp(span, -k) < delta
+    else:
+        def below(k):
+            return span * Fraction(1, 1 << k) < delta
     for depth in range(depth_cap + 1):
-        fine = {s for s in orders[0]
-                if span * Fraction(1, 1 << (depth + (s == "midpoint"))) < delta}
+        fine = {s for s in orders[0] if below(depth + (s == "midpoint"))}
         if fine:
             rules = [next(s for s in order if s in fine) for order in orders]
             return _grid_columns(_uniform_edges(a, b, 2 ** depth, 0, 2 ** depth), rules)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from gaugelab.cells import Gauge, Interval, TaggedDivision
+from gaugelab.cells import Gauge, Interval, TaggedDivision, _is_end_view
 from gaugelab.errors import ArgumentError, GaugeContractError, ScalarRegimeError, _plain
 from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray
 
@@ -139,11 +139,13 @@ _points = hst.fractions(min_value=-4, max_value=4, max_denominator=8)
 
 
 @hst.composite
-def _divisions(draw):
+def _divisions(draw, views=False):
     """(tags, edges) lists: a valid division, then up to three faults
     (non-finite values, degenerate or disordered cells, tags outside their
-    cells) at random positions."""
-    exact = draw(hst.booleans())
+    cells) at random positions.  With `views`, float edges only, faulted,
+    as one float64 array (or a slice of a longer one) and the tags the view
+    edges[:-1] or edges[1:] of it, as a grid's left and right tags are."""
+    exact = not views and draw(hst.booleans())
     n = draw(hst.integers(min_value=1, max_value=8))
     edges = sorted(draw(hst.lists(_points, min_size=n + 1, max_size=n + 1, unique=True)))
     tags = [
@@ -158,7 +160,7 @@ def _divisions(draw):
         tags, edges = [float(x) for x in tags], [float(x) for x in edges]
         values = _points.map(float) | hst.sampled_from([math.nan, math.inf, -math.inf])
     for _ in range(draw(hst.integers(min_value=0, max_value=3))):
-        column = draw(hst.sampled_from([tags, edges]))
+        column = edges if views else draw(hst.sampled_from([tags, edges]))
         last = len(column) - 1  # the end edges get their own check: draw them often
         i = draw(hst.sampled_from([0, last]) | hst.integers(min_value=0, max_value=last))
         if draw(hst.booleans()):
@@ -167,14 +169,35 @@ def _divisions(draw):
             column[i] = edges[i - 1] if i else edges[1]  # a zero-width cell
         else:
             column[i] = edges[i + 1] + (edges[i + 1] - edges[i])  # past the cell
+    if views:
+        # padding makes edges a view too, with the owner's buffer as its base
+        pad = draw(hst.sampled_from([0, 1]))
+        edges = np.array([-8.0] * pad + edges + [8.0] * pad)
+        edges = edges[pad:-pad] if pad else edges
+        tags = edges[1:] if draw(hst.booleans()) else edges[:-1]
     return tags, edges
+
+
+_ZERO_WIDTH = np.array([0.0, 1.0, 1.0, 2.0])
+_NAN_INSIDE = np.array([0.0, math.nan, 2.0])
 
 
 class TestValidationMatchesFivePasses:
     @settings(max_examples=150, deadline=None)
     @given(division=_divisions())
     def test_same_verdict_and_message(self, division):
-        tags, edges = division
+        self._same_verdict(*division)
+
+    @settings(max_examples=100, deadline=None)
+    @given(division=_divisions(views=True))
+    @example(division=(_ZERO_WIDTH[:-1], _ZERO_WIDTH))
+    @example(division=(_NAN_INSIDE[1:], _NAN_INSIDE))
+    def test_end_view_tags_same_verdict_and_message(self, division):
+        # such tags skip both tag comparisons: the edge check must cover them
+        self._same_verdict(*division)
+
+    @staticmethod
+    def _same_verdict(tags, edges):
         want = _five_pass_refusal(tags, edges)
         if want is None:
             TaggedDivision(tags, edges)
@@ -197,6 +220,19 @@ class TestValidationMatchesFivePasses:
     def test_non_finite_values_are_named_first(self, tags, edges):
         with pytest.raises(ArgumentError, match="non-finite"):
             TaggedDivision(tags, edges)
+
+
+class TestEndViews:
+    def test_only_the_two_end_views_of_the_edges_qualify(self):
+        owner = np.arange(6.0)
+        e = owner[1:5]
+        assert _is_end_view(e[:-1], e) and _is_end_view(e[1:], e)
+        # equal values in another buffer, at another offset, or other strides
+        for t in (e[:-1].copy(), owner[:3], owner[3:6], owner[::2], np.arange(1.0, 4.0)):
+            assert not _is_end_view(t, e)
+        # the base may be the edges themselves or the buffer they view
+        whole = np.arange(4.0)
+        assert _is_end_view(whole[:-1], whole) and _is_end_view(whole[1:-1], whole[1:])
 
 
 class TestGauge:
@@ -248,7 +284,8 @@ class TestGauge:
 
     def test_batch_evaluation_checks_positivity(self):
         g = Gauge.from_function(lambda s: s - 0.5)
-        with pytest.raises(GaugeContractError):
-            g.evaluate_batch(np.array([0.6, 0.2]))
+        with pytest.raises(GaugeContractError) as err:
+            g.evaluate_batch(np.array([0.6, 0.2, 0.1, math.nan]))
+        assert err.value.point == 0.2  # the first point refused
         out = g.evaluate_batch(np.array([0.6, 0.9]))
         assert np.allclose(out, [0.1, 0.4])

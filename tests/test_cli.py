@@ -190,6 +190,42 @@ class TestIntegrateDispatch:
         assert len(err) == 1
         assert err[0].startswith(f"gaugelab: error: {message}")
 
+    @pytest.mark.parametrize("method", ["rs", "gauge", "darboux"])
+    @pytest.mark.parametrize("bounds, shown", [
+        (["--a", "0", "--b", "inf"], "a=0.0, b=inf"),
+        (["--a=-inf", "--b", "1"], "a=-inf, b=1.0"),
+    ])
+    def test_infinite_bound_is_one_error_line(self, method, bounds, shown, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["integrate", "--method", method, "--expr", "s", *bounds, "--no-timestamp"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"gaugelab: error: domain needs finite ends, got {shown}\n"
+
+    @pytest.mark.parametrize("spaced, joined", [
+        (["--a", "-1e-3", "--b", "1"], ["--a=-1e-3", "--b=1"]),
+        (["--a", "-3", "--b", "-2.5E+0"], ["--a=-3", "--b=-2.5E+0"]),
+    ])
+    def test_negative_bounds_in_exponent_form_are_values(self, spaced, joined, capsys):
+        runs = []
+        for bounds in (spaced, joined):
+            rc = main(["integrate", "--method", "rs", "--expr", "s", *bounds,
+                       "--levels", "1:3", "--no-timestamp"])
+            runs.append((rc, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][1].err == "" and "estimate:" in runs[0][1].out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["-x", "1"], "unrecognized arguments: -x 1"),
+        (["--a", "-x"], "argument --a: expected one argument"),
+    ])
+    def test_unknown_dash_option_still_refused(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["integrate", "--method", "rs", "--expr", "s", *argv])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
     def test_darboux_certifies_a_rising_quotient_over_negatives(self, capsys):
         rc = main(["integrate", "--method", "darboux", "--expr", "s-2/s",
                    "--a=-3", "--b=-1", "--tol", "1e-4", "--no-timestamp"])

@@ -1,14 +1,15 @@
 """Division builders, delta-fineness, bisection, Riemann sums."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from gaugelab import divisions
-from gaugelab.catalog import dirichlet_factor, step_at
+from gaugelab.catalog import dirichlet_factor, get_entry, step_at
 from gaugelab.cells import Gauge, Interval, TaggedDivision
 from gaugelab.divisions import (
     DEFAULT_DEPTH_CAP,
@@ -33,7 +34,7 @@ from gaugelab.errors import (
 )
 from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray, QuadExtScalar
 from gaugelab.expr import as_function, parse
-from gaugelab.integrators import ANCHORED_STRATEGIES
+from gaugelab.integrators import ANCHORED_STRATEGIES, jump_anchoring_gauge
 from gaugelab.integrand import (
     BurkillIntegrand,
     increments_of,
@@ -713,6 +714,17 @@ def _call_key(points):
     return repr(points.tolist())
 
 
+# selector orders of one selector set: the anchored pair, or one to four
+# orders of a set of one to three selectors
+_orders = hst.just(tuple(s.selectors for s in ANCHORED_STRATEGIES)) | (
+    hst.permutations(TAG_RULES).flatmap(
+        lambda p: hst.integers(1, 3).flatmap(
+            lambda k: hst.lists(hst.permutations(p[:k]).map(tuple), min_size=1, max_size=4)
+        )
+    ).map(tuple)
+)
+
+
 class TestSharedBisection:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -721,12 +733,7 @@ class TestSharedBisection:
         slope=hst.fractions(min_value=0, max_value=2, max_denominator=8),
         power=hst.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
         at=hst.fractions(min_value=0, max_value=1, max_denominator=16),
-        orders=hst.just(tuple(s.selectors for s in ANCHORED_STRATEGIES))
-        | hst.permutations(TAG_RULES).flatmap(
-            lambda p: hst.integers(1, 3).flatmap(
-                lambda k: hst.lists(hst.permutations(p[:k]).map(tuple), min_size=1, max_size=4)
-            )
-        ).map(tuple),
+        orders=_orders,
         exact=hst.booleans(),
         depth_cap=hst.sampled_from([8, 20, DEFAULT_DEPTH_CAP]),
     )
@@ -831,3 +838,197 @@ class TestSharedBisection:
             _delta_fine(0.0, 1.0, gauge, (("left",), ("left", "right")), DEFAULT_DEPTH_CAP)
         with pytest.raises(ArgumentError, match="a < b"):
             _delta_fine(1.0, 0.0, gauge, (("left", "right"), ("right", "left")), DEFAULT_DEPTH_CAP)
+
+
+# --------------------------------------------------------------------------
+# Constant-gauge depth and bisection step against the code they replaced
+# --------------------------------------------------------------------------
+#
+# The float depth search scales by ldexp where it built a Fraction per depth
+# and selector, and the bisection step makes fewer numpy calls (an endpoint
+# tag's fineness is one comparison of its cell's length); both must pick the
+# same cells and tags and make the same gauge calls.  The two references
+# below are the earlier code, kept as it ran.
+
+
+def _fraction_depth_columns(a, b, delta, orders, depth_cap):
+    """(edges, tag columns) of the constant-gauge grid chosen with Fraction
+    arithmetic, or GaugeTooDemandingError."""
+    depth_cap = min(depth_cap, MAX_LEVEL)
+    span = b - a
+    for depth in range(depth_cap + 1):
+        fine = {s for s in orders[0]
+                if span * Fraction(1, 1 << (depth + (s == "midpoint"))) < delta}
+        if fine:
+            rules = [next(s for s in order if s in fine) for order in orders]
+            edges = divisions._uniform_edges(a, b, 2 ** depth, 0, 2 ** depth)
+            return divisions._grid_columns(edges, rules)
+    raise GaugeTooDemandingError(a, b, depth_cap)
+
+
+def _reference_bisection(a, b, gauge, orders, depth_cap):
+    """The shared bisection step by step as it ran with a tag column seeded
+    by np.ones and np.where, two tests of the open count and an interleaved
+    position index."""
+    a, b, column = divisions._regime(a, b)
+    ends = column([a, b])
+    us, vs = ends[:1], ends[1:]
+    index = np.zeros(1, dtype=np.int64 if depth_cap < 63 else object)
+    accepted = []
+    for depth in range(depth_cap + 1):
+        us.setflags(write=False)
+        vs.setflags(write=False)
+        candidates = {}
+        columns = []
+        for order in orders:
+            tags = None
+            undecided = np.ones(len(us), dtype=bool)
+            for selector in order:
+                if selector not in candidates:
+                    cand = divisions._tag_points(selector, us, vs)
+                    widths = gauge.evaluate_batch(cand)
+                    candidates[selector] = cand, (cand - us < widths) & (vs - cand < widths)
+                cand, fine = candidates[selector]
+                fine = fine & undecided
+                tags = cand if tags is None else np.where(fine, cand, tags)
+                undecided &= ~fine
+                if not undecided.any():
+                    break
+            columns.append(tags)
+        fine = ~undecided
+        accepted.append((index[fine] << (depth_cap - depth), us[fine],
+                         *(tags[fine] for tags in columns)))
+        if fine.all():
+            return divisions._assemble(accepted, ends[1:], column)
+        if depth == depth_cap or 2 * np.count_nonzero(undecided) > 2 ** MAX_LEVEL:
+            i = int(np.argmax(undecided))
+            raise GaugeTooDemandingError(us[i], vs[i], depth)
+        us, vs, index = us[undecided], vs[undecided], index[undecided]
+        mids = midpoint(us, vs)
+        us, vs = divisions._interleave(us, mids), divisions._interleave(mids, vs)
+        index = divisions._interleave(2 * index, 2 * index + 1)
+    raise GaugeTooDemandingError(a, b, depth_cap)
+
+
+def _same_build_or_refusal(build, reference):
+    """Run both; the same (edges, tag columns) or the same refusal."""
+    try:
+        want = reference()
+    except GaugeTooDemandingError as err:
+        with pytest.raises(GaugeTooDemandingError) as got:
+            build()
+        assert (got.value.lo, got.value.hi, got.value.depth) == (err.lo, err.hi, err.depth)
+        assert str(got.value) == str(err)
+        return None
+    edges, columns = build()
+    _same_points(edges, want[0])
+    assert len(columns) == len(want[1])
+    for got_tags, want_tags in zip(columns, want[1]):
+        _same_points(got_tags, want_tags)
+    return edges
+
+
+@hst.composite
+def _span_and_delta(draw):
+    """Float bounds a < b, normal or subnormal apart, and a float delta on,
+    just off, or anywhere near a strict boundary span * 2**-k."""
+    if draw(hst.booleans()):
+        a = 0.0
+        b = draw(hst.floats(min_value=5e-324, max_value=1e-300))  # subnormal spans
+    else:
+        a = draw(hst.floats(min_value=-1e3, max_value=1e3))
+        b = a + draw(hst.floats(min_value=1e-12, max_value=1e3))
+    assume(a < b)
+    span = b - a
+    boundary = math.ldexp(span, -draw(hst.integers(min_value=0, max_value=MAX_LEVEL + 3)))
+    delta = draw(hst.sampled_from([
+        boundary,
+        math.nextafter(boundary, math.inf),
+        math.nextafter(boundary, 0.0),
+        boundary * draw(hst.floats(min_value=0.5, max_value=2.0)),
+    ]))
+    assume(delta > 0.0)
+    return a, b, delta
+
+
+class TestAgainstTheEarlierCode:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        domain=_span_and_delta(),
+        orders=_orders,
+        depth_cap=hst.integers(min_value=0, max_value=MAX_LEVEL + 4),
+    )
+    @example(domain=(0.0, 1.0, 2.0 ** -4), orders=(("left",),), depth_cap=60)
+    @example(domain=(0.0, 1.0, 2.0 ** -5), orders=(("midpoint",),), depth_cap=60)
+    @example(domain=(0.0, 5e-324, 5e-324), orders=(("midpoint", "left"),), depth_cap=60)
+    @example(domain=(0.0, 1.0, 2.0 ** -30), orders=(("left",),), depth_cap=60)
+    def test_float_depth_search_picks_the_fraction_depth(self, domain, orders, depth_cap):
+        a, b, delta = domain
+        with pytest.MonkeyPatch.context() as mp:
+            # a stand-in grid that records the cell count, so a depth of 26
+            # allocates no 2**26 cells; the tags still show each order's rule
+            mp.setattr(divisions, "_uniform_edges",
+                       lambda a, b, n, lo, hi: np.array([float(n), n + 1.0]))
+            _same_build_or_refusal(
+                lambda: _delta_fine(a, b, Gauge.constant(delta), orders, depth_cap),
+                lambda: _fraction_depth_columns(a, b, delta, orders, depth_cap),
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bounds=_exact_bounds(),
+        floor=hst.fractions(min_value=Fraction(1, 1024), max_value=1, max_denominator=1024),
+        slope=hst.fractions(min_value=0, max_value=2, max_denominator=8),
+        power=hst.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+        at=hst.fractions(min_value=0, max_value=1, max_denominator=16),
+        orders=_orders,
+        exact=hst.booleans(),
+        depth_cap=hst.sampled_from([8, 20, DEFAULT_DEPTH_CAP, 70]),
+    )
+    def test_bisection_step_matches(
+        self, bounds, floor, slope, power, at, orders, exact, depth_cap
+    ):
+        a, b = bounds
+        if not exact:
+            a, b, floor, slope, at = map(float, (a, b, floor, slope, at))
+        pole = a + (b - a) * at
+        if exact or power == 1:
+            width = lambda s: floor + slope * abs(s - pole)
+        else:
+            width = lambda s: floor + slope * np.abs(s - pole) ** float(power)
+        self._same_bisection(a, b, width, orders, depth_cap)
+
+    @pytest.mark.parametrize("level", range(6, 19))
+    def test_inv_sqrt_gauges(self, level):
+        entry = get_entry("inv_sqrt")
+        orders = tuple(s.selectors for s in entry.selectors)
+        gauge = entry.gauges(level)
+        edges = self._same_bisection(*entry.bounds, gauge._fn, orders, DEFAULT_DEPTH_CAP)
+        assert edges[1] < 2.0 ** -level  # the gauge shrinks toward 0
+
+    @pytest.mark.parametrize("level", range(4, 15))
+    def test_twomass_step_gauges(self, level):
+        g = get_entry("twomass_step").build()
+        jumps = [p for p, _ in g.jumps]
+        ceiling = (g.d - g.c) * 2.0 ** -level
+        gauge = jump_anchoring_gauge(jumps, ceiling)
+        orders = tuple(s.selectors for s in ANCHORED_STRATEGIES)
+        self._same_bisection(g.c, g.d, gauge._fn, orders, DEFAULT_DEPTH_CAP)
+
+    @staticmethod
+    def _same_bisection(a, b, width, orders, depth_cap):
+        """Compare edges, tag columns and every gauge call's points."""
+        got_calls, want_calls = [], []
+
+        def logged(calls):
+            def fn(s):
+                calls.append(_call_key(s) if s.dtype == object else s.tobytes())
+                return width(s)
+            return Gauge.from_function(fn)
+
+        edges = _same_build_or_refusal(
+            lambda: _delta_fine_batched(a, b, logged(got_calls), orders, depth_cap),
+            lambda: _reference_bisection(a, b, logged(want_calls), orders, depth_cap),
+        )
+        assert got_calls == want_calls
+        return edges

@@ -407,6 +407,25 @@ def test_non_finite_sum_raises_at_first_level(run, strategy):
     assert exc.value.level == 4
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)])
+@pytest.mark.parametrize("method", ["rs", "gauge", "darboux"])
+def test_infinite_float_domain_refused_in_one_way(method, a, b):
+    # refused before any array is made: no cell is evaluated and numpy warns
+    # of nothing (pytest turns warnings into errors)
+    points = []
+    f = lambda s: points.append(s) or s
+    h = make_integrand(f, length_factor(), "tag")
+    run = {
+        "rs": lambda: rs_integrate(h, a, b),
+        "gauge": lambda: gauge_integrate(h, a, b),
+        "darboux": lambda: darboux_riemann(f, ExtremaOracle.monotone(f), a, b),
+    }[method]
+    with pytest.raises(ArgumentError) as exc:
+        run()
+    assert str(exc.value) == f"domain needs finite ends, got a={a!r}, b={b!r}"
+    assert points == []
+
+
 def test_error_messages_print_plain_floats():
     with pytest.raises(NonFiniteSumError) as exc:
         _darboux_infinite_sup()
