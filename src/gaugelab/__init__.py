@@ -80,79 +80,7 @@ _SUBMODULES = {
 }
 _EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "ArgumentError",
-    "BurkillIntegrand",
-    "ConvergenceController",
-    "DistributionFunction",
-    "DyadicPath",
-    "EXIT_CODES",
-    "EstimatorFailure",
-    "ExtremaOracle",
-    "Gauge",
-    "GaugeContractError",
-    "GaugeLabError",
-    "GaugeTooDemandingError",
-    "IRRATIONAL_SHIFT",
-    "IntegralResult",
-    "IntegrandEvalError",
-    "Interval",
-    "IntervalFactor",
-    "MonotonicityError",
-    "NonFiniteEstimateError",
-    "NonFiniteSumError",
-    "OracleInconsistencyError",
-    "PathStatistics",
-    "QuadExtScalar",
-    "RefinementSchedule",
-    "SQRT2",
-    "ScalarRegimeError",
-    "Status",
-    "TaggedDivision",
-    "TraceRow",
-    "bisect_refine",
-    "brownian_path",
-    "conditional_series",
-    "darboux_riemann",
-    "delta_fine_division",
-    "derive_extrema_oracle",
-    "dirichlet_point",
-    "entry_names",
-    "evaluate",
-    "gauge_integrate",
-    "get_entry",
-    "identity_distribution",
-    "increment_integral",
-    "increments_of",
-    "is_exact_scalar",
-    "ito_formula_residual",
-    "ito_formula_residual_time",
-    "ito_sum",
-    "jump_anchoring_gauge",
-    "lebesgue_distribution_integrate",
-    "length_factor",
-    "length_squared_factor",
-    "make_integrand",
-    "make_shifted_uniform",
-    "make_uniform",
-    "mc_run",
-    "parse",
-    "path_from_function",
-    "quadratic_variation",
-    "refine_path",
-    "riemann_sum",
-    "rs_integrate",
-    "run_entry",
-    "singularity_gauge",
-    "square_distribution",
-    "step_at",
-    "step_distribution",
-    "stratonovich_sum",
-    "to_source",
-    "total_variation",
-    "zigzag",
-]
+__all__ = ["__version__", *_EXPORTS]
 
 
 def __getattr__(name: str):

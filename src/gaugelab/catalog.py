@@ -38,7 +38,7 @@ from .integrators import (
     ConvergenceController,
     DistributionFunction,
     ExtremaOracle,
-    TagSelectorStrategy,
+    Strategy,
     darboux_riemann,
     gauge_integrate,
     identity_distribution,
@@ -158,7 +158,7 @@ class CatalogEntry:
     expected: Expected
     controller: ConvergenceController = ConvergenceController()
     gauges: Optional[Callable[[int], Gauge]] = None
-    selectors: Optional[Tuple[TagSelectorStrategy, ...]] = None
+    strategies: Optional[Tuple[Strategy, ...]] = None
 
     def __post_init__(self):
         if not self.note:
@@ -403,7 +403,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
             expected=Expected(conv, 2.0, 1e-3),
             controller=_ctrl(1e-3, 6, 18),
             gauges=_inv_sqrt_gauges,
-            selectors=ANCHORED_STRATEGIES,
+            strategies=ANCHORED_STRATEGIES,
         ),
         CatalogEntry(
             name="const_path",
@@ -456,7 +456,7 @@ def run_method(
     ctrl: ConvergenceController,
     *,
     gauges: Optional[Callable[[int], Gauge]] = None,
-    selectors: Optional[Tuple[TagSelectorStrategy, ...]] = None,
+    strategies: Optional[Tuple[Strategy, ...]] = None,
 ):
     """Run one integral definition on what an entry of that method builds:
     an (f, oracle) pair for darboux, an integrand for rs and gauge, a
@@ -471,7 +471,7 @@ def run_method(
         return rs_integrate(subject, a, b, ctrl)
     if method == "gauge":
         return gauge_integrate(
-            subject, a, b, ctrl, gauges=gauges, strategies=selectors or GAUGE_STRATEGIES
+            subject, a, b, ctrl, gauges=gauges, strategies=strategies or GAUGE_STRATEGIES
         )
     raise ArgumentError(f"no runnable method {method!r}")
 
@@ -488,6 +488,6 @@ def run_entry(entry: CatalogEntry, ctrl: Optional[ConvergenceController] = None)
         entry.bounds,
         entry.controller if ctrl is None else ctrl,
         gauges=entry.gauges,
-        selectors=entry.selectors,
+        strategies=entry.strategies,
     )
 

@@ -58,13 +58,16 @@ _RULES = {"tag": "tag", "left": "left-endpoint", "mid": "midpoint"}
 
 class _Parser(argparse.ArgumentParser):
     """argparse, but usage failures exit 1 as documented (not argparse's 2),
-    signed numbers in exponent form are values, and `--catalog` lists the
-    entries only when help is shown."""
+    signed numbers in exponent form and -inf are values, and `--catalog`
+    lists the entries only when help is shown."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads -1 and -0.5 as values but -1e-3 as an option
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # argparse reads -1 and -0.5 as values but -1e-3 and -inf as options;
+        # -inf and -infinity, in any case, reach float() and its refusal
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|(?i:inf|infinity))$"
+        )
 
     def format_help(self):
         for action in self._actions:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import groupby, starmap
-from operator import add, attrgetter
+from operator import add
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,47 +53,35 @@ from .results import IntegralResult, Status, TraceRow
 
 
 @dataclass(frozen=True)
-class GridStrategy:
-    """A family of divisions for constant-mesh probing: grid kind + tag rule."""
+class Strategy:
+    """One division family of a probe: how each piece is cut, and the tag
+    selectors in their trial order.  `cuts` is "uniform" or
+    "shifted-uniform" (a grid, tagged by its one selector) or "delta-fine"
+    (gauge-driven bisection, each cell tagged by its first fine selector)."""
 
     name: str
-    family: str  # "uniform" | "shifted-uniform"
-    tag_rule: str
-
-    def edges(self, a, b, n: int, lo: int, hi: int):
-        """Cut points lo..hi of this family's n-cell grid over ]a, b]."""
-        if self.family == "uniform":
-            return _uniform_edges(a, b, n, lo, hi)
-        return _shifted_edges(a, b, n, lo, hi)
-
-
-RS_STRATEGIES = (
-    GridStrategy("rational-left", "uniform", "left"),
-    GridStrategy("rational-mid", "uniform", "midpoint"),
-    GridStrategy("shifted-left", "shifted-uniform", "left"),
-)
-
-
-@dataclass(frozen=True)
-class TagSelectorStrategy:
-    """A tag-selector order injected into gauge-driven bisection."""
-
-    name: str
+    cuts: str
     selectors: Tuple[str, ...]
 
 
+RS_STRATEGIES = (
+    Strategy("rational-left", "uniform", ("left",)),
+    Strategy("rational-mid", "uniform", ("midpoint",)),
+    Strategy("shifted-left", "shifted-uniform", ("left",)),
+)
+
 GAUGE_STRATEGIES = (
-    TagSelectorStrategy("left-tags", ("left",)),
-    TagSelectorStrategy("mid-tags", ("midpoint",)),
-    TagSelectorStrategy("right-tags", ("right",)),
+    Strategy("left-tags", "delta-fine", ("left",)),
+    Strategy("mid-tags", "delta-fine", ("midpoint",)),
+    Strategy("right-tags", "delta-fine", ("right",)),
 )
 
 # Selector orders that always include both endpoints; required when a gauge
 # anchors tags at interval endpoints (each anchored cell accepts exactly one
 # endpoint candidate).
 ANCHORED_STRATEGIES = (
-    TagSelectorStrategy("left-first", ("left", "midpoint", "right")),
-    TagSelectorStrategy("right-first", ("right", "midpoint", "left")),
+    Strategy("left-first", "delta-fine", ("left", "midpoint", "right")),
+    Strategy("right-first", "delta-fine", ("right", "midpoint", "left")),
 )
 
 
@@ -451,29 +439,43 @@ def _pairwise(lo: int, hi: int, block_sum):
     return _pairwise(lo, lo + half, block_sum) + _pairwise(lo + half, hi, block_sum)
 
 
-def _level_sums(h: BurkillIntegrand, strategies, key, build, add_up):
-    """(cells, {strategy: sum}) of one level, the one driver of rs, gauge
-    and Lebesgue sums.
+# The grid cuts, by name: cut points lo..hi of an n-cell grid over ]a, b].
+_GRID_EDGES = {"uniform": _uniform_edges, "shifted-uniform": _shifted_edges}
 
-    Consecutive strategies with one `key` form a group that shares its
-    divisions: `build(group, *block)` gives a block's read-only edges and
-    one tag column per strategy of the group, and `add_up(block_sum)` adds
-    up block_sum(*block) over the level's blocks.  Each strategy's division
-    is made when that strategy is summed.  A fault raises as summing each
-    strategy on its own would: that of the first strategy in order that
-    faults, at its first faulting block, a refused division or a failed
-    build included.  A group's first strategy is summed before the others,
-    so its fault raises at once and nothing more is built."""
+
+def _shared_build(strat: Strategy):
+    """Consecutive strategies of one key share their divisions: a grid's
+    edges do not depend on its tag rule, and a bisection's cells depend only
+    on the selector set."""
+    if strat.cuts == "delta-fine":
+        return frozenset(strat.selectors)
+    return strat.cuts
+
+
+def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces):
+    """(cells, {strategy: sum}) of one level over the (lo, hi, mesh)
+    pieces, the one driver of rs, gauge and Lebesgue sums.
+
+    A grid strategy cuts a piece into `mesh` cells, built and summed in
+    _pairwise blocks; a delta-fine strategy bisects a piece under the gauge
+    `mesh`, one block per piece.  Each strategy adds its pieces' sums left
+    to right.  Strategies of one _shared_build key form a group, and each
+    block is built once per group: read-only edges and one tag column per
+    strategy.  Each strategy's division is made when that strategy is
+    summed.  A fault raises as summing each strategy on its own would: that
+    of the first strategy in order that faults, at its first faulting
+    block, a refused division or a failed build included.  A group's first
+    strategy is summed before the others, so its fault raises at once and
+    nothing more is built."""
     n, sums = 0, {}
     kept = None  # the last block's edges
-    for _, group in groupby(strategies, key=key):
+    for key, group in groupby(strategies, key=_shared_build):
         group = list(group)
         faults = {}  # index in the group -> that strategy's first fault
         cells = 0
 
-        def block_sum(*block):
+        def block_sum(edges, columns):
             nonlocal cells, kept
-            edges, columns = build(group, *block)
             # A block's edges are freed only once the next block is built:
             # freed first, they let glibc's malloc trim the heap, and the
             # next block faults its pages in again.
@@ -491,30 +493,24 @@ def _level_sums(h: BurkillIntegrand, strategies, key, build, add_up):
                     faults[k] = exc
             return block_sums
 
-        group_sums = add_up(block_sum)
+        if group[0].cuts == "delta-fine":
+            orders = tuple(strat.selectors for strat in group)
+
+            def piece_sum(lo, hi, gauge):
+                return block_sum(*_delta_fine(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP))
+        else:
+            grid_edges, rules = _GRID_EDGES[key], [strat.selectors[0] for strat in group]
+
+            def piece_sum(lo, hi, mesh):
+                return _pairwise(0, mesh, lambda i, j: block_sum(
+                    *_grid_columns(grid_edges(lo, hi, mesh, i, j), rules)))
+
+        group_sums = reduce(add, starmap(piece_sum, pieces))
         if faults:
             raise faults[min(faults)]
         sums.update(zip((strat.name for strat in group), group_sums.tolist()))
         n = max(n, cells)
     return n, sums
-
-
-def _fine_sums(h: BurkillIntegrand, strategies: Sequence[TagSelectorStrategy], pieces_at):
-    """Level callback over delta-fine divisions of the (lo, hi, gauge)
-    pieces `pieces_at(level)` lists; a strategy adds its pieces' sums left
-    to right, and strategies of one selector set share each piece's
-    division."""
-
-    def build(group, lo, hi, gauge):
-        orders = tuple(strat.selectors for strat in group)
-        return _delta_fine(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP)
-
-    def sums_at(level: int):
-        pieces = pieces_at(level)
-        return _level_sums(h, strategies, lambda strat: frozenset(strat.selectors), build,
-                           lambda block_sum: reduce(add, starmap(block_sum, pieces)))
-
-    return sums_at
 
 
 def rs_integrate(
@@ -527,24 +523,17 @@ def rs_integrate(
 
     Each level builds one division per grid strategy in RS_STRATEGIES with
     the same cell count and compares the sums.  Strategies of one grid
-    family share its edges, built once per level; one division is alive at
-    a time.  Agreement within
-    `ctrl.tolerance_at` across the uniform and shifted grid families at the
-    very first level is accepted at once: telescoping sums (constant point
-    factors against additive interval factors) never depended on the
-    division, but at a loose tolerance other integrands can agree there too.
+    cuts share its edges, built once per level; one division is alive at a
+    time.  Agreement within `ctrl.tolerance_at` across the uniform and
+    shifted grids at the very first level is accepted at once: telescoping
+    sums (constant point factors against additive interval factors) never
+    depended on the division, but at a loose tolerance other integrands can
+    agree there too.
     """
     ctrl = ctrl or ConvergenceController()
 
     def sums_at(level: int):
-        n = ctrl.schedule.cells_for(level)
-
-        def build(family, lo, hi):
-            edges = family[0].edges(a, b, n, lo, hi)
-            return _grid_columns(edges, [strat.tag_rule for strat in family])
-
-        return _level_sums(h, RS_STRATEGIES, attrgetter("family"), build,
-                           lambda block_sum: _pairwise(0, n, block_sum))
+        return _level_sums(h, RS_STRATEGIES, [(a, b, ctrl.schedule.cells_for(level))])
 
     classifier = _Classifier(
         ctrl, [s.name for s in RS_STRATEGIES], first_level_accept=True
@@ -559,26 +548,31 @@ def gauge_integrate(
     ctrl: Optional[ConvergenceController] = None,
     *,
     gauges: Optional[Callable[[int], Gauge]] = None,
-    strategies: Sequence[TagSelectorStrategy] = GAUGE_STRATEGIES,
+    strategies: Sequence[Strategy] = GAUGE_STRATEGIES,
 ) -> IntegralResult:
     """Gauge-fine probe: sums over delta_k-fine divisions, delta_k shrinking.
 
     By default delta_k is the constant (b - a) * 2**-level; a callable
     level -> Gauge can inject anything else (singularity-shrinking gauges,
-    jump-anchoring gauges, ...).  Strategies are tag-selector orders handed
-    to the bisection builder.
+    jump-anchoring gauges, ...).  Strategies are delta-fine tag-selector
+    orders handed to the bisection builder.
     """
     ctrl = ctrl or ConvergenceController()
     if not strategies:
         raise ArgumentError("need at least one tag-selector strategy")
+    for strat in strategies:
+        if strat.cuts != "delta-fine":
+            raise ArgumentError(
+                f"gauge strategy {strat.name!r} needs cuts 'delta-fine', got {strat.cuts!r}"
+            )
     span = float(b) - float(a)
 
-    def pieces_at(level: int):
+    def sums_at(level: int):
         gauge = gauges(level) if gauges else Gauge.constant(span * 2.0 ** (-level))
-        return [(a, b, gauge)]
+        return _level_sums(h, strategies, [(a, b, gauge)])
 
     classifier = _Classifier(ctrl, [s.name for s in strategies])
-    return _ladder(ctrl.schedule, _fine_sums(h, strategies, pieces_at), classifier)
+    return _ladder(ctrl.schedule, sums_at, classifier)
 
 
 def darboux_riemann(
@@ -645,9 +639,11 @@ def lebesgue_distribution_integrate(
 
     span = g.d - g.c
 
-    def anchored_pieces(level: int):
+    def sums_at(level: int):
         ceiling = span * 2.0 ** (-level)
-        return [(lo, hi, jump_anchoring_gauge(anchors, ceiling)) for lo, hi, anchors in pieces]
+        return _level_sums(h, ANCHORED_STRATEGIES, [
+            (lo, hi, jump_anchoring_gauge(anchors, ceiling)) for lo, hi, anchors in pieces
+        ])
 
     classifier = _Classifier(ctrl, [s.name for s in ANCHORED_STRATEGIES])
-    return _ladder(ctrl.schedule, _fine_sums(h, ANCHORED_STRATEGIES, anchored_pieces), classifier)
+    return _ladder(ctrl.schedule, sums_at, classifier)

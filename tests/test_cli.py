@@ -194,6 +194,7 @@ class TestIntegrateDispatch:
     @pytest.mark.parametrize("bounds, shown", [
         (["--a", "0", "--b", "inf"], "a=0.0, b=inf"),
         (["--a=-inf", "--b", "1"], "a=-inf, b=1.0"),
+        (["--a", "-inf", "--b", "1"], "a=-inf, b=1.0"),
     ])
     def test_infinite_bound_is_one_error_line(self, method, bounds, shown, capsys):
         with pytest.raises(SystemExit) as exc:

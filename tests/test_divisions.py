@@ -1001,7 +1001,7 @@ class TestAgainstTheEarlierCode:
     @pytest.mark.parametrize("level", range(6, 19))
     def test_inv_sqrt_gauges(self, level):
         entry = get_entry("inv_sqrt")
-        orders = tuple(s.selectors for s in entry.selectors)
+        orders = tuple(s.selectors for s in entry.strategies)
         gauge = entry.gauges(level)
         edges = self._same_bisection(*entry.bounds, gauge._fn, orders, DEFAULT_DEPTH_CAP)
         assert edges[1] < 2.0 ** -level  # the gauge shrinks toward 0

@@ -13,6 +13,7 @@ from gaugelab import divisions, integrators
 from gaugelab.catalog import dirichlet_factor, get_entry, inv_sqrt, run_entry, step_at
 from gaugelab.cells import Gauge, TaggedDivision
 from gaugelab.divisions import (
+    DEFAULT_DEPTH_CAP,
     TAG_RULES,
     RefinementSchedule,
     delta_fine_division,
@@ -38,11 +39,12 @@ from gaugelab.integrand import (
     make_integrand,
 )
 from gaugelab.integrators import (
+    GAUGE_STRATEGIES,
     RS_STRATEGIES,
     ConvergenceController,
     DistributionFunction,
     ExtremaOracle,
-    TagSelectorStrategy,
+    Strategy,
     darboux_riemann,
     gauge_integrate,
     identity_distribution,
@@ -139,17 +141,17 @@ class TestRsIntegrate:
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (Fraction(0), Fraction(1))])
     def test_each_familys_edges_built_once_per_level(self, monkeypatch, a, b):
         calls = []
-        for name in ("_uniform_edges", "_shifted_edges"):
-            def counted(a, b, n, lo, hi, build=getattr(integrators, name), name=name):
+        for cuts, build in integrators._GRID_EDGES.items():
+            def counted(a, b, n, lo, hi, build=build, cuts=cuts):
                 assert (lo, hi) == (0, n)  # one block below _BLOCK_CELLS cells
-                calls.append((name, n))
+                calls.append((cuts, n))
                 return build(a, b, n, lo, hi)
-            monkeypatch.setattr(integrators, name, counted)
+            monkeypatch.setitem(integrators._GRID_EDGES, cuts, counted)
         h = make_integrand(lambda s: s * s, length_factor(), "tag")
         result = rs_integrate(h, a, b, _ctrl(1e-12, 2, 5))
         assert [row.n for row in result.trace] == [4, 8, 16, 32]
         assert calls == [
-            (name, row.n) for row in result.trace for name in ("_uniform_edges", "_shifted_edges")
+            (cuts, row.n) for row in result.trace for cuts in ("uniform", "shifted-uniform")
         ]
         # the shared edges give the sums the public builders give
         for name, build, rule in (
@@ -269,6 +271,25 @@ class TestGaugeIntegrate:
         result = gauge_integrate(h, 0.0, 1.0, _ctrl(1e-9, 4, 8), gauges=gauges)
         assert result.status is Status.CONVERGED
         assert seen and all(lv >= 4 for lv in seen)
+
+    @pytest.mark.parametrize("strategies, message", [
+        ((), "need at least one tag-selector strategy"),
+        (GAUGE_STRATEGIES[:1] + RS_STRATEGIES[2:],
+         "gauge strategy 'shifted-left' needs cuts 'delta-fine', got 'shifted-uniform'"),
+    ])
+    def test_strategies_refused_before_any_level(self, strategies, message):
+        # a grid row's mesh would be the level's Gauge, not a cell count
+        seen = []
+
+        def gauges(level):
+            seen.append(level)
+            return Gauge.constant(2.0 ** -level)
+
+        h = make_integrand(None, length_factor(), "interval-only")
+        with pytest.raises(ArgumentError) as err:
+            gauge_integrate(h, 0.0, 1.0, gauges=gauges, strategies=strategies)
+        assert str(err.value) == message
+        assert seen == []
 
 
 class TestSingularityGauge:
@@ -631,7 +652,7 @@ def test_blocked_levels_match_whole_levels(monkeypatch, h, a, b):
     # and the whole-level sums of the public builders
     n = default.trace[-1].n
     builders = {"uniform": make_uniform, "shifted-uniform": make_shifted_uniform}
-    whole = {strat.name: riemann_sum(h, builders[strat.family](a, b, n, strat.tag_rule))
+    whole = {strat.name: riemann_sum(h, builders[strat.cuts](a, b, n, *strat.selectors))
              for strat in RS_STRATEGIES}
     assert repr({k: v[-1] for k, v in blocked.strategy_sums.items()}) == repr(whole)
 
@@ -690,26 +711,50 @@ def test_underflowing_grid_is_refused_as_before(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-def _reference_level_sums(h, strategies, key, build, add_up):
+def _reference_level_sums(h, strategies, pieces):
     """integrators._level_sums as a naive loop: each strategy in order adds
-    up its own block sums, each block in order, and the first fault raises.
-    A group's block is built once, when a strategy first needs it."""
+    up its own sums over the pieces, left to right, each block in order, and
+    the first fault raises.  A grid strategy's blocks are _pairwise's, a
+    delta-fine strategy's its pieces.  Strategies of one grid cuts, or
+    delta-fine strategies of one selector set, form a group, and a group's
+    block is built once, when a strategy first needs it."""
+
+    def group_key(strat):
+        return frozenset(strat.selectors) if strat.cuts == "delta-fine" else strat.cuts
+
+    grids = {"uniform": divisions._uniform_edges, "shifted-uniform": divisions._shifted_edges}
     n, sums = 0, {}
-    for _, group in groupby(strategies, key=key):
+    for _, group in groupby(strategies, key=group_key):
         group = list(group)
         built = {}
         for k, strat in enumerate(group):
             cells = 0
 
-            def block_sum(*block):
+            def block_sum(piece, *block):
                 nonlocal cells
-                if block not in built:
-                    built[block] = build(group, *block)
-                edges, columns = built[block]
+                key = (piece, *block)
+                if key not in built:
+                    lo, hi, mesh = pieces[piece]
+                    if strat.cuts == "delta-fine":
+                        orders = tuple(s.selectors for s in group)
+                        build = divisions._delta_fine(lo, hi, mesh, orders, DEFAULT_DEPTH_CAP)
+                    else:
+                        edges = grids[strat.cuts](lo, hi, mesh, *block)
+                        build = divisions._grid_columns(edges, [s.selectors[0] for s in group])
+                    built[key] = build
+                edges, columns = built[key]
                 cells += len(edges) - 1
                 return riemann_sum(h, TaggedDivision(columns[k], edges))
 
-            sums[strat.name] = add_up(block_sum)
+            total = None
+            for piece, (_, _, mesh) in enumerate(pieces):
+                if strat.cuts == "delta-fine":
+                    piece_sum = block_sum(piece)
+                else:
+                    piece_sum = integrators._pairwise(
+                        0, mesh, lambda lo, hi: block_sum(piece, lo, hi))
+                total = piece_sum if total is None else total + piece_sum
+            sums[strat.name] = total
             n = max(n, cells)
     return n, sums
 
@@ -847,7 +892,7 @@ def test_driver_matches_reference_on_anchored_lebesgue(
 def test_driver_matches_reference_on_shared_orders(orders, windows, kinds, pole, gauge_fault):
     # two to four orders of one selector set share each level's bisection;
     # a gauge fault is (first level, first call), and levels stop at 7
-    strategies = [TagSelectorStrategy(f"order-{i}", order) for i, order in enumerate(orders)]
+    strategies = [Strategy(f"order-{i}", "delta-fine", order) for i, order in enumerate(orders)]
     h = _faulty(make_integrand(lambda s: s, length_factor(), "tag"), windows, kinds)
 
     def run(mp, calls):
