@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # loads only the modules it runs.
 _SUBMODULES = {
     "catalog": ("dirichlet_point", "entry_names", "get_entry", "run_entry", "step_at", "zigzag"),
-    "cells": ("Gauge", "Interval", "TaggedDivision"),
+    "cells": ("Gauge", "TaggedDivision"),
     "divisions": (
         "RefinementSchedule",
         "bisect_refine",
@@ -36,7 +36,7 @@ _SUBMODULES = {
         "OracleInconsistencyError",
         "ScalarRegimeError",
     ),
-    "exact": ("IRRATIONAL_SHIFT", "SQRT2", "QuadExtScalar", "is_exact_scalar"),
+    "exact": ("IRRATIONAL_SHIFT", "QuadExtScalar", "is_exact_scalar"),
     "expr": ("derive_extrema_oracle", "evaluate", "parse", "to_source"),
     "integrand": (
         "BurkillIntegrand",

@@ -1,9 +1,8 @@
-"""Half-open intervals, tagged divisions, and gauges."""
+"""Tagged divisions of half-open intervals, and gauges."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,25 +27,6 @@ def _column(values):
         raise ScalarRegimeError("division mixes binary floats with exact scalars") from None
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Half-open interval ]u, v] with u < v.
-
-    The left endpoint is excluded.  Cells of a division abut without
-    overlapping, and the length |I| = v - u is positive by construction.
-    """
-
-    u: object
-    v: object
-
-    def __post_init__(self):
-        if not self.u < self.v:
-            raise ArgumentError(f"interval needs u < v, got u={self.u!r}, v={self.v!r}")
-
-    def __str__(self) -> str:
-        return f"]{self.u}, {self.v}]"
-
-
 def _is_end_view(t: np.ndarray, e: np.ndarray) -> bool:
     """Whether the float64 column t is e[:-1] or e[1:] (t has len(e) - 1
     elements): the same buffer, offset and strides.  Constant time; a column
@@ -65,12 +45,11 @@ class TaggedDivision:
     `edges` holds the n + 1 cut points and `tags` the n tags.  Cell i is the
     half-open ]edges[i], edges[i + 1]] with the tag tags[i] anywhere in its
     closure, the excluded left endpoint included, which is what lets a gauge
-    force specific tags.  `lefts`, `rights` and `domain` are views derived
-    from `edges`.  Both columns are float64 arrays in the float regime and
-    QuadExtArray columns of exact values in the exact one, so every layer
-    runs one array body for both.  Adjacent cells may share a tag: a point
-    can legally tag the cell on each side of itself, and sums are
-    indifferent to the duplication.
+    force specific tags.  `lefts` and `rights` are views of `edges`.  Both
+    columns are float64 arrays in the float regime and QuadExtArray columns
+    of exact values in the exact one, so every layer runs one array body for
+    both.  Adjacent cells may share a tag: a point can legally tag the cell
+    on each side of itself, and sums are indifferent to the duplication.
 
     The constructor proves the division valid: n >= 1 tags and n + 1 edges,
     edges strictly increasing between two finite ends (so every value is
@@ -110,10 +89,6 @@ class TaggedDivision:
     def rights(self) -> np.ndarray:
         return self.edges[1:]
 
-    @property
-    def domain(self) -> Interval:
-        return Interval(*self.edges[[0, -1]].tolist())
-
     def _validate(self):
         t, e = self.tags, self.edges
         if t.ndim != 1 or len(t) == 0 or e.shape != (len(t) + 1,):
@@ -146,7 +121,8 @@ class TaggedDivision:
             )
 
     def __repr__(self) -> str:
-        return f"TaggedDivision(n={self.n}, domain={self.domain})"
+        a, b = self.edges[[0, -1]].tolist()
+        return f"TaggedDivision(n={self.n}, domain=]{a}, {b}])"
 
 
 class Gauge:

@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import re
 import shlex
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
@@ -41,8 +40,6 @@ from .stochastic import (
 # cold `gaugelab series` or `gaugelab brownian` never loads the integrators.
 if TYPE_CHECKING:
     from .integrators import ConvergenceController
-
-MAX_LEVEL_ENV = "GAUGELAB_MAX_LEVEL"
 
 GRAMMAR = """expression grammar:
   expr   := term (('+'|'-') term)*
@@ -83,17 +80,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    argv: Tuple[str, ...]
-    fmt: str
-    out: Optional[str]
-    timestamp: bool
-
-
 def _fmt_num(x) -> str:
     if x is None:
         return ""
@@ -113,51 +99,38 @@ def _timestamp_line() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_artifact(config: RunConfig, header: Sequence[str], rows, payload) -> None:
-    if config.out is None:
+def _write_artifact(args, header: Sequence[str], rows, payload) -> None:
+    if args.out is None:
         return
-    if config.fmt == "csv":
-        lines = [f"# gaugelab {__version__}", f"# command: {shlex.join(config.argv)}"]
-        if config.command == "brownian":
+    if args.format == "csv":
+        lines = [f"# gaugelab {__version__}", f"# command: {shlex.join(args.argv)}"]
+        if args.command == "brownian":
             lines.append(
                 f"# bit_generator={BIT_GENERATOR} gaussian_transform={GAUSSIAN_TRANSFORM}"
             )
-        if config.timestamp:
+        if not args.no_timestamp:
             lines.append(f"# generated: {_timestamp_line()}")
         lines.append(",".join(header))
         for row in rows:
             lines.append(",".join(_fmt_num(x) for x in row))
         text = "\n".join(lines) + "\n"
     else:
-        metadata = {"version": __version__, "command_line": shlex.join(config.argv)}
-        if config.command == "brownian":
+        metadata = {"version": __version__, "command_line": shlex.join(args.argv)}
+        if args.command == "brownian":
             metadata["bit_generator"] = BIT_GENERATOR
             metadata["gaussian_transform"] = GAUSSIAN_TRANSFORM
-        if config.timestamp:
+        if not args.no_timestamp:
             metadata["generated"] = _timestamp_line()
         body = dict(payload)
         body["metadata"] = metadata
         text = json.dumps(body, indent=2, allow_nan=False) + "\n"
-    with open(config.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 # --------------------------------------------------------------------------
 # integrate
 # --------------------------------------------------------------------------
-
-
-def _default_stop() -> int:
-    raw = os.environ.get(MAX_LEVEL_ENV)
-    if raw is None:
-        return 22
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GaugeLabError(f"{MAX_LEVEL_ENV} must be an integer, got {raw!r}") from None
-    if not 0 <= value <= MAX_LEVEL:
-        raise GaugeLabError(f"{MAX_LEVEL_ENV} must be in 0..{MAX_LEVEL}, got {value}")
-    return value
 
 
 def _parse_levels(text: str) -> Tuple[int, int]:
@@ -201,7 +174,6 @@ def _integrate_catalog(args, parser: _Parser) -> IntegralResult:
 
 def _integrate_expr(args, parser: _Parser) -> IntegralResult:
     from .catalog import dirichlet_factor, get_entry, run_method, standard_entries
-    from .divisions import RefinementSchedule
     from .expr import as_function, derive_extrema_oracle, evaluate, free_vars, parse
     from .integrand import length_factor, make_integrand
     from .integrators import ConvergenceController
@@ -230,9 +202,7 @@ def _integrate_expr(args, parser: _Parser) -> IntegralResult:
         parser.error(f"bounds must be numeric, got --a {a_raw!r} --b {b_raw!r}")
     if not a < b:
         parser.error(f"bounds need a < b, got a={a_raw}, b={b_raw}")
-    ctrl = _controller_from_args(
-        args, ConvergenceController(schedule=RefinementSchedule(4, _default_stop()))
-    )
+    ctrl = _controller_from_args(args, ConvergenceController())
 
     if args.method == "darboux":
         if args.dI not in (None, "length"):
@@ -266,7 +236,7 @@ def _integrate_expr(args, parser: _Parser) -> IntegralResult:
     return run_method(args.method, h, (a, b), ctrl)
 
 
-def cmd_integrate(args, parser: _Parser, config: RunConfig) -> int:
+def cmd_integrate(args, parser: _Parser) -> int:
     if args.catalog:
         result = _integrate_catalog(args, parser)
     else:
@@ -316,7 +286,7 @@ def cmd_integrate(args, parser: _Parser, config: RunConfig) -> int:
         ],
     }
     _write_artifact(
-        config, ("level", "n", "sum_min", "sum_max", "estimate", "status"), rows, payload
+        args, ("level", "n", "sum_min", "sum_max", "estimate", "status"), rows, payload
     )
     return EXIT_CODES[result.status]
 
@@ -350,7 +320,7 @@ def _point_function(args, parser: _Parser, flag: str) -> Callable:
     return as_function(ast, "x")
 
 
-def cmd_brownian(args, parser: _Parser, config: RunConfig) -> int:
+def cmd_brownian(args, parser: _Parser) -> int:
     if not 0 <= args.seed < 2 ** 64:
         parser.error("--seed must be an unsigned 64-bit decimal")
     if args.level < 0:
@@ -386,7 +356,7 @@ def cmd_brownian(args, parser: _Parser, config: RunConfig) -> int:
         "stderr": stats.stderr,
     }
     _write_artifact(
-        config,
+        args,
         ("command", "t", "level", "paths", "seed", "mean", "variance", "stderr"),
         [row],
         payload,
@@ -399,7 +369,7 @@ def cmd_brownian(args, parser: _Parser, config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 
-def cmd_series(args, parser: _Parser, config: RunConfig) -> int:
+def cmd_series(args, parser: _Parser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
     from .series import conditional_series
@@ -416,7 +386,7 @@ def cmd_series(args, parser: _Parser, config: RunConfig) -> int:
         "negative": negative,
     }
     _write_artifact(
-        config,
+        args,
         ("n", "partial", "positive", "negative"),
         [(args.n, partial, positive, negative)],
         payload,
@@ -434,9 +404,7 @@ def build_parser() -> _Parser:
         prog="gaugelab",
         description="Refinement-probe integration experiments and "
         "pathwise stochastic sums.",
-        epilog=GRAMMAR
-        + f"\nenvironment: {MAX_LEVEL_ENV} overrides the default max refinement "
-        f"level (22; at most {MAX_LEVEL}).\nexit codes: 0 converged/success, 1 usage error, "
+        epilog=GRAMMAR + "\nexit codes: 0 converged/success, 1 usage error, "
         "2 diverged or oscillating, 3 inconclusive.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -466,6 +434,7 @@ def build_parser() -> _Parser:
     pi.add_argument("--b", help="right endpoint (default 1)")
     pi.add_argument("--tol", type=float, help="stability tolerance override")
     pi.add_argument("--levels", help=f"refinement schedule START:STOP, STOP <= {MAX_LEVEL}")
+    pi.set_defaults(run=cmd_integrate)
 
     pb = sub.add_parser("brownian", parents=[common],
                         help="Monte Carlo over dyadic Brownian paths")
@@ -478,10 +447,12 @@ def build_parser() -> _Parser:
     pb.add_argument("--f", help="point function of x (ito, strat, ito-residual)")
     pb.add_argument("--df", help="derivative of --f (ito-residual)")
     pb.add_argument("--d2f", help="second derivative of --f (ito-residual)")
+    pb.set_defaults(run=cmd_brownian)
 
     ps = sub.add_parser("series", parents=[common],
                         help="alternating harmonic partial sums")
     ps.add_argument("--n", type=int, required=True, help="number of terms")
+    ps.set_defaults(run=cmd_series)
     # each command reports its usage errors through its own parser
     for command_parser in sub.choices.values():
         command_parser.set_defaults(command_parser=command_parser)
@@ -490,20 +461,9 @@ def build_parser() -> _Parser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        argv=tuple(argv),
-        fmt=args.format,
-        out=args.out,
-        timestamp=not args.no_timestamp,
-    )
-    if args.command == "integrate":
-        return cmd_integrate(args, args.command_parser, config)
-    if args.command == "brownian":
-        return cmd_brownian(args, args.command_parser, config)
-    return cmd_series(args, args.command_parser, config)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # the artifact's `# command:` line: the run's whole input
+    return args.run(args, args.command_parser)
 
 
 def main_cli(argv: Optional[Sequence[str]] = None) -> None:

@@ -254,8 +254,6 @@ def _make(a: int, b: int, d: int) -> QuadExtScalar:
     return x
 
 
-SQRT2 = QuadExtScalar(0, 1)
-
 # Shift used by irrational-shifted grids: (sqrt(2) - 1) / 2.  Exactly
 # representable here, strictly between 0 and 1/2, and irrational, so interior
 # cut points of a shifted grid over rational endpoints are never rational.

@@ -200,7 +200,12 @@ class _Classifier:
         if status not in (Status.CONVERGED, Status.INCONCLUSIVE):
             return None, None
         last = self.rows[-1]
-        return last.midpoint, abs(last.spread)
+        if status is Status.CONVERGED:
+            return last.midpoint, abs(last.spread)
+        # Undecided sums may still move, so the last level's spread proves
+        # nothing: bound by every strategy's range over the last window.
+        recent = self.rows[-self.ctrl.window:]
+        return last.midpoint, max(r.sum_max for r in recent) - min(r.sum_min for r in recent)
 
     def result(self) -> IntegralResult:
         status = self.decided
@@ -234,9 +239,10 @@ class _Bracket(_Classifier):
         return self.decided
 
     def _estimate(self, status: Status):
-        if status is not Status.CONVERGED:
-            return super()._estimate(status)
         last = self.rows[-1]
+        if status is not Status.CONVERGED:
+            # the last U - L still brackets the integral
+            return last.midpoint, abs(last.spread)
         return 0.5 * (last.sum_max + last.sum_min), 0.5 * (last.sum_max - last.sum_min)
 
 

@@ -65,16 +65,8 @@ class IntegralResult:
     error_bound: Optional[object] = None
     strategy_sums: Optional[Mapping[str, Tuple[object, ...]]] = None
 
-    @property
-    def levels_run(self) -> int:
-        return len(self.trace)
-
-    @property
-    def final_n(self) -> int:
-        return self.trace[-1].n if self.trace else 0
-
     def __repr__(self) -> str:
         return (
             f"IntegralResult(status={self.status.value}, estimate={self.estimate!r}, "
-            f"levels={self.levels_run}, final_n={self.final_n})"
+            f"levels={len(self.trace)}, final_n={self.trace[-1].n if self.trace else 0})"
         )

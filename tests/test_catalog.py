@@ -18,11 +18,13 @@ from gaugelab.catalog import (
 )
 from gaugelab.divisions import RefinementSchedule
 from gaugelab.errors import ArgumentError, ScalarRegimeError
-from gaugelab.exact import IRRATIONAL_SHIFT, SQRT2
+from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtScalar
 from gaugelab.integrators import ConvergenceController
 from gaugelab.results import Status
 from gaugelab import series
 from gaugelab.series import conditional_series
+
+SQRT2 = QuadExtScalar(0, 1)
 
 
 class TestDirichletPoint:

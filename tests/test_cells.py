@@ -1,4 +1,4 @@
-"""Half-open intervals, tagged divisions, and gauge contracts."""
+"""Tagged divisions of half-open intervals, and gauge contracts."""
 
 import math
 from fractions import Fraction
@@ -8,17 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from gaugelab.cells import Gauge, Interval, TaggedDivision, _is_end_view
+from gaugelab.cells import Gauge, TaggedDivision, _is_end_view
 from gaugelab.errors import ArgumentError, GaugeContractError, ScalarRegimeError, _plain
 from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray
-
-
-class TestInterval:
-    def test_degenerate_rejected(self):
-        with pytest.raises(ArgumentError):
-            Interval(1.0, 1.0)
-        with pytest.raises(ArgumentError):
-            Interval(2.0, 1.0)
 
 
 class TestTaggedDivision:
@@ -52,12 +44,15 @@ class TestTaggedDivision:
         d = TaggedDivision([0.1, 0.6], [0.0, 0.5, 1.0])
         assert d.lefts.tolist() == [0.0, 0.5] and d.rights.tolist() == [0.5, 1.0]
         assert np.shares_memory(d.lefts, d.edges) and np.shares_memory(d.rights, d.edges)
-        assert d.domain == Interval(0.0, 1.0)
+        assert d.edges[0] == 0.0 and d.edges[-1] == 1.0
+        assert repr(d) == "TaggedDivision(n=2, domain=]0.0, 1.0])"
         with pytest.raises(AttributeError):
             d.lefts = d.edges[:-1]
         exact = TaggedDivision([Fraction(1, 3)], [0, Fraction(1, 2)])
-        assert exact.domain == Interval(0, Fraction(1, 2))
-        assert type(exact.domain.u) is int and type(exact.domain.v) is Fraction
+        a, b = exact.edges[0], exact.edges[-1]
+        assert a == 0 and b == Fraction(1, 2)
+        assert type(a) is int and type(b) is Fraction
+        assert repr(exact) == "TaggedDivision(n=1, domain=]0, 1/2])"
 
     @pytest.mark.parametrize(
         "tags, edges",

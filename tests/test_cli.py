@@ -342,41 +342,47 @@ class TestIntegrateDispatch:
         assert "status:" not in out
         assert err.startswith("gaugelab: error:") and "finite" in err
 
-    def test_env_var_extends_schedule(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAUGELAB_MAX_LEVEL", "6")
-        rc = main(
-            ["integrate", "--method", "rs", "--expr", "sin(s)", "--no-timestamp"]
-        )
-        # stop forced down to 6: sin(s) cannot stabilize in two levels
-        assert rc == 3
-
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv",
         [
-            (["--expr", "s", "--levels", "4:40"], None),
-            (["--expr", "s"], "40"),
-            (["--catalog", "s_dsquare", "--levels", "4:27"], None),
+            ["--expr", "s", "--levels", "4:40"],
+            ["--catalog", "s_dsquare", "--levels", "4:27"],
         ],
-        ids=["levels", "env", "catalog-levels"],
+        ids=["levels", "catalog-levels"],
     )
-    def test_level_above_max_refused_before_any_division(self, argv, env, capsys, monkeypatch):
+    def test_level_above_max_refused_before_any_division(self, argv, capsys, monkeypatch):
         def no_divisions(*args, **kwargs):
             raise AssertionError("built a division for an oversize schedule")
 
         monkeypatch.setattr(TaggedDivision, "__init__", no_divisions)
-        if env is not None:
-            monkeypatch.setenv("GAUGELAB_MAX_LEVEL", env)
         with pytest.raises(SystemExit) as exc:
             main_cli(["integrate", "--method", "rs", *argv])
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "gaugelab: error:" in err and "26" in err
 
-    def test_env_var_rejects_garbage(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAUGELAB_MAX_LEVEL", "soon")
+    def test_dg_integrates_against_a_distribution_entry(self, capsys):
+        # s d(s^2) over ]0, 1] is 2/3
+        rc = main(["integrate", "--method", "rs", "--expr", "s", "--dI", "dg:square_dist",
+                   "--tol", "1e-4", "--no-timestamp"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "status: converged" in out
+        estimate = float(out.split("estimate: ")[1].split()[0])
+        assert estimate == pytest.approx(2 / 3, abs=1e-4)
+
+    @pytest.mark.parametrize("dI, message", [
+        ("dg:h1", "--dI dg: wants a distribution entry; 'h1' is integrand"),
+        ("dg:nope", "unknown catalog entry 'nope'"),
+        ("foo", "--dI must be length, dD, or dg:<name>, got 'foo'"),
+    ])
+    def test_dI_refusal_is_one_error_line(self, dI, message, capsys):
         with pytest.raises(SystemExit) as exc:
-            main_cli(["integrate", "--method", "rs", "--expr", "s"])
+            main_cli(["integrate", "--method", "rs", "--expr", "s", "--dI", dI])
         assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert out == "" and len(errors) == 1 and message in errors[0]
 
 
 class TestArtifacts:
@@ -451,6 +457,24 @@ class TestArtifacts:
         main(["integrate", "--method", "gauge", "--catalog", "h1", "--out", str(out)])
         lines = read_lines(out)
         assert any(ln.startswith("# generated: ") for ln in lines[:4])
+
+    @pytest.mark.parametrize("value", ["6", "", "soon"])
+    def test_environment_leaves_the_artifact_unchanged(self, value, tmp_path, monkeypatch, capsys):
+        # The command line is the run's whole input, so the same recorded
+        # command writes the same bytes whatever the environment holds.
+        argv = ["integrate", "--method", "rs", "--expr", "s^2", "--tol", "1e-4",
+                "--out", "run.csv", "--no-timestamp"]
+
+        def artifact(run_dir):
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            assert main(argv) == 0
+            return (run_dir / "run.csv").read_bytes()
+
+        plain = artifact(tmp_path / "plain")
+        monkeypatch.setenv("GAUGELAB_MAX_LEVEL", value)
+        assert artifact(tmp_path / "env") == plain
+        assert b",converged\n" in plain
 
     def test_no_timestamp_byte_identity(self, tmp_path):
         argv = [

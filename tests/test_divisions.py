@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 
 from gaugelab import divisions
 from gaugelab.catalog import dirichlet_factor, get_entry, step_at
-from gaugelab.cells import Gauge, Interval, TaggedDivision
+from gaugelab.cells import Gauge, TaggedDivision
 from gaugelab.divisions import (
     DEFAULT_DEPTH_CAP,
     FLOAT_SHIFT,
@@ -284,7 +284,7 @@ class TestBisectRefine:
         d = make_uniform(0.0, 1.0, 4, "left")
         r = bisect_refine(d)
         assert r.n == 8
-        assert r.domain == d.domain
+        assert r.edges[0] == d.edges[0] and r.edges[-1] == d.edges[-1]
         np.testing.assert_allclose(np.diff(r.lefts), 0.125)
 
     def test_exact_regime_halves_exactly(self):
@@ -509,7 +509,8 @@ class TestExactFunctionalGauge:
         width = lambda s: floor + slope * abs(s - pole)
         division = delta_fine_division(a, b, Gauge.from_function(width), selectors=selectors)
         tags, lefts, rights = _dfs_division(a, b, width, selectors, DEFAULT_DEPTH_CAP)
-        assert division.exact == exact and division.domain == Interval(a, b)
+        assert division.exact == exact
+        assert division.edges[0] == a and division.edges[-1] == b
         for got, want in zip((division.tags, division.lefts, division.rights),
                              (tags, lefts, rights)):
             assert got.tolist() == want

@@ -12,8 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from gaugelab.divisions import make_shifted_uniform
-from gaugelab.exact import IRRATIONAL_SHIFT, SQRT2, QuadExtScalar, is_exact_scalar
+from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtScalar, is_exact_scalar
 from gaugelab.errors import ScalarRegimeError
+
+SQRT2 = QuadExtScalar(0, 1)
 
 
 def test_sqrt2_squares_to_two():

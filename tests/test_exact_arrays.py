@@ -16,7 +16,9 @@ from hypothesis import strategies as hst
 
 import gaugelab
 from gaugelab.errors import ScalarRegimeError
-from gaugelab.exact import IRRATIONAL_SHIFT, SQRT2, QuadExtArray, QuadExtScalar
+from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray, QuadExtScalar
+
+SQRT2 = QuadExtScalar(0, 1)
 
 _COMPARISONS = (
     operator.lt, operator.le, operator.eq, operator.ne, operator.ge, operator.gt

@@ -99,7 +99,7 @@ class TestRsIntegrate:
         h = make_integrand(None, increments_of(lambda u: u * u), "interval-only")
         result = rs_integrate(h, 0.0, 1.0)
         assert result.status is Status.CONVERGED
-        assert result.levels_run == 1
+        assert len(result.trace) == 1
         assert result.estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_smooth_integrand_converges(self):
@@ -202,6 +202,55 @@ class TestDarboux:
         last = result.trace[-1]
         assert last.sum_min <= 2.0 <= last.sum_max
         assert result.estimate == pytest.approx(2.0, abs=1e-3)
+
+
+class TestUndecidedBound:
+    """An inconclusive run's error bound covers every strategy's sums over
+    the last window of levels: sums that never settled can agree at the
+    last level by chance.  Its estimate stays the last level's midpoint."""
+
+    @staticmethod
+    def classify(columns, ctrl=None):
+        classifier = integrators._Classifier(ctrl or _ctrl(1e-6), list(columns))
+        for level, sums in enumerate(zip(*columns.values())):
+            assert classifier.observe(level, 2 ** level, dict(zip(columns, sums))) is None
+        return classifier.result()
+
+    def test_periodic_sums(self):
+        # the cycle rational-mid runs through on a jump shared by f and g
+        result = self.classify({"left": [0.0] * 8, "mid": [0.0, 1.0, 1.0, 0.0] * 2})
+        assert result.status is Status.INCONCLUSIVE
+        assert result.trace[-1].spread == 0.0
+        assert result.estimate == 0.0 and result.error_bound == 1.0
+
+    def test_sign_alternating_sums(self):
+        sums = [(-1) ** k * 0.5 for k in range(9)]
+        result = self.classify({"a": sums, "b": sums})
+        assert result.status is Status.INCONCLUSIVE
+        assert result.estimate == 0.5 and result.error_bound == 1.0
+
+    def test_fewer_levels_than_the_window_use_every_level(self):
+        result = self.classify({"a": [1.0, 3.0], "b": [2.0, 3.0]}, _ctrl(1e-6, window=5))
+        assert result.status is Status.INCONCLUSIVE
+        assert result.estimate == 3.0 and result.error_bound == 2.0
+
+    def test_shared_jump_witness(self):
+        # rs: rational-mid cycles 0, 1, 1, 0 and the last level agrees at 0
+        h = make_integrand(step_at(0.7), step_distribution([(0.7, 1.0)], 0, 1).increments(), "tag")
+        result = rs_integrate(h, 0.0, 1.0)
+        assert result.status is Status.INCONCLUSIVE
+        assert result.trace[-1].spread == 0.0
+        assert result.estimate == 0.0 and result.error_bound == 1.0
+        gauge = gauge_integrate(h, 0.0, 1.0, _ctrl(1e-9, 4, 12))
+        assert gauge.status is Status.INCONCLUSIVE and gauge.error_bound == 1.0
+
+    def test_darboux_keeps_its_last_bracket(self):
+        # U - L is proven at every level, so the last one bounds the run
+        f = lambda s: s
+        result = darboux_riemann(f, ExtremaOracle.monotone(f), 0.0, 1.0, _ctrl(1e-9, 2, 4))
+        assert result.status is Status.INCONCLUSIVE
+        last = result.trace[-1]
+        assert result.estimate == 0.5 and result.error_bound == last.spread == 0.0625
 
 
 class TestGaugeIntegrate:

@@ -1,5 +1,5 @@
-"""The package's export list, its import graph, and the names the
-benchmark tracer wraps."""
+"""The package's export list, its import graph, its inputs, and the names
+the benchmark tracer wraps."""
 
 import importlib
 import importlib.util
@@ -68,6 +68,19 @@ def test_import_loads_no_submodule():
 def test_commands_load_only_their_own_modules(argv, never):
     loaded = _submodules_loaded_by(f"from gaugelab import cli; cli.main({argv!r})")
     assert "cli" in loaded and loaded.isdisjoint(never), sorted(loaded)
+
+
+def test_no_module_reads_the_environment():
+    # The command line is a run's whole input: an environment read could
+    # change a label while the artifact's recorded command stays the same.
+    package = Path(gaugelab.__file__).parent
+    reads = [
+        f"{path.relative_to(package)}:{number}: {line.strip()}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "environ" in line or "getenv" in line
+    ]
+    assert reads == []
 
 
 def test_every_name_the_tracer_wraps_resolves():
