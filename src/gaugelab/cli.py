@@ -154,10 +154,23 @@ def _controller_from_args(args, base: ConvergenceController) -> ConvergenceContr
     return replace(base, **changes)
 
 
-def _integrate_catalog(args, parser: _Parser) -> IntegralResult:
-    from .catalog import get_entry, run_entry
+def _catalog_entry(name: str, parser: _Parser, kind: Optional[str] = None):
+    """The catalog entry `name`; an unknown name is a usage error that lists
+    the entries, only those of `kind` when it is given."""
+    from .catalog import standard_entries
 
-    entry = get_entry(args.catalog)
+    entries = standard_entries()
+    for entry in entries:
+        if entry.name == name:
+            return entry
+    names = ", ".join(e.name for e in entries if kind in (None, e.kind))
+    parser.error(f"unknown catalog entry {name!r}; {kind or 'catalog'} entries: {names}")
+
+
+def _integrate_catalog(args, parser: _Parser) -> IntegralResult:
+    from .catalog import run_entry
+
+    entry = _catalog_entry(args.catalog, parser)
     if entry.kind == "path":
         parser.error(
             f"catalog entry {entry.name!r} is a path; integrate runs integrand, "
@@ -173,7 +186,7 @@ def _integrate_catalog(args, parser: _Parser) -> IntegralResult:
 
 
 def _integrate_expr(args, parser: _Parser) -> IntegralResult:
-    from .catalog import dirichlet_factor, get_entry, run_method, standard_entries
+    from .catalog import dirichlet_factor, run_method, standard_entries
     from .expr import as_function, derive_extrema_oracle, evaluate, free_vars, parse
     from .integrand import length_factor, make_integrand
     from .integrators import ConvergenceController
@@ -220,7 +233,7 @@ def _integrate_expr(args, parser: _Parser) -> IntegralResult:
     elif dI == "dD":
         factor = dirichlet_factor()
     elif dI.startswith("dg:"):
-        g_entry = get_entry(dI[3:])
+        g_entry = _catalog_entry(dI[3:], parser, "distribution")
         if g_entry.kind != "distribution":
             parser.error(
                 f"--dI dg: wants a distribution entry; {g_entry.name!r} is {g_entry.kind}"

@@ -276,16 +276,25 @@ def _delta_fine(a, b, gauge: Gauge, orders, depth_cap: int):
     set.  A constant-gauge grid deeper than MAX_LEVEL, or a bisection that
     would keep more than 2**MAX_LEVEL cells open, raises
     GaugeTooDemandingError before it is allocated."""
-    _check_orders(a, b, orders)
     if not gauge.is_constant:
+        _check_orders(a, b, orders)
         return _delta_fine_batched(a, b, gauge, orders, depth_cap)
-    # Constant gauge: bisection would accept every cell at the smallest depth
-    # at which some selector is fine, so build that uniform grid directly;
-    # each order tags it with its first selector fine there.  A midpoint tag
-    # needs half a cell shorter than delta, an endpoint tag a whole one.
-    # Scaling by 2**-k is exact in the exact regime and correctly rounded in
-    # floats, where float * Fraction(1, 2**k) is span * 2.0**-k: ldexp gives
-    # the same float without building the Fraction.
+    cells, rules = _constant_grid(a, b, gauge, orders, depth_cap)
+    return _grid_columns(_uniform_edges(a, b, cells, 0, cells), rules)
+
+
+def _constant_grid(a, b, gauge: Gauge, orders, depth_cap: int):
+    """(cells, the tag rule of each order) of the uniform grid that is the
+    delta-fine division of ]a, b] under the constant `gauge`, found without
+    building it.  Refuses what _delta_fine refuses, in the same order."""
+    _check_orders(a, b, orders)
+    # Bisection would accept every cell at the smallest depth at which some
+    # selector is fine, so that uniform grid is the division; each order
+    # tags it with its first selector fine there.  A midpoint tag needs half
+    # a cell shorter than delta, an endpoint tag a whole one.  Scaling by
+    # 2**-k is exact in the exact regime and correctly rounded in floats,
+    # where float * Fraction(1, 2**k) is span * 2.0**-k: ldexp gives the
+    # same float without building the Fraction.
     depth_cap = min(depth_cap, MAX_LEVEL)
     span, delta = b - a, gauge.constant_value
     if isinstance(span, float) and isinstance(delta, float):
@@ -297,8 +306,7 @@ def _delta_fine(a, b, gauge: Gauge, orders, depth_cap: int):
     for depth in range(depth_cap + 1):
         fine = {s for s in orders[0] if below(depth + (s == "midpoint"))}
         if fine:
-            rules = [next(s for s in order if s in fine) for order in orders]
-            return _grid_columns(_uniform_edges(a, b, 2 ** depth, 0, 2 ** depth), rules)
+            return 2 ** depth, [next(s for s in order if s in fine) for order in orders]
     raise GaugeTooDemandingError(a, b, depth_cap)
 
 

@@ -11,7 +11,7 @@ divisions are what every integrator in this package drives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -84,11 +84,16 @@ class BurkillIntegrand:
     a division evaluates it once on its whole arrays, float64 ones or
     QuadExtArray exact columns.  It is already fully assembled: a
     rule built by make_integrand under a convention other than "tag"
-    ignores the tag by construction.
+    ignores the tag by construction, and only such a rule has `reads_tag`
+    False.  A rule built here directly may read the tag, whatever it does,
+    so the constructor takes no such flag.  The integrators sum a rule that
+    ignores the tag once per distinct division and hand that sum to every
+    strategy tagging it.
     """
 
     name: str
     rule: Callable[[object, object, object], object]
+    reads_tag: bool = field(default=True, init=False, repr=False, compare=False)
 
     def __call__(self, s, u, v):
         return self.rule(s, u, v)
@@ -112,7 +117,10 @@ def make_integrand(
 
     With convention "interval-only" the point factor must be absent and the
     rule reduces to g alone.  "left-endpoint" samples f at u, "midpoint" at
-    u + (v-u)/2, and "tag" at s itself.
+    u + (v-u)/2, and "tag" at s itself.  Only the "tag" rule reads the tag:
+    the others give bitwise the same value for every tag of a cell, so they
+    are built with `reads_tag` False, and divisions that differ only in
+    their tags share one sum.
     """
     if convention not in CONVENTIONS:
         raise ArgumentError(
@@ -122,16 +130,21 @@ def make_integrand(
     if convention == "interval-only":
         if point is not None:
             raise ArgumentError("interval-only integrands take no point factor")
-        return BurkillIntegrand(name=name or factor.name, rule=lambda s, u, v: g(u, v))
+        return _ignoring_tag(name or factor.name, lambda s, u, v: g(u, v))
 
     if point is None:
         raise ArgumentError(f"convention {convention!r} needs a point factor")
-    if convention == "tag":
-        rule = lambda s, u, v: point(s) * g(u, v)
-    elif convention == "left-endpoint":
-        rule = lambda s, u, v: point(u) * g(u, v)
-    else:  # midpoint
-        rule = lambda s, u, v: point(midpoint(u, v)) * g(u, v)
-
     pname = getattr(point, "__name__", "f")
-    return BurkillIntegrand(name=name or f"{pname}@{convention} * {factor.name}", rule=rule)
+    name = name or f"{pname}@{convention} * {factor.name}"
+    if convention == "tag":
+        return BurkillIntegrand(name=name, rule=lambda s, u, v: point(s) * g(u, v))
+    if convention == "left-endpoint":
+        return _ignoring_tag(name, lambda s, u, v: point(u) * g(u, v))
+    return _ignoring_tag(name, lambda s, u, v: point(midpoint(u, v)) * g(u, v))
+
+
+def _ignoring_tag(name: str, rule) -> BurkillIntegrand:
+    """The integrand of a rule that never reads its first argument."""
+    h = BurkillIntegrand(name=name, rule=rule)
+    object.__setattr__(h, "reads_tag", False)  # frozen: set once, here
+    return h

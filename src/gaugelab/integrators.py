@@ -30,6 +30,7 @@ from .cells import Gauge, TaggedDivision
 from .divisions import (
     DEFAULT_DEPTH_CAP,
     RefinementSchedule,
+    _constant_grid,
     _delta_fine,
     _grid_columns,
     _shifted_edges,
@@ -43,6 +44,7 @@ from .errors import (
     NonFiniteSumError,
     OracleInconsistencyError,
 )
+from .exact import is_exact_scalar
 from .integrand import BurkillIntegrand, IntervalFactor, increments_of, make_integrand
 from .results import IntegralResult, Status, TraceRow
 
@@ -458,7 +460,16 @@ def _shared_build(strat: Strategy):
     return strat.cuts
 
 
-def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces):
+def _finite_midpoints(lo, hi) -> bool:
+    """Whether every midpoint of two cut points of ]lo, hi] is finite:
+    always over exact ends, and over float ends below 2**1023 in magnitude,
+    whose sums cannot overflow."""
+    if is_exact_scalar(lo) and is_exact_scalar(hi):
+        return True
+    return max(abs(float(lo)), abs(float(hi))) < 2.0 ** 1023
+
+
+def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, known: dict):
     """(cells, {strategy: sum}) of one level over the (lo, hi, mesh)
     pieces, the one driver of rs, gauge and Lebesgue sums.
 
@@ -472,11 +483,29 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces):
     of the first strategy in order that faults, at its first faulting
     block, a refused division or a failed build included.  A group's first
     strategy is summed before the others, so its fault raises at once and
-    nothing more is built."""
+    nothing more is built.
+
+    A rule that ignores the tag (`h.reads_tag` False) sums alike over every
+    tagging of one division, so it is summed once per distinct division.
+    Within a group it is summed over the first strategy's tags of each
+    block, and that sum is every strategy's of the group (rs's
+    rational-left and rational-mid).  Its piece sums over the uniform grid
+    a constant gauge gives go into `known`, keyed by (cuts, lo, hi, cells),
+    and a later group of this level with that key takes the sum from there,
+    or of a later level when the caller keeps `known` for the run, as
+    gauge_integrate does: gauge's right tags take the left tags' grid, and
+    its midpoint tags the grid the left tags summed a level before.  The
+    tags' own check is skipped with the sum: left and right tags are valid
+    on valid edges, and so are midpoints wherever they cannot overflow,
+    which _finite_midpoints demands of every piece.  A stored sum is one
+    that raised nothing, so a fault still raises where summing each
+    strategy on its own raises it first."""
+    share = not h.reads_tag and all(_finite_midpoints(lo, hi) for lo, hi, _ in pieces)
     n, sums = 0, {}
     kept = None  # the last block's edges
     for key, group in groupby(strategies, key=_shared_build):
         group = list(group)
+        width = 1 if share else len(group)  # the tag columns summed
         faults = {}  # index in the group -> that strategy's first fault
         cells = 0
 
@@ -487,8 +516,8 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces):
             # next block faults its pages in again.
             kept = edges
             cells += len(edges) - 1
-            block_sums = np.zeros(len(group), dtype=object)
-            for k, tags in enumerate(columns):
+            block_sums = np.zeros(width, dtype=object)
+            for k, tags in enumerate(columns[:width]):
                 if k in faults:
                     continue
                 try:
@@ -503,18 +532,30 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces):
             orders = tuple(strat.selectors for strat in group)
 
             def piece_sum(lo, hi, gauge):
-                return block_sum(*_delta_fine(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP))
+                nonlocal cells
+                if not (share and gauge.is_constant):
+                    return block_sum(*_delta_fine(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP))
+                count, rules = _constant_grid(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP)
+                grid = ("delta-fine", lo, hi, count)
+                if grid in known:
+                    cells += count
+                else:
+                    edges = _uniform_edges(lo, hi, count, 0, count)
+                    (known[grid],) = block_sum(*_grid_columns(edges, rules[:1]))
+                return np.full(1, known[grid], dtype=object)
         else:
             grid_edges, rules = _GRID_EDGES[key], [strat.selectors[0] for strat in group]
 
             def piece_sum(lo, hi, mesh):
                 return _pairwise(0, mesh, lambda i, j: block_sum(
-                    *_grid_columns(grid_edges(lo, hi, mesh, i, j), rules)))
+                    *_grid_columns(grid_edges(lo, hi, mesh, i, j), rules[:width])))
 
-        group_sums = reduce(add, starmap(piece_sum, pieces))
+        group_sums = reduce(add, starmap(piece_sum, pieces)).tolist()
         if faults:
             raise faults[min(faults)]
-        sums.update(zip((strat.name for strat in group), group_sums.tolist()))
+        if share:
+            group_sums *= len(group)
+        sums.update(zip((strat.name for strat in group), group_sums))
         n = max(n, cells)
     return n, sums
 
@@ -539,7 +580,7 @@ def rs_integrate(
     ctrl = ctrl or ConvergenceController()
 
     def sums_at(level: int):
-        return _level_sums(h, RS_STRATEGIES, [(a, b, ctrl.schedule.cells_for(level))])
+        return _level_sums(h, RS_STRATEGIES, [(a, b, ctrl.schedule.cells_for(level))], {})
 
     classifier = _Classifier(
         ctrl, [s.name for s in RS_STRATEGIES], first_level_accept=True
@@ -562,6 +603,13 @@ def gauge_integrate(
     level -> Gauge can inject anything else (singularity-shrinking gauges,
     jump-anchoring gauges, ...).  Strategies are delta-fine tag-selector
     orders handed to the bisection builder.
+
+    A rule that ignores the tag is summed once per distinct division of
+    the run.  Under a constant gauge each strategy's division is a uniform
+    grid: left and right tags need the 2**(level + 1) grid, midpoint tags
+    the 2**level one, which the endpoint tags summed a level before.  So
+    after the first level each level sums one new grid of 2 * 2**level
+    cells where the three strategies would sum 5 * 2**level.
     """
     ctrl = ctrl or ConvergenceController()
     if not strategies:
@@ -572,10 +620,11 @@ def gauge_integrate(
                 f"gauge strategy {strat.name!r} needs cuts 'delta-fine', got {strat.cuts!r}"
             )
     span = float(b) - float(a)
+    known = {}
 
     def sums_at(level: int):
         gauge = gauges(level) if gauges else Gauge.constant(span * 2.0 ** (-level))
-        return _level_sums(h, strategies, [(a, b, gauge)])
+        return _level_sums(h, strategies, [(a, b, gauge)], known)
 
     classifier = _Classifier(ctrl, [s.name for s in strategies])
     return _ladder(ctrl.schedule, sums_at, classifier)
@@ -649,7 +698,7 @@ def lebesgue_distribution_integrate(
         ceiling = span * 2.0 ** (-level)
         return _level_sums(h, ANCHORED_STRATEGIES, [
             (lo, hi, jump_anchoring_gauge(anchors, ceiling)) for lo, hi, anchors in pieces
-        ])
+        ], {})
 
     classifier = _Classifier(ctrl, [s.name for s in ANCHORED_STRATEGIES])
     return _ladder(ctrl.schedule, sums_at, classifier)

@@ -383,6 +383,24 @@ class TestIntegrateDispatch:
         out, err = capsys.readouterr()
         errors = [line for line in err.splitlines() if "error:" in line]
         assert out == "" and len(errors) == 1 and message in errors[0]
+        assert err.startswith("usage: gaugelab integrate")
+        assert errors[0].startswith("gaugelab integrate: error:")
+
+    @pytest.mark.parametrize("argv, listed", [
+        (["--expr", "s", "--dI", "dg:nope"],
+         "distribution entries: identity_dist, square_dist, twomass_step"),
+        (["--catalog", "nope"], "catalog entries: h1, h2,"),
+    ], ids=["dg", "catalog"])
+    def test_unknown_entry_is_a_usage_error(self, argv, listed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["integrate", "--method", "rs", *argv])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        *usage, error = err.splitlines()
+        assert out == "" and usage[0].startswith("usage: gaugelab integrate")
+        assert "error:" not in "".join(usage)
+        assert error.startswith("gaugelab integrate: error: unknown catalog entry 'nope'; ")
+        assert listed in error
 
 
 class TestArtifacts:

@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from gaugelab.errors import ArgumentError
+from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray
 from gaugelab.integrand import (
     CONVENTIONS,
+    BurkillIntegrand,
     increments_of,
     length_factor,
     length_squared_factor,
@@ -105,3 +109,70 @@ def test_exact_regime_integrand():
     val = h(Fraction(1, 2), Fraction(0), Fraction(1, 2))
     assert val == Fraction(1, 8)
     assert isinstance(val, Fraction)
+
+
+# --------------------------------------------------------------------------
+# Rules that ignore the tag
+# --------------------------------------------------------------------------
+#
+# The integrators sum a rule with reads_tag False once per division and hand
+# the sum to every tagging of it.  That is sound only if such a rule gives
+# bitwise the same value for every tag of a cell, in both regimes.
+
+_TAG_FREE = ("interval-only", "left-endpoint", "midpoint")
+
+
+def _integrands(convention, point):
+    if convention == "interval-only":
+        factors = (length_factor(), length_squared_factor(), increments_of(point))
+        return [make_integrand(None, factor, convention) for factor in factors]
+    factors = (length_factor(), length_squared_factor(), increments_of(lambda u: u * u * u))
+    return [make_integrand(point, factor, convention) for factor in factors]
+
+
+def test_only_make_integrands_tag_free_conventions_ignore_the_tag():
+    for convention in _TAG_FREE:
+        assert not any(h.reads_tag for h in _integrands(convention, lambda x: x))
+    assert make_integrand(lambda s: s, length_factor(), "tag").reads_tag
+    direct = BurkillIntegrand("h", lambda s, u, v: v - u)
+    assert direct.reads_tag and repr(direct) == "BurkillIntegrand(name='h', rule=%r)" % direct.rule
+    with pytest.raises(TypeError):
+        BurkillIntegrand("h", lambda s, u, v: v - u, reads_tag=False)
+
+
+_FLOAT = hst.floats(-1e3, 1e3, allow_subnormal=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=hst.lists(hst.lists(_FLOAT, min_size=4, max_size=4).map(sorted)
+                       .filter(lambda x: x[0] < x[3]), min_size=1, max_size=6))
+def test_tag_free_rules_ignore_the_tag_bitwise_on_floats(cells):
+    # each cell ]u, v] with two tags s1 <= s2 in its closure; the endpoints
+    # tag it too
+    us, s1, s2, vs = (np.array(column) for column in zip(*cells))
+    point = lambda x: np.sin(3.0 * x) + x * x
+    for convention in _TAG_FREE:
+        for h in _integrands(convention, point):
+            want = h(s1, us, vs).tobytes()
+            for tags in (s2, us, vs):
+                assert h(tags, us, vs).tobytes() == want
+            u, v = float(us[0]), float(vs[0])
+            assert repr(h(float(s1[0]), u, v)) == repr(h(float(s2[0]), u, v))
+
+
+_FRACTION = hst.fractions(-20, 20, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=hst.lists(hst.lists(_FRACTION, min_size=3, max_size=3).map(sorted)
+                       .filter(lambda x: x[0] < x[2]), min_size=1, max_size=5))
+def test_tag_free_rules_ignore_the_tag_bitwise_on_exact_columns(cells):
+    # rational tags, and irrational ones u + theta * (v - u) in Q(sqrt 2)
+    us, s1, vs = (QuadExtArray(list(column)) for column in zip(*cells))
+    s2 = us + (vs - us) * IRRATIONAL_SHIFT
+    point = lambda x: x * x - 3 * x
+    for convention in _TAG_FREE:
+        for h in _integrands(convention, point):
+            want = repr(h(s1, us, vs).tolist())
+            for tags in (s2, us, vs):
+                assert repr(h(tags, us, vs).tolist()) == want

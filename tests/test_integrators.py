@@ -33,12 +33,14 @@ from gaugelab.errors import (
 from gaugelab.exact import QuadExtArray
 from gaugelab.integrand import (
     BurkillIntegrand,
+    IntervalFactor,
     increments_of,
     length_factor,
     length_squared_factor,
     make_integrand,
 )
 from gaugelab.integrators import (
+    ANCHORED_STRATEGIES,
     GAUGE_STRATEGIES,
     RS_STRATEGIES,
     ConvergenceController,
@@ -760,13 +762,15 @@ def test_underflowing_grid_is_refused_as_before(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-def _reference_level_sums(h, strategies, pieces):
+def _reference_level_sums(h, strategies, pieces, known=None):
     """integrators._level_sums as a naive loop: each strategy in order adds
     up its own sums over the pieces, left to right, each block in order, and
     the first fault raises.  A grid strategy's blocks are _pairwise's, a
     delta-fine strategy's its pieces.  Strategies of one grid cuts, or
     delta-fine strategies of one selector set, form a group, and a group's
-    block is built once, when a strategy first needs it."""
+    block is built once, when a strategy first needs it.  Every strategy
+    evaluates h itself, whether or not h reads the tag, so the driver's
+    store of shared sums, `known`, is ignored."""
 
     def group_key(strat):
         return frozenset(strat.selectors) if strat.cuts == "delta-fine" else strat.cuts
@@ -848,21 +852,48 @@ _WINDOWS = hst.lists(
 )
 
 
+def _wave(form, windows, kinds, spike):
+    """A wave over the cells, faulting in the [lo, hi] windows and infinite
+    within 1e-3 of `spike` (unless None).  Form "tag" reads the tag and
+    faults at tags of the `kinds`, as _faulty does; the forms
+    "interval-only", "left-endpoint" and "midpoint" are make_integrand's
+    rules that ignore the tag, and fault where they sample the wave."""
+
+    def wave(x):
+        values = np.sin(7.0 * x)
+        return values if spike is None else np.where(np.abs(x - spike) < 1e-3, np.inf, values)
+
+    if form == "tag":
+        return _faulty(BurkillIntegrand("wave", lambda s, u, v: (v - u) * wave(s)), windows, kinds)
+
+    def point(x):
+        if any(np.any((lo <= x) & (x <= hi)) for lo, hi in windows):
+            raise ValueError("point in a faulty window")
+        return wave(x)
+
+    if form == "interval-only":
+        factor = IntervalFactor("wave(v) |I|^2", lambda u, v: point(v) * (v - u) * (v - u))
+        return make_integrand(None, factor, form)
+    factor = length_factor() if form == "left-endpoint" else length_squared_factor()
+    return make_integrand(point, factor, form)
+
+
+_FORMS = hst.sampled_from(["tag", "interval-only", "left-endpoint", "midpoint"])
+
+
 @settings(max_examples=40, deadline=None)
-@given(windows=_WINDOWS, kinds=_KINDS, start=hst.integers(6, 10),
+@given(form=_FORMS, windows=_WINDOWS, kinds=_KINDS, start=hst.integers(6, 10),
        spike=hst.none() | hst.floats(0.0, 1.0))
 @example(  # rational-mid faults in the first block, rational-left in a later one
-    windows=[(0.0012, 0.0018), (0.9, 0.95)], kinds=["left", "midpoint"], start=10, spike=None,
+    form="tag", windows=[(0.0012, 0.0018), (0.9, 0.95)], kinds=["left", "midpoint"], start=10,
+    spike=None,
 )
-def test_driver_matches_reference_on_rs(windows, kinds, start, spike):
+@example(  # the shared uniform grid faults in a later block, the shifted one too
+    form="left-endpoint", windows=[(0.9, 0.95)], kinds=["left"], start=10, spike=None,
+)
+def test_driver_matches_reference_on_rs(form, windows, kinds, start, spike):
     # levels of 64 to 1024 cells, 1 to 16 blocks; a spike gives an inf sum
-    def rule(s, u, v):
-        values = (v - u) * np.sin(7.0 * s)
-        if spike is None:
-            return values
-        return np.where(np.abs(s - spike) < 1e-3, np.inf, values)
-
-    h = _faulty(BurkillIntegrand("wave", rule), windows, kinds)
+    h = _wave(form, windows, kinds, spike)
     ctrl = _ctrl(1e-15, start, 10, growth_factor=4.0)
     (got, _), (want, _) = _driver_and_reference(lambda mp, calls: rs_integrate(h, 0.0, 1.0, ctrl))
     assert got == want
@@ -962,3 +993,127 @@ def test_driver_matches_reference_on_shared_orders(orders, windows, kinds, pole,
     (got, got_calls), (want, want_calls) = _driver_and_reference(run)
     assert got == want
     assert got_calls == want_calls
+
+
+_DELTA_FINE = (*GAUGE_STRATEGIES, *ANCHORED_STRATEGIES,
+               Strategy("mid-first", "delta-fine", ("midpoint", "left")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    form=_FORMS,
+    strategies=hst.lists(hst.sampled_from(_DELTA_FINE), min_size=1, max_size=4, unique=True),
+    windows=_WINDOWS,
+    kinds=_KINDS,
+    start=hst.integers(3, 8),
+    spike=hst.none() | hst.floats(0.0, 1.0),
+)
+@example(  # gauge's three strategies, the midpoint tags on last level's grid
+    form="interval-only", strategies=list(GAUGE_STRATEGIES), windows=[], kinds=["left"],
+    start=3, spike=None,
+)
+@example(  # every grid's last midpoints fault: the left tags' cell is named
+    form="midpoint", strategies=list(GAUGE_STRATEGIES), windows=[(0.99, 1.0)],
+    kinds=["left"], start=6, spike=None,
+)
+def test_driver_matches_reference_on_constant_gauges(
+    form, strategies, windows, kinds, start, spike
+):
+    # the default constant gauges, on grids of up to 512 cells
+    h = _wave(form, windows, kinds, spike)
+    ctrl = _ctrl(1e-15, start, 8, growth_factor=4.0)
+    (got, _), (want, _) = _driver_and_reference(
+        lambda mp, calls: gauge_integrate(h, 0.0, 1.0, ctrl, strategies=strategies))
+    assert got == want
+
+
+def _evaluated_cells(monkeypatch, run, level_sums=None):
+    """[cells of each riemann_sum call] of run() under the integrators, with
+    `level_sums` in the place of the driver when given."""
+    cells = []
+    real = integrators.riemann_sum
+
+    def counted(h, division):
+        cells.append(division.n)
+        return real(h, division)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(integrators, "riemann_sum", counted)
+        mp.setitem(globals(), "riemann_sum", counted)  # the reference's
+        if level_sums is not None:
+            mp.setattr(integrators, "_level_sums", level_sums)
+        result = run()
+    return result, cells
+
+
+def test_tag_free_rule_sums_each_new_grid_once(monkeypatch):
+    # h4 = |I|^2 under gauge's constant gauges: the left and right tags of
+    # level L share one 2^(L+1) grid, which the midpoint tags take at level
+    # L + 1, so 2 * 2^L cells per level are new; the first level's midpoint
+    # tags sum a 2^4 grid of their own.  Summed per strategy: 5 * 2^L.
+    entry = get_entry("h4")
+    result, cells = _evaluated_cells(monkeypatch, lambda: run_entry(entry))
+    levels = [row.level for row in result.trace]
+    assert levels == list(range(4, 18))
+    assert cells == [2 ** 5, 2 ** 4] + [2 ** (level + 1) for level in levels[1:]]
+    # the store lives for one run: a second run does the same work again
+    assert _evaluated_cells(monkeypatch, lambda: run_entry(entry))[1] == cells
+    unshared, every = _evaluated_cells(monkeypatch, lambda: run_entry(entry),
+                                       _reference_level_sums)
+    assert every == [n for level in levels
+                     for n in (2 ** (level + 1), 2 ** level, 2 ** (level + 1))]
+    assert repr((unshared, unshared.strategy_sums)) == repr((result, result.strategy_sums))
+
+
+def test_rule_built_directly_is_summed_by_every_strategy(monkeypatch):
+    # h2 = s reads the tag, so its left and right sums differ and each
+    # strategy evaluates it; so does any rule a caller wraps
+    entry = get_entry("h2")
+    h2 = entry.build()
+    assert h2.reads_tag and _faulty(get_entry("h4").build(), []).reads_tag
+    result, cells = _evaluated_cells(monkeypatch, lambda: run_entry(entry))
+    levels = [row.level for row in result.trace]
+    assert cells == [n for level in levels
+                     for n in (2 ** (level + 1), 2 ** level, 2 ** (level + 1))]
+    sums = result.strategy_sums
+    assert all(left != right for left, right in zip(sums["left-tags"], sums["right-tags"]))
+
+
+def test_rs_rule_that_ignores_the_tag_sums_each_grid_once(monkeypatch):
+    # rational-left and rational-mid share the uniform grid and its sum;
+    # the shifted grid is summed on its own
+    h = make_integrand(np.cos, length_factor(), "midpoint")
+    ctrl = _ctrl(1e-15, 4, 6)
+    result, cells = _evaluated_cells(monkeypatch, lambda: rs_integrate(h, 0.0, 1.0, ctrl))
+    assert cells == [n for level in (4, 5, 6) for n in (2 ** level, 2 ** level)]
+    sums = result.strategy_sums
+    assert sums["rational-left"] == sums["rational-mid"] != sums["shifted-left"]
+    unshared, _ = _evaluated_cells(monkeypatch, lambda: rs_integrate(h, 0.0, 1.0, ctrl),
+                                   _reference_level_sums)
+    assert repr((unshared, unshared.strategy_sums)) == repr((result, result.strategy_sums))
+
+
+@pytest.mark.parametrize("run", [rs_integrate, gauge_integrate])
+def test_exact_tag_free_sums_match_the_reference(monkeypatch, run):
+    h = make_integrand(lambda s: s * s, increments_of(lambda u: u * u * u), "midpoint")
+    ctrl = _ctrl(1e-15, 2, 7, growth_factor=4.0)
+    result, cells = _evaluated_cells(monkeypatch, lambda: run(h, Fraction(0), Fraction(1), ctrl))
+    unshared, every = _evaluated_cells(monkeypatch, lambda: run(h, Fraction(0), Fraction(1), ctrl),
+                                       _reference_level_sums)
+    assert repr((result, result.strategy_sums)) == repr((unshared, unshared.strategy_sums))
+    assert sum(cells) < sum(every)
+
+
+def test_overflowing_midpoints_are_still_refused(monkeypatch):
+    # near the top of the float range the midpoint of two cut points
+    # overflows; the midpoint-tagged division is refused as before, though
+    # the rule never reads its tag
+    h = make_integrand(None, length_factor(), "interval-only")
+    a, b = 1.0e308, 1.7e308
+    for level_sums in (integrators._level_sums, _reference_level_sums):
+        monkeypatch.setattr(integrators, "_level_sums", level_sums)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ArgumentError, match="non-finite"):
+                rs_integrate(h, a, b, _ctrl(1e-9, 4, 6))
+            with pytest.raises(ArgumentError, match="non-finite"):
+                gauge_integrate(h, a, b, _ctrl(1e-9, 4, 6))
