@@ -152,8 +152,9 @@ class Gauge:
 
     @classmethod
     def from_function(cls, fn: Callable, name: str = "gauge") -> "Gauge":
-        """A functional gauge; `fn` is elementwise, as divisions hand it
-        whole arrays of points in both scalar regimes."""
+        """A functional gauge.  `fn` is elementwise and deterministic:
+        divisions hand it whole arrays of points in both scalar regimes, and
+        a bisection evaluates each point once and reuses its width."""
         return cls(fn=fn, name=name)
 
     @property
@@ -166,9 +167,10 @@ class Gauge:
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Widths at an array of points in one call; a scalar width
-        broadcasts.  Exact points (a QuadExtArray or an `object` array) keep
-        exact widths in a QuadExtArray, any other points are read as float64
-        and get float64 widths.  A width that is not positive raises
+        broadcasts, widths of any other shape than the points' raise
+        ArgumentError.  Exact points (a QuadExtArray or an `object` array)
+        keep exact widths in a QuadExtArray, any other points are read as
+        float64 and get float64 widths.  A width that is not positive raises
         GaugeContractError naming the first such point."""
         if getattr(points, "dtype", None) != object:
             points = np.asarray(points)
@@ -181,7 +183,13 @@ class Gauge:
             widths = np.full(points.shape, self._constant, points.dtype)
             return exact.exact_or_objects(widths) if exact_points else widths
         widths = self._fn(points)
-        if np.shape(widths) != points.shape:
+        shape = np.shape(widths)
+        if shape != points.shape:
+            if shape:
+                raise ArgumentError(
+                    f"gauge {self.name!r} gave widths of shape {shape} "
+                    f"for points of shape {points.shape}"
+                )
             widths = np.broadcast_to(widths, points.shape)
         if exact_points:
             widths = exact.exact_or_objects(widths)

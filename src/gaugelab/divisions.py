@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
@@ -12,7 +13,7 @@ import numpy as np
 from .cells import Gauge, TaggedDivision
 from .errors import MAX_LEVEL, ArgumentError, GaugeTooDemandingError, IntegrandEvalError, _plain
 from . import exact
-from .exact import IRRATIONAL_SHIFT, is_exact_scalar
+from .exact import IRRATIONAL_SHIFT, QuadExtScalar, is_exact_scalar
 from .integrand import BurkillIntegrand, midpoint
 
 # Tag rules of the grid builders, and the tag selectors of gauge-driven
@@ -32,6 +33,13 @@ class RefinementSchedule:
     stop: int = 22
 
     def __post_init__(self):
+        for name in ("start", "stop"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ArgumentError(
+                    f"schedule {name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
         if self.start < 0 or self.stop < self.start:
             raise ArgumentError(
                 f"schedule needs 0 <= start <= stop, got {self.start}..{self.stop}"
@@ -83,10 +91,16 @@ def _check_domain(a, b):
         raise ArgumentError(f"domain needs finite ends, got a={_plain(a)!r}, b={_plain(b)!r}")
 
 
-def _check_grid(a, b, n: int):
+def _check_grid(a, b, n) -> int:
+    """The cell count n as an int, once n and ]a, b] are valid."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ArgumentError(f"cell count must be an integer, got {n!r}") from None
     if n < 1:
         raise ArgumentError(f"cell count must be >= 1, got {n}")
     _check_domain(a, b)
+    return n
 
 
 def _grid_columns(edges, tag_rules):
@@ -106,13 +120,15 @@ def _uniform_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
     """Cut points lo..hi of the uniform n-cell grid over ]a, b]; (0, n) is
     the whole grid.  The float points are np.linspace(a, b, n + 1)[lo:hi + 1]
     bit for bit: j * ((b - a) / n) + a, or j / n * (b - a) + a when the step
-    underflows to 0, with the last point set to b."""
-    _check_grid(a, b, n)
+    underflows to 0, with the last point set to b.  They are made as floats
+    j = lo..hi, exact below 2**53, and scaled in place; the exact points
+    come from an integer column."""
+    n = _check_grid(a, b, n)
     a, b, column = _regime(a, b)
-    edges = column(np.arange(lo, hi + 1))
     if column is not _float_column:
-        edges = a + (b - a) * (edges * Fraction(1, n))
+        edges = a + (b - a) * (column(np.arange(lo, hi + 1)) * Fraction(1, n))
     else:
+        edges = np.arange(lo, hi + 1, dtype=float)
         step = (b - a) / n
         if step == 0:
             edges /= n
@@ -127,14 +143,16 @@ def _uniform_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
 
 def _shifted_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
     """Cut points lo..hi of make_shifted_uniform's n-cell grid over ]a, b];
-    (0, n) is the whole grid."""
-    _check_grid(a, b, n)
+    (0, n) is the whole grid; the float points are made as _uniform_edges
+    makes them."""
+    n = _check_grid(a, b, n)
     a, b, column = _regime(a, b)
-    edges = column(np.arange(lo, hi + 1))
     if column is not _float_column:
-        edges = a + (b - a) * ((edges + IRRATIONAL_SHIFT) * Fraction(1, n))
+        j = column(np.arange(lo, hi + 1))
+        edges = a + (b - a) * ((j + IRRATIONAL_SHIFT) * Fraction(1, n))
     else:
         # a + (b - a) * ((j + FLOAT_SHIFT) / n), evaluated in place
+        edges = np.arange(lo, hi + 1, dtype=float)
         edges += FLOAT_SHIFT
         edges /= n
         edges *= b - a
@@ -169,17 +187,30 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
 
     A cell is accepted at a depth exactly when some selector of the set gives
     a fine tag there, so the orders accept the same cells and share the
-    edges; each order keeps the tag of its first fine selector.  A
-    selector's gauge call is made at most once per depth, and only when some
-    order still has an open cell that tries it, so a lone order makes the
-    calls its own bisection makes."""
+    edges; each order keeps the tag of its first fine selector.  A selector
+    is tried at a depth only when some order still has an open cell that
+    tries it, and then on every open cell.
+
+    Each point's width comes from one gauge.evaluate_batch call and is
+    reused from then on, so `fn` must be elementwise and deterministic.  A
+    cell that splits has tried every selector of the set: its end widths
+    pass to its halves, and it splits at its midpoint tag, whose width is
+    known when the set holds "midpoint".  So depth 0, which knows no width,
+    makes one call per selector it tries, and every later depth at most one:
+    on its cells' midpoints, or, for a set without "midpoint", on the cut
+    points new at that depth.  The points evaluated are the ones a
+    selector-by-selector bisection evaluates, each once, and a refused width
+    is the first one that bisection refuses."""
     # Iterative bisection over the open cells only.  `us`, `vs` and `index`
     # hold them left to right, `index` numbering cells of width
-    # (b - a) / 2**depth from a.  Each open cell either is accepted and set
-    # aside, or splits at its midpoint into two open cells.
+    # (b - a) / 2**depth from a; `known` holds the widths at `us` ("left")
+    # and at `vs` ("right") where the set uses them.  Each open cell either
+    # is accepted and set aside, or splits at its midpoint into two open
+    # cells.
     a, b, column = _regime(a, b)
     ends = column([a, b])
     us, vs = ends[:1], ends[1:]
+    known = {}
     # the position key index << (depth_cap - depth) must fit in the dtype
     index = np.zeros(1, dtype=np.int64 if depth_cap < 63 else object)
     accepted = []  # (key, left, tags of each order) arrays, one per depth
@@ -187,14 +218,17 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
         # "left" and "right" hand the gauge these arrays themselves
         us.setflags(write=False)
         vs.setflags(write=False)
-        candidates = {}  # selector -> (tag points, fine mask)
+        candidates = {}  # selector -> (tag points, widths, fine mask)
         columns = []
         for order in orders:
             # cells that stay undecided keep any tag: they are dropped
             for k, selector in enumerate(order):
                 if selector not in candidates:
                     cand = _tag_points(selector, us, vs)
-                    widths = gauge.evaluate_batch(cand)
+                    widths = known.get(selector)
+                    if widths is None:
+                        cand.setflags(write=False)
+                        widths = gauge.evaluate_batch(cand)
                     if selector == "midpoint":
                         fine = (cand - us < widths) & (vs - cand < widths)
                     else:
@@ -202,8 +236,8 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
                         # are positive (evaluate_batch refuses others): it
                         # is fine exactly when its cell is shorter
                         fine = vs - us < widths
-                    candidates[selector] = cand, fine
-                cand, fine = candidates[selector]
+                    candidates[selector] = cand, widths, fine
+                cand, _, fine = candidates[selector]
                 if k == 0:
                     tags, undecided = cand, ~fine
                 else:
@@ -224,9 +258,21 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
         if depth == depth_cap or 2 * still_open > 2 ** MAX_LEVEL:
             i = int(np.argmax(undecided))
             raise GaugeTooDemandingError(us[i], vs[i], depth)
-        us, vs = us[undecided], vs[undecided]
-        mids = midpoint(us, vs)
-        us, vs = _interleave(us, mids), _interleave(mids, vs)
+        # every selector of the set was tried on the open cells: their halves
+        # take the end widths, and the midpoints' widths are the new ones
+        if "midpoint" in candidates:
+            mids, mid_widths, _ = candidates["midpoint"]
+            mids, mid_widths = mids[undecided], mid_widths[undecided]
+        else:
+            mids = midpoint(us[undecided], vs[undecided])
+            mids.setflags(write=False)
+            mid_widths = gauge.evaluate_batch(mids)
+        known = {}
+        if "left" in candidates:
+            known["left"] = _interleave(candidates["left"][1][undecided], mid_widths)
+        if "right" in candidates:
+            known["right"] = _interleave(mid_widths, candidates["right"][1][undecided])
+        us, vs = _interleave(us[undecided], mids), _interleave(mids, vs[undecided])
         # cell i splits into cells 2i and 2i + 1 of the next depth
         parents = index[undecided]
         index = np.empty(2 * len(parents), parents.dtype)
@@ -238,8 +284,12 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
 def _interleave(x, y):
     """x[0], y[0], x[1], y[1], ..., for len(y) == len(x) or len(x) - 1: the
     halves of split cells in order, as an array of x's type.  An exact
-    column is filled through a copy of its own first element."""
+    column is filled through a copy of its own first element; beside an
+    `object` array (exact widths that a float left the exact regime), it
+    is read as one too."""
     n = len(x) + len(y)
+    if isinstance(y, np.ndarray) and not isinstance(x, np.ndarray):
+        x = np.asarray(x)
     out = np.empty(n, x.dtype) if isinstance(x, np.ndarray) else x[np.zeros(n, np.intp)]
     out[0::2], out[1::2] = x, y
     return out
@@ -291,10 +341,11 @@ def _constant_grid(a, b, gauge: Gauge, orders, depth_cap: int):
     # Bisection would accept every cell at the smallest depth at which some
     # selector is fine, so that uniform grid is the division; each order
     # tags it with its first selector fine there.  A midpoint tag needs half
-    # a cell shorter than delta, an endpoint tag a whole one.  Scaling by
-    # 2**-k is exact in the exact regime and correctly rounded in floats,
-    # where float * Fraction(1, 2**k) is span * 2.0**-k: ldexp gives the
-    # same float without building the Fraction.
+    # a cell shorter than delta, an endpoint tag a whole one: an endpoint
+    # tag is fine from the least k with below(k), a midpoint tag one depth
+    # earlier.  Scaling by 2**-k is exact in the exact regime and correctly
+    # rounded in floats, where float * Fraction(1, 2**k) is span * 2.0**-k:
+    # ldexp gives the same float without building the Fraction.
     depth_cap = min(depth_cap, MAX_LEVEL)
     span, delta = b - a, gauge.constant_value
     if isinstance(span, float) and isinstance(delta, float):
@@ -303,11 +354,40 @@ def _constant_grid(a, b, gauge: Gauge, orders, depth_cap: int):
     else:
         def below(k):
             return span * Fraction(1, 1 << k) < delta
-    for depth in range(depth_cap + 1):
-        fine = {s for s in orders[0] if below(depth + (s == "midpoint"))}
-        if fine:
-            return 2 ** depth, [next(s for s in order if s in fine) for order in orders]
-    raise GaugeTooDemandingError(a, b, depth_cap)
+    k = _least(below, _exponent(span) - _exponent(delta), depth_cap + 1)
+    depth = max(k - ("midpoint" in orders[0]), 0)
+    if depth > depth_cap:
+        raise GaugeTooDemandingError(a, b, depth_cap)
+    fine = {s for s in orders[0] if below(depth + (s == "midpoint"))}
+    return 2 ** depth, [next(s for s in order if s in fine) for order in orders]
+
+
+def _exponent(x) -> int:
+    """About log2 of the positive scalar x: the bit length of the numerator
+    less that of the denominator of an exact x (of p + q * 99/70 for a
+    QuadExtScalar p + q*sqrt(2)), and math.frexp's exponent of any other."""
+    if not is_exact_scalar(x):
+        return math.frexp(float(x))[1]
+    if isinstance(x, QuadExtScalar):
+        x = x.p + x.q * Fraction(99, 70)
+    n, d = Fraction(x).as_integer_ratio()
+    return n.bit_length() - d.bit_length()
+
+
+def _least(below, guess: int, limit: int) -> int:
+    """The least k in 0..limit with below(k), or limit + 1 if there is none,
+    for a predicate that stays true once it is: searched from `guess`, which
+    a good guess makes one or two evaluations."""
+    k = min(max(guess, 0), limit)
+    if below(k):
+        while k and below(k - 1):
+            k -= 1
+        return k
+    while k < limit:
+        k += 1
+        if below(k):
+            return k
+    return limit + 1
 
 
 def delta_fine_division(

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from gaugelab.cells import Gauge, TaggedDivision, _is_end_view
+from gaugelab.divisions import delta_fine_division
 from gaugelab.errors import ArgumentError, GaugeContractError, ScalarRegimeError, _plain
 from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray
 
@@ -265,6 +266,21 @@ class TestGauge:
             Gauge.from_function(lambda s: s - Fraction(1, 2)).evaluate_batch(points)
         assert err.value.point == Fraction(1, 4)
         assert err.value.value == Fraction(-1, 4)
+
+    def test_widths_of_another_shape_are_refused(self):
+        fixed = Gauge.from_function(lambda s: np.array([0.3, 0.3, 0.3]), name="fixed")
+        for regime in (float, Fraction):
+            with pytest.raises(ArgumentError) as err:
+                delta_fine_division(regime(0), regime(1), fixed)
+            assert str(err.value) == (
+                "gauge 'fixed' gave widths of shape (3,) for points of shape (1,)"
+            )
+        with pytest.raises(ArgumentError, match=r"shape \(2, 1\) for points of shape \(2,\)"):
+            Gauge.from_function(lambda s: s[:, None]).evaluate_batch(np.array([0.1, 0.2]))
+        # a scalar width still broadcasts, in both regimes
+        for regime in (float, Fraction):
+            d = delta_fine_division(regime(0), regime(1), Gauge.from_function(lambda s: regime(1)))
+            assert d.tags.tolist() == [regime(1) / 2]
 
     def test_int_points_are_read_as_floats(self):
         # only QuadExtArray and object points are exact

@@ -29,6 +29,7 @@ from gaugelab.divisions import (
 )
 from gaugelab.errors import (
     ArgumentError,
+    GaugeContractError,
     GaugeTooDemandingError,
     IntegrandEvalError,
 )
@@ -56,6 +57,16 @@ class TestRefinementSchedule:
     def test_bounds_validated(self):
         with pytest.raises(ArgumentError):
             RefinementSchedule(5, 4)
+
+    @pytest.mark.parametrize("start, stop", [(4.5, 6), (4, 6.0), ("4", 6), (None, 6)])
+    def test_levels_must_be_integers(self, start, stop):
+        with pytest.raises(ArgumentError, match="must be an integer"):
+            RefinementSchedule(start, stop)
+
+    def test_integer_levels_are_read_as_ints(self):
+        sched = RefinementSchedule(np.int64(2), np.int8(5))
+        assert (type(sched.start), type(sched.stop)) == (int, int)
+        assert sched == RefinementSchedule(2, 5)
 
     def test_stop_bounded_by_max_level(self):
         assert list(RefinementSchedule(0, MAX_LEVEL).levels())[-1] == MAX_LEVEL
@@ -85,6 +96,17 @@ class TestMakeUniform:
         assert not d.exact
         assert d.rights[-1] == 1.0
         np.testing.assert_allclose(np.diff(d.lefts), 0.125)
+
+    @pytest.mark.parametrize("build", [make_uniform, make_shifted_uniform])
+    @pytest.mark.parametrize("n", [4.5, 2.9999, 4.0, Fraction(4), "4", 2.0**40 + 0.5])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (Fraction(0), Fraction(1))])
+    def test_non_integral_cell_counts_are_refused(self, build, n, a, b):
+        with pytest.raises(ArgumentError, match="cell count must be an integer"):
+            build(a, b, n)
+
+    def test_integer_cell_counts_of_any_type(self):
+        for n in (3, np.int64(3), np.uint8(3)):
+            _same_points(make_uniform(0.0, 1.0, n).edges, np.linspace(0.0, 1.0, 4))
 
     def test_bad_inputs(self):
         with pytest.raises(ArgumentError):
@@ -537,11 +559,37 @@ class TestExactFunctionalGauge:
 # --------------------------------------------------------------------------
 
 
+def _evaluated_once(got_calls, want_calls):
+    """Check the bisection's gauge calls (the points of each, a float64 or
+    `object` array) against the (depth, points) of each call of a
+    selector-by-selector reference.  No point is evaluated twice, and the
+    points evaluated are the reference's.  Each call is on points of one
+    depth, the one at which the reference first evaluates them; depth 0
+    makes at most one call per selector, each on one point, and every later
+    depth at most one."""
+    want = np.concatenate([points for _, points in want_calls])
+    want_depths = np.repeat([d for d, _ in want_calls], [len(p) for _, p in want_calls])
+    points, first = np.unique(want, return_index=True)
+    got = np.concatenate(got_calls)
+    assert len(np.unique(got)) == len(got)
+    assert np.array_equal(np.sort(got), points)
+    depths = []
+    for call in got_calls:
+        call_depths = want_depths[first[np.searchsorted(points, call)]]
+        assert (call_depths == call_depths[0]).all()
+        depths.append(call_depths[0])
+    assert depths == sorted(depths)
+    later = [d for d in depths if d > 0]
+    assert len(later) == len(set(later))
+    assert depths.count(0) <= len(TAG_RULES)
+    assert all(len(points) == 1 for points, d in zip(got_calls, depths) if d == 0)
+
+
 def _whole_array_division(a, b, width, selectors, depth_cap):
     """Breadth-first bisection over whole arrays, as the builder ran before
     it kept only the open cells: every depth inserts the split cells'
     midpoints into the full edge, tag and done arrays.  (tags, edges, the
-    points of each gauge call) or GaugeTooDemandingError."""
+    (depth, points) of each gauge call) or GaugeTooDemandingError."""
     dtype = object if isinstance(a, (Fraction, QuadExtScalar)) else float
     edges = np.array([a, b], dtype=dtype)
     tags = np.empty(1, dtype=dtype)
@@ -553,7 +601,7 @@ def _whole_array_division(a, b, width, selectors, depth_cap):
         undecided = np.ones(len(cells), dtype=bool)
         for selector in selectors:
             cand = {"left": us, "right": vs, "midpoint": midpoint(us, vs)}[selector]
-            calls.append(cand.tolist())
+            calls.append((depth, np.array(cand)))
             widths = np.asarray(width(cand), dtype=dtype)
             fine = (cand - us < widths) & (vs - cand < widths) & undecided
             tags[cells[fine]] = cand[fine]
@@ -597,7 +645,7 @@ class TestOpenCellBisection:
         calls = []
 
         def logged(s):
-            calls.append(s.tolist())
+            calls.append(np.array(s))
             return width(s)
 
         try:
@@ -616,7 +664,7 @@ class TestOpenCellBisection:
                 assert [type(x) for x in got_column] == [type(x) for x in want_column]
             else:
                 assert got_column.tobytes() == want_column.tobytes()
-        assert calls == want_calls
+        _evaluated_once(calls, want_calls)
 
     def test_deep_cap_keeps_exact_positions(self):
         # past depth 62 the position keys outgrow int64: a gauge that admits
@@ -771,9 +819,8 @@ class TestSharedBisection:
         for division, tags in zip(separate, columns):
             _same_points(edges, division.edges)
             _same_points(tags, division.tags)
-        # each call is one a separate build makes, made once: at most one
-        # call per selector and depth, as the open cells of one depth are
-        # the same for every order and differ between depths
+        # each call is one a separate build makes, made once, as the open
+        # cells of one depth are the same for every order
         assert len(calls) == len(set(calls))
         assert set(calls) == set(separate_calls)
         if len(orders) == 1:
@@ -784,7 +831,7 @@ class TestSharedBisection:
         calls = []
 
         def logged(s):
-            calls.append(_call_key(s))
+            calls.append(s.tolist())
             return width(s)
 
         orders = tuple(s.selectors for s in ANCHORED_STRATEGIES)
@@ -796,9 +843,11 @@ class TestSharedBisection:
             alone = delta_fine_division(0.0, 1.0, Gauge.from_function(logged), order)
             _same_points(alone.edges, edges)
             _same_points(alone.tags, tags)
-        # the two orders alone make 32 and 33 calls, nearly all of them the
-        # same three selectors at the same depth
-        assert (shared, len(calls) - shared) == (33, 65)
+        # the bisection runs to depth 10: depth 0 makes one call for each
+        # selector, on one point each, and every later depth one, on its
+        # cells' midpoints; each order alone makes the same 13 calls
+        assert (shared, len(calls) - shared) == (13, 26)
+        assert [len(points) for points in calls[:shared]] == [1, 1, 1, 2, 4] + [2] * 8
         assert columns[0][0] == 0.0 and columns[1][0] == 0.0
 
     @pytest.mark.parametrize("orders, n, rules", [
@@ -845,11 +894,13 @@ class TestSharedBisection:
 # Constant-gauge depth and bisection step against the code they replaced
 # --------------------------------------------------------------------------
 #
-# The float depth search scales by ldexp where it built a Fraction per depth
-# and selector, and the bisection step makes fewer numpy calls (an endpoint
-# tag's fineness is one comparison of its cell's length); both must pick the
-# same cells and tags and make the same gauge calls.  The two references
-# below are the earlier code, kept as it ran.
+# The depth search starts from the exponents of span and delta where it
+# built a Fraction per depth and selector, and the bisection step makes
+# fewer numpy calls (an endpoint tag's fineness is one comparison of its
+# cell's length) and evaluates each width once; both must pick the same
+# cells and tags and make the same refusals, and the bisection must evaluate
+# the points the earlier code evaluated.  The two references below are the
+# earlier code, kept as it ran; the bisection also logs its gauge calls.
 
 
 def _fraction_depth_columns(a, b, delta, orders, depth_cap):
@@ -867,10 +918,11 @@ def _fraction_depth_columns(a, b, delta, orders, depth_cap):
     raise GaugeTooDemandingError(a, b, depth_cap)
 
 
-def _reference_bisection(a, b, gauge, orders, depth_cap):
+def _reference_bisection(a, b, gauge, orders, depth_cap, calls):
     """The shared bisection step by step as it ran with a tag column seeded
     by np.ones and np.where, two tests of the open count and an interleaved
-    position index."""
+    position index, one gauge call per selector tried at each depth.
+    `calls` receives the (depth, points) of each gauge call."""
     a, b, column = divisions._regime(a, b)
     ends = column([a, b])
     us, vs = ends[:1], ends[1:]
@@ -887,6 +939,7 @@ def _reference_bisection(a, b, gauge, orders, depth_cap):
             for selector in order:
                 if selector not in candidates:
                     cand = divisions._tag_points(selector, us, vs)
+                    calls.append((depth, np.array(cand)))
                     widths = gauge.evaluate_batch(cand)
                     candidates[selector] = cand, (cand - us < widths) & (vs - cand < widths)
                 cand, fine = candidates[selector]
@@ -912,13 +965,15 @@ def _reference_bisection(a, b, gauge, orders, depth_cap):
 
 
 def _same_build_or_refusal(build, reference):
-    """Run both; the same (edges, tag columns) or the same refusal."""
+    """Run both; the same (edges, tag columns) or the same refusal: the
+    same stuck cell and depth, or the same refused point and width."""
     try:
         want = reference()
-    except GaugeTooDemandingError as err:
-        with pytest.raises(GaugeTooDemandingError) as got:
+    except (GaugeTooDemandingError, GaugeContractError) as err:
+        with pytest.raises(type(err)) as got:
             build()
-        assert (got.value.lo, got.value.hi, got.value.depth) == (err.lo, err.hi, err.depth)
+        assert vars(got.value) == vars(err)
+        assert [type(x) for x in vars(got.value).values()] == [type(x) for x in vars(err).values()]
         assert str(got.value) == str(err)
         return None
     edges, columns = build()
@@ -952,6 +1007,31 @@ def _span_and_delta(draw):
     return a, b, delta
 
 
+@hst.composite
+def _exact_span_and_delta(draw):
+    """Exact bounds a < b, from 2**-60 to 2**40 apart and rational or not,
+    and an exact delta on, just off, or anywhere near a strict boundary
+    span * 2**-k."""
+    a = draw(_fractions)
+    if draw(hst.booleans()):
+        a = a + IRRATIONAL_SHIFT
+    span = draw(hst.fractions(min_value=Fraction(1, 2), max_value=1, max_denominator=1024))
+    span *= Fraction(2) ** draw(hst.integers(min_value=-60, max_value=40))
+    if draw(hst.booleans()):
+        span *= 1 + IRRATIONAL_SHIFT
+    boundary = span * Fraction(1, 2 ** draw(hst.integers(min_value=0, max_value=MAX_LEVEL + 3)))
+    nudge = boundary * Fraction(1, 2**70)
+    delta = draw(hst.sampled_from([
+        boundary,
+        boundary + nudge,
+        boundary - nudge,
+        boundary * draw(hst.fractions(min_value=Fraction(1, 2), max_value=2)),
+        boundary * (1 + IRRATIONAL_SHIFT),
+        draw(hst.integers(min_value=1, max_value=4)),
+    ]))
+    return a, a + span, delta
+
+
 class TestAgainstTheEarlierCode:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -968,6 +1048,25 @@ class TestAgainstTheEarlierCode:
         with pytest.MonkeyPatch.context() as mp:
             # a stand-in grid that records the cell count, so a depth of 26
             # allocates no 2**26 cells; the tags still show each order's rule
+            mp.setattr(divisions, "_uniform_edges",
+                       lambda a, b, n, lo, hi: np.array([float(n), n + 1.0]))
+            _same_build_or_refusal(
+                lambda: _delta_fine(a, b, Gauge.constant(delta), orders, depth_cap),
+                lambda: _fraction_depth_columns(a, b, delta, orders, depth_cap),
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        domain=_exact_span_and_delta(),
+        orders=_orders,
+        depth_cap=hst.integers(min_value=0, max_value=MAX_LEVEL + 4),
+    )
+    @example(domain=(Fraction(0), Fraction(1), Fraction(1, 16)), orders=(("left",),), depth_cap=60)
+    @example(domain=(Fraction(0), Fraction(1), Fraction(1, 32)), orders=(("midpoint",),),
+             depth_cap=60)
+    def test_exact_depth_search_picks_the_fraction_depth(self, domain, orders, depth_cap):
+        a, b, delta = domain
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(divisions, "_uniform_edges",
                        lambda a, b, n, lo, hi: np.array([float(n), n + 1.0]))
             _same_build_or_refusal(
@@ -999,6 +1098,63 @@ class TestAgainstTheEarlierCode:
             width = lambda s: floor + slope * np.abs(s - pole) ** float(power)
         self._same_bisection(a, b, width, orders, depth_cap)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bounds=_exact_bounds(),
+        level=hst.fractions(min_value=-1, max_value=1, max_denominator=64),
+        slope=hst.fractions(min_value=0, max_value=4, max_denominator=8),
+        rising=hst.booleans(),
+        at=hst.lists(hst.fractions(min_value=0, max_value=1, max_denominator=16),
+                     min_size=1, max_size=2),
+        orders=_orders,
+        exact=hst.booleans(),
+        depth_cap=hst.sampled_from([8, 20, DEFAULT_DEPTH_CAP]),
+    )
+    # zero at a cut point of depth 3
+    @example(bounds=(Fraction(0), Fraction(1)), level=Fraction(0), slope=Fraction(1),
+             rising=True, at=[Fraction(3, 8)], orders=(TAG_RULES,), exact=True, depth_cap=20)
+    # non-positive beyond a distance of 1/2 from the pole
+    @example(bounds=(Fraction(0), Fraction(2)), level=Fraction(1, 2), slope=Fraction(1),
+             rising=False, at=[Fraction(1, 4)], orders=(("right", "left"),), exact=False,
+             depth_cap=60)
+    # zero at two cut points new at depth 3: the left one is refused
+    @example(bounds=(Fraction(0), Fraction(1)), level=Fraction(0), slope=Fraction(1),
+             rising=True, at=[Fraction(5, 8), Fraction(3, 8)], orders=(("left", "right"),),
+             exact=False, depth_cap=20)
+    def test_refused_widths_match(
+        self, bounds, level, slope, rising, at, orders, exact, depth_cap
+    ):
+        # widths level +- slope * (distance to the nearest pole) turn
+        # non-positive near a pole when they rise from a level <= 0, and
+        # away from the poles when they fall
+        a, b = bounds
+        if not exact:
+            a, b, level, slope = map(float, (a, b, level, slope))
+        poles = [a + (b - a) * (t if exact else float(t)) for t in at]
+        if not rising:
+            slope = -slope
+
+        def width(s):
+            distance = abs(s - poles[0])
+            for pole in poles[1:]:
+                distance = np.minimum(distance, abs(s - pole))
+            return level + slope * distance
+
+        self._same_bisection(a, b, width, orders, depth_cap)
+
+    @pytest.mark.parametrize("orders", [
+        (TAG_RULES,), (("midpoint", "left"),), (("left", "right"), ("right", "left")),
+    ])
+    @pytest.mark.parametrize("float_side", ["left", "right"])
+    def test_float_widths_at_some_exact_points(self, orders, float_side):
+        # widths are exact columns in some calls and `object` arrays holding
+        # floats in others, and the bisection carries both
+        below, above = Fraction(1, 10), 0.1
+        if float_side == "left":
+            below, above = above, below
+        width = lambda s: np.where(s < Fraction(1, 2), below, above)
+        self._same_bisection(Fraction(0), Fraction(1), width, orders, DEFAULT_DEPTH_CAP)
+
     @pytest.mark.parametrize("level", range(6, 19))
     def test_inv_sqrt_gauges(self, level):
         entry = get_entry("inv_sqrt")
@@ -1018,18 +1174,18 @@ class TestAgainstTheEarlierCode:
 
     @staticmethod
     def _same_bisection(a, b, width, orders, depth_cap):
-        """Compare edges, tag columns and every gauge call's points."""
+        """Compare edges, tag columns or refusals, and check the gauge
+        calls against the earlier code's."""
         got_calls, want_calls = [], []
 
-        def logged(calls):
-            def fn(s):
-                calls.append(_call_key(s) if s.dtype == object else s.tobytes())
-                return width(s)
-            return Gauge.from_function(fn)
+        def logged(s):
+            got_calls.append(np.array(s))
+            return width(s)
 
         edges = _same_build_or_refusal(
-            lambda: _delta_fine_batched(a, b, logged(got_calls), orders, depth_cap),
-            lambda: _reference_bisection(a, b, logged(want_calls), orders, depth_cap),
+            lambda: _delta_fine_batched(a, b, Gauge.from_function(logged), orders, depth_cap),
+            lambda: _reference_bisection(
+                a, b, Gauge.from_function(width), orders, depth_cap, want_calls),
         )
-        assert got_calls == want_calls
+        _evaluated_once(got_calls, want_calls)
         return edges
