@@ -124,8 +124,11 @@ def _write_artifact(args, header: Sequence[str], rows, payload) -> None:
         body = dict(payload)
         body["metadata"] = metadata
         text = json.dumps(body, indent=2, allow_nan=False) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GaugeLabError(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -134,13 +137,12 @@ def _write_artifact(args, header: Sequence[str], rows, payload) -> None:
 
 
 def _parse_levels(text: str) -> Tuple[int, int]:
+    """--levels START:STOP as two ints; the schedule checks their range."""
     try:
         start_s, stop_s = text.split(":", 1)
         return int(start_s), int(stop_s)
     except ValueError:
-        raise GaugeLabError(
-            f"--levels wants START:STOP (e.g. 4:18), got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"wants START:STOP (e.g. 4:18), got {text!r}") from None
 
 
 def _controller_from_args(args, base: ConvergenceController) -> ConvergenceController:
@@ -150,7 +152,7 @@ def _controller_from_args(args, base: ConvergenceController) -> ConvergenceContr
     if args.tol is not None:
         changes["tolerance_abs"] = args.tol
     if args.levels is not None:
-        changes["schedule"] = RefinementSchedule(*_parse_levels(args.levels))
+        changes["schedule"] = RefinementSchedule(*args.levels)
     return replace(base, **changes)
 
 
@@ -446,7 +448,8 @@ def build_parser() -> _Parser:
     pi.add_argument("--a", help="left endpoint (default 0)")
     pi.add_argument("--b", help="right endpoint (default 1)")
     pi.add_argument("--tol", type=float, help="stability tolerance override")
-    pi.add_argument("--levels", help=f"refinement schedule START:STOP, STOP <= {MAX_LEVEL}")
+    pi.add_argument("--levels", type=_parse_levels,
+                    help=f"refinement schedule START:STOP, STOP <= {MAX_LEVEL}")
     pi.set_defaults(run=cmd_integrate)
 
     pb = sub.add_parser("brownian", parents=[common],

@@ -13,7 +13,7 @@ import numpy as np
 from .cells import Gauge, TaggedDivision
 from .errors import MAX_LEVEL, ArgumentError, GaugeTooDemandingError, IntegrandEvalError, _plain
 from . import exact
-from .exact import IRRATIONAL_SHIFT, QuadExtScalar, is_exact_scalar
+from .exact import IRRATIONAL_SHIFT, is_exact_scalar
 from .integrand import BurkillIntegrand, midpoint
 
 # Tag rules of the grid builders, and the tag selectors of gauge-driven
@@ -82,24 +82,33 @@ def _tag_points(rule: str, u, v):
 
 
 def _check_domain(a, b):
-    """Refuse ]a, b] unless a < b, and a float domain unless both ends are
-    finite: an infinite end would only surface later, as non-finite cells or
-    as a gauge no bisection can satisfy."""
+    """Refuse ]a, b] unless a < b, and a float domain unless both ends lie
+    inside +-2**1023 (so no infinite end): then every width and every sum
+    of two points in it is a finite float.  An exact domain takes any
+    ends."""
     if not a < b:
         raise ArgumentError(f"domain needs a < b, got a={a!r}, b={b!r}")
-    if any(not is_exact_scalar(x) and math.isinf(x) for x in (a, b)):
-        raise ArgumentError(f"domain needs finite ends, got a={_plain(a)!r}, b={_plain(b)!r}")
+    if not (is_exact_scalar(a) and is_exact_scalar(b) or max(abs(a), abs(b)) < 2.0 ** 1023):
+        raise ArgumentError(
+            f"float domain needs |a|, |b| < 2**1023, got a={_plain(a)!r}, b={_plain(b)!r}"
+        )
 
 
 def _check_grid(a, b, n) -> int:
-    """The cell count n as an int, once n and ]a, b] are valid."""
+    """The cell count n as an int, once ]a, b] is a valid domain, n is in
+    1..2**MAX_LEVEL and a float cell width (b - a) / n does not underflow
+    to 0.  Checked before any array is made."""
     try:
         n = operator.index(n)
     except TypeError:
         raise ArgumentError(f"cell count must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ArgumentError(f"cell count must be >= 1, got {n}")
+    if not 1 <= n <= 2 ** MAX_LEVEL:
+        raise ArgumentError(f"cell count must be in 1..2**{MAX_LEVEL}, got {n}")
     _check_domain(a, b)
+    if not (is_exact_scalar(a) and is_exact_scalar(b)) and (float(b) - float(a)) / n == 0:
+        raise ArgumentError(
+            f"cell width (b - a) / {n} underflows to 0, got a={_plain(a)!r}, b={_plain(b)!r}"
+        )
     return n
 
 
@@ -119,22 +128,17 @@ def _grid_division(edges, tag_rule: str) -> TaggedDivision:
 def _uniform_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
     """Cut points lo..hi of the uniform n-cell grid over ]a, b]; (0, n) is
     the whole grid.  The float points are np.linspace(a, b, n + 1)[lo:hi + 1]
-    bit for bit: j * ((b - a) / n) + a, or j / n * (b - a) + a when the step
-    underflows to 0, with the last point set to b.  They are made as floats
-    j = lo..hi, exact below 2**53, and scaled in place; the exact points
-    come from an integer column."""
+    bit for bit: j * ((b - a) / n) + a, with the last point set to b (a step
+    that underflows to 0 is refused).  They are made as floats j = lo..hi,
+    exact below 2**53, and scaled in place; the exact points come from an
+    integer column."""
     n = _check_grid(a, b, n)
     a, b, column = _regime(a, b)
     if column is not _float_column:
         edges = a + (b - a) * (column(np.arange(lo, hi + 1)) * Fraction(1, n))
     else:
         edges = np.arange(lo, hi + 1, dtype=float)
-        step = (b - a) / n
-        if step == 0:
-            edges /= n
-            edges *= b - a
-        else:
-            edges *= step
+        edges *= (b - a) / n
         edges += a
     if hi == n:
         edges[-1] = b
@@ -278,7 +282,6 @@ def _delta_fine_batched(a, b, gauge: Gauge, orders, depth_cap: int):
         index = np.empty(2 * len(parents), parents.dtype)
         np.left_shift(parents, 1, out=index[0::2])
         np.add(index[0::2], 1, out=index[1::2])
-    raise GaugeTooDemandingError(a, b, depth_cap)
 
 
 def _interleave(x, y):
@@ -308,8 +311,10 @@ def _assemble(accepted, end, column):
     return edges, [column(tags[order]) for tags in columns]
 
 
-def _check_orders(a, b, orders):
+def _check_orders(a, b, orders, depth_cap: int):
     _check_domain(a, b)
+    if depth_cap < 0:
+        raise ArgumentError(f"depth cap must be >= 0, got {depth_cap}")
     for selectors in orders:
         if not selectors:
             raise ArgumentError("need at least one tag selector")
@@ -327,7 +332,7 @@ def _delta_fine(a, b, gauge: Gauge, orders, depth_cap: int):
     would keep more than 2**MAX_LEVEL cells open, raises
     GaugeTooDemandingError before it is allocated."""
     if not gauge.is_constant:
-        _check_orders(a, b, orders)
+        _check_orders(a, b, orders, depth_cap)
         return _delta_fine_batched(a, b, gauge, orders, depth_cap)
     cells, rules = _constant_grid(a, b, gauge, orders, depth_cap)
     return _grid_columns(_uniform_edges(a, b, cells, 0, cells), rules)
@@ -336,8 +341,10 @@ def _delta_fine(a, b, gauge: Gauge, orders, depth_cap: int):
 def _constant_grid(a, b, gauge: Gauge, orders, depth_cap: int):
     """(cells, the tag rule of each order) of the uniform grid that is the
     delta-fine division of ]a, b] under the constant `gauge`, found without
-    building it.  Refuses what _delta_fine refuses, in the same order."""
-    _check_orders(a, b, orders)
+    building it.  Refuses what _delta_fine refuses, in the same order.  The
+    depth is found by trying k = 0, 1, ... up to min(depth_cap, MAX_LEVEL) + 1,
+    at most MAX_LEVEL + 2 comparisons."""
+    _check_orders(a, b, orders, depth_cap)
     # Bisection would accept every cell at the smallest depth at which some
     # selector is fine, so that uniform grid is the division; each order
     # tags it with its first selector fine there.  A midpoint tag needs half
@@ -354,40 +361,12 @@ def _constant_grid(a, b, gauge: Gauge, orders, depth_cap: int):
     else:
         def below(k):
             return span * Fraction(1, 1 << k) < delta
-    k = _least(below, _exponent(span) - _exponent(delta), depth_cap + 1)
+    k = next((k for k in range(depth_cap + 2) if below(k)), depth_cap + 2)
     depth = max(k - ("midpoint" in orders[0]), 0)
     if depth > depth_cap:
         raise GaugeTooDemandingError(a, b, depth_cap)
     fine = {s for s in orders[0] if below(depth + (s == "midpoint"))}
     return 2 ** depth, [next(s for s in order if s in fine) for order in orders]
-
-
-def _exponent(x) -> int:
-    """About log2 of the positive scalar x: the bit length of the numerator
-    less that of the denominator of an exact x (of p + q * 99/70 for a
-    QuadExtScalar p + q*sqrt(2)), and math.frexp's exponent of any other."""
-    if not is_exact_scalar(x):
-        return math.frexp(float(x))[1]
-    if isinstance(x, QuadExtScalar):
-        x = x.p + x.q * Fraction(99, 70)
-    n, d = Fraction(x).as_integer_ratio()
-    return n.bit_length() - d.bit_length()
-
-
-def _least(below, guess: int, limit: int) -> int:
-    """The least k in 0..limit with below(k), or limit + 1 if there is none,
-    for a predicate that stays true once it is: searched from `guess`, which
-    a good guess makes one or two evaluations."""
-    k = min(max(guess, 0), limit)
-    if below(k):
-        while k and below(k - 1):
-            k -= 1
-        return k
-    while k < limit:
-        k += 1
-        if below(k):
-            return k
-    return limit + 1
 
 
 def delta_fine_division(
@@ -411,8 +390,10 @@ def delta_fine_division(
 
 
 def bisect_refine(division: TaggedDivision, tag_rule: str = "left") -> TaggedDivision:
-    """Split every cell at its midpoint; tags reassigned by tag_rule."""
+    """Split every cell at its midpoint; tags reassigned by tag_rule.  The
+    doubled cell count must stay within 2**MAX_LEVEL."""
     edges = division.edges
+    _check_grid(edges[0], edges[-1], 2 * (len(edges) - 1))
     return _grid_division(_interleave(edges, midpoint(edges[:-1], edges[1:])), tag_rule)
 
 

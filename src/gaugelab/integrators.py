@@ -30,6 +30,7 @@ from .cells import Gauge, TaggedDivision
 from .divisions import (
     DEFAULT_DEPTH_CAP,
     RefinementSchedule,
+    _check_domain,
     _constant_grid,
     _delta_fine,
     _grid_columns,
@@ -44,7 +45,6 @@ from .errors import (
     NonFiniteSumError,
     OracleInconsistencyError,
 )
-from .exact import is_exact_scalar
 from .integrand import BurkillIntegrand, IntervalFactor, increments_of, make_integrand
 from .results import IntegralResult, Status, TraceRow
 
@@ -321,6 +321,8 @@ class DistributionFunction:
     `evaluate` is elementwise.  Only increments of g matter, so g is
     normalized to g(c) = 0; a point mass sitting exactly at c is folded into
     the first increment, which the half-open cells would otherwise never see.
+    [c, d] must be a domain divisions take: c < d, and float ends inside
+    +-2**1023.
     """
 
     name: str
@@ -330,8 +332,7 @@ class DistributionFunction:
     jumps: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if not self.c < self.d:
-            raise ArgumentError(f"domain needs c < d, got [{self.c}, {self.d}]")
+        _check_domain(self.c, self.d)
         for pos, mass in self.jumps:
             if not (self.c <= pos <= self.d):
                 raise ArgumentError(f"jump at {pos} outside [{self.c}, {self.d}]")
@@ -460,15 +461,6 @@ def _shared_build(strat: Strategy):
     return strat.cuts
 
 
-def _finite_midpoints(lo, hi) -> bool:
-    """Whether every midpoint of two cut points of ]lo, hi] is finite:
-    always over exact ends, and over float ends below 2**1023 in magnitude,
-    whose sums cannot overflow."""
-    if is_exact_scalar(lo) and is_exact_scalar(hi):
-        return True
-    return max(abs(float(lo)), abs(float(hi))) < 2.0 ** 1023
-
-
 def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, known: dict):
     """(cells, {strategy: sum}) of one level over the (lo, hi, mesh)
     pieces, the one driver of rs, gauge and Lebesgue sums.
@@ -495,12 +487,11 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
     or of a later level when the caller keeps `known` for the run, as
     gauge_integrate does: gauge's right tags take the left tags' grid, and
     its midpoint tags the grid the left tags summed a level before.  The
-    tags' own check is skipped with the sum: left and right tags are valid
-    on valid edges, and so are midpoints wherever they cannot overflow,
-    which _finite_midpoints demands of every piece.  A stored sum is one
-    that raised nothing, so a fault still raises where summing each
-    strategy on its own raises it first."""
-    share = not h.reads_tag and all(_finite_midpoints(lo, hi) for lo, hi, _ in pieces)
+    tags' own check is skipped with the sum: every tag is valid on valid
+    edges, as a domain that passes divisions._check_domain has only finite
+    midpoints.  A stored sum is one that raised nothing, so a fault still
+    raises where summing each strategy on its own raises it first."""
+    share = not h.reads_tag
     n, sums = 0, {}
     kept = None  # the last block's edges
     for key, group in groupby(strategies, key=_shared_build):
@@ -685,7 +676,7 @@ def lebesgue_distribution_integrate(
         return result
 
     jump_points = [p for p, _ in g.jumps]
-    interior = [p for p in jump_points if g.c < p < g.d]
+    interior = {p for p in jump_points if g.c < p < g.d}
     pieces = []
     edges = [g.c] + sorted(interior) + [g.d]
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -195,14 +195,18 @@ class TestIntegrateDispatch:
         (["--a", "0", "--b", "inf"], "a=0.0, b=inf"),
         (["--a=-inf", "--b", "1"], "a=-inf, b=1.0"),
         (["--a", "-inf", "--b", "1"], "a=-inf, b=1.0"),
+        (["--a", "-1e308", "--b", "1e308"], "a=-1e+308, b=1e+308"),
+        (["--a", "1e308", "--b", "1.7e308"], "a=1e+308, b=1.7e+308"),
     ])
     def test_infinite_bound_is_one_error_line(self, method, bounds, shown, capsys):
+        # an end at or beyond +-2**1023 is refused before any division, with
+        # no numpy warning and no gauge search on the way
         with pytest.raises(SystemExit) as exc:
             main_cli(["integrate", "--method", method, "--expr", "s", *bounds, "--no-timestamp"])
         assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"gaugelab: error: domain needs finite ends, got {shown}\n"
+        assert err == f"gaugelab: error: float domain needs |a|, |b| < 2**1023, got {shown}\n"
 
     @pytest.mark.parametrize("spaced, joined", [
         (["--a", "-1e-3", "--b", "1"], ["--a=-1e-3", "--b=1"]),
@@ -360,6 +364,28 @@ class TestIntegrateDispatch:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "gaugelab: error:" in err and "26" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--levels", "4", "argument --levels: wants START:STOP (e.g. 4:18), got '4'"),
+        ("--levels", "4:x", "argument --levels: wants START:STOP (e.g. 4:18), got '4:x'"),
+        ("--levels", "4.5:6", "argument --levels: wants START:STOP (e.g. 4:18), got '4.5:6'"),
+        ("--tol", "abc", "argument --tol: invalid float value: 'abc'"),
+    ])
+    def test_malformed_flag_is_a_usage_error(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["integrate", "--method", "rs", "--expr", "s", flag, value])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: gaugelab integrate [-h]")
+        assert err.splitlines()[-1] == f"gaugelab integrate: error: {message}"
+
+    def test_levels_past_max_level_is_the_schedules_refusal(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_cli(["integrate", "--method", "rs", "--expr", "s", "--levels", "4:40"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "gaugelab: error: schedule stop 40 exceeds MAX_LEVEL=26\n")
 
     def test_dg_integrates_against_a_distribution_entry(self, capsys):
         # s d(s^2) over ]0, 1] is 2/3
@@ -561,6 +587,22 @@ class TestArtifacts:
 
 
 OVERRIDE_GOLDEN = Path(__file__).parent / "data" / "cli_override_golden.json"
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["integrate", "--method", "rs", "--expr", "s", "--levels", "2:4"], "status: inconclusive"),
+    (["brownian", "qv", "--t", "1", "--level", "2", "--paths", "2", "--seed", "1"], "qv: mean="),
+    (["series", "--n", "3"], "3,"),
+], ids=["integrate", "brownian", "series"])
+def test_unwritable_out_is_one_error_line(argv, shown, tmp_path, capsys):
+    out = tmp_path / "missing" / "run.csv"
+    with pytest.raises(SystemExit) as exc:
+        main_cli([*argv, "--out", str(out), "--no-timestamp"])
+    assert exc.value.code == 1
+    printed, err = capsys.readouterr()
+    assert shown in printed
+    assert err == f"gaugelab: error: cannot write {str(out)!r}: No such file or directory\n"
+    assert not out.parent.exists()
 
 
 class TestCatalogOverride:

@@ -46,6 +46,20 @@ from gaugelab.integrand import (
 )
 
 
+def no_grid_arrays(monkeypatch):
+    """Make the division layer's np.arange fail, so a grid refused under
+    this patch is refused before its edge array is made."""
+
+    class NoArange:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arange(self, *args, **kwargs):
+            raise AssertionError("a grid array was made")
+
+    monkeypatch.setattr(divisions, "np", NoArange())
+
+
 class TestRefinementSchedule:
     def test_default_levels_and_cells(self):
         sched = RefinementSchedule()
@@ -107,6 +121,22 @@ class TestMakeUniform:
     def test_integer_cell_counts_of_any_type(self):
         for n in (3, np.int64(3), np.uint8(3)):
             _same_points(make_uniform(0.0, 1.0, n).edges, np.linspace(0.0, 1.0, 4))
+
+    @pytest.mark.parametrize("build", [make_uniform, make_shifted_uniform])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (Fraction(0), Fraction(1))])
+    def test_more_than_max_level_cells_are_refused(self, build, a, b, monkeypatch):
+        no_grid_arrays(monkeypatch)
+        for n in (2 ** MAX_LEVEL + 1, 2 ** 40, 0, -1):
+            with pytest.raises(ArgumentError) as err:
+                build(a, b, n)
+            assert str(err.value) == f"cell count must be in 1..2**{MAX_LEVEL}, got {n}"
+
+    @pytest.mark.parametrize("build", [make_uniform, make_shifted_uniform])
+    def test_max_level_cells_are_the_limit(self, build, monkeypatch):
+        monkeypatch.setattr(divisions, "MAX_LEVEL", 3)
+        assert build(0.0, 1.0, 8).n == 8
+        with pytest.raises(ArgumentError, match=r"cell count must be in 1\.\.2\*\*3, got 9"):
+            build(0.0, 1.0, 9)
 
     def test_bad_inputs(self):
         with pytest.raises(ArgumentError):
@@ -314,6 +344,16 @@ class TestBisectRefine:
         r = bisect_refine(d, "midpoint")
         assert r.exact and r.n == 4
         assert list(r.lefts) == [Fraction(k, 4) for k in range(4)]
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (Fraction(0), Fraction(1))])
+    def test_refuses_to_double_past_max_level(self, a, b, monkeypatch):
+        monkeypatch.setattr(divisions, "MAX_LEVEL", 3)
+        d = bisect_refine(make_uniform(a, b, 3, "left"))
+        assert d.n == 6
+        with pytest.raises(ArgumentError) as err:
+            bisect_refine(d)
+        assert str(err.value) == "cell count must be in 1..2**3, got 12"
+        assert bisect_refine(make_uniform(a, b, 4, "left")).n == 8
 
     @settings(max_examples=25, deadline=None)
     @given(n=hst.integers(min_value=1, max_value=32))
@@ -740,18 +780,24 @@ class TestGridEdges:
             _same_points(body(a, b, n, lo, hi), full[lo:hi + 1])
 
     @pytest.mark.parametrize("n", [7, 8, 1024, 2**20])
-    def test_underflowing_step_is_linspace_and_refused(self, n):
-        # (b - a) / n rounds to 0, and np.linspace divides before it scales
+    def test_underflowing_step_is_linspace_and_refused(self, n, monkeypatch):
+        # (b - a) / n rounds to 0, so np.linspace's grid has degenerate
+        # cells; the grid check refuses the grid before its array is made
         a, b = 0.0, 3 * 5e-324
         assert (b - a) / n == 0
         want = np.linspace(a, b, n + 1)
-        _same_points(_uniform_edges(a, b, n, 0, n), want)
-        _same_points(_uniform_edges(a, b, n, n // 2, n), want[n // 2:])
-        with pytest.raises(ArgumentError) as err:
+        with pytest.raises(ArgumentError):
             TaggedDivision(want[:-1], want)
-        with pytest.raises(ArgumentError) as got:
-            make_uniform(a, b, n, "left")
-        assert str(got.value) == str(err.value)
+        no_grid_arrays(monkeypatch)
+        for build in (lambda: _uniform_edges(a, b, n, 0, n),
+                      lambda: _uniform_edges(a, b, n, n // 2, n),
+                      lambda: _shifted_edges(a, b, n, 0, n),
+                      lambda: make_uniform(a, b, n, "left")):
+            with pytest.raises(ArgumentError) as got:
+                build()
+            assert str(got.value) == (
+                f"cell width (b - a) / {n} underflows to 0, got a={a!r}, b={b!r}"
+            )
 
 
 # --------------------------------------------------------------------------

@@ -59,7 +59,7 @@ from gaugelab.integrators import (
 )
 from gaugelab.results import Status, TraceRow
 from gaugelab.stochastic import path_from_function
-from test_divisions import is_fine
+from test_divisions import is_fine, no_grid_arrays
 
 
 def _ctrl(tol=1e-9, start=4, stop=22, **kw):
@@ -415,6 +415,20 @@ class TestJumpAnchoring:
         assert result.estimate == pytest.approx(4.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("masses, merged", [
+        ([(0.5, 1.0), (0.5, 2.0)], [(0.5, 3.0)]),
+        ([(0.25, 1.0), (0.7, 1.0), (0.7, 0.5), (1.0, 2.0)], [(0.25, 1.0), (0.7, 1.5), (1.0, 2.0)]),
+    ])
+    def test_masses_at_one_position_sum_as_one(self, masses, merged):
+        # two masses at one interior point cut the pieces once; the run is
+        # the merged mass's, bit for bit
+        ctrl = _ctrl(1e-9, 4, 14)
+        got, want = (lebesgue_distribution_integrate(step_distribution(m, 0.0, 1.0), ctrl)
+                     for m in (masses, merged))
+        assert got.status is Status.CONVERGED
+        assert repr((got, got.strategy_sums)) == repr((want, want.strategy_sums))
+
+
 class TestLebesgueRoute:
     def test_identity_distribution_mean(self):
         result = lebesgue_distribution_integrate(
@@ -479,11 +493,15 @@ def test_non_finite_sum_raises_at_first_level(run, strategy):
     assert exc.value.level == 4
 
 
-@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)])
-@pytest.mark.parametrize("method", ["rs", "gauge", "darboux"])
+@pytest.mark.parametrize("a, b", [
+    (0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+    (-1e308, 1e308), (1e308, 1.7e308), (0.0, 2.0 ** 1023), (-(2.0 ** 1023), 0.0),
+])
+@pytest.mark.parametrize("method", ["rs", "gauge", "darboux", "lebesgue"])
 def test_infinite_float_domain_refused_in_one_way(method, a, b):
-    # refused before any array is made: no cell is evaluated and numpy warns
-    # of nothing (pytest turns warnings into errors)
+    # an end at or beyond +-2**1023 is refused before any point is
+    # evaluated, and numpy warns of nothing (pytest turns warnings into
+    # errors): such a domain has widths or midpoints that overflow
     points = []
     f = lambda s: points.append(s) or s
     h = make_integrand(f, length_factor(), "tag")
@@ -491,10 +509,11 @@ def test_infinite_float_domain_refused_in_one_way(method, a, b):
         "rs": lambda: rs_integrate(h, a, b),
         "gauge": lambda: gauge_integrate(h, a, b),
         "darboux": lambda: darboux_riemann(f, ExtremaOracle.monotone(f), a, b),
+        "lebesgue": lambda: lebesgue_distribution_integrate(DistributionFunction("f", a, b, f)),
     }[method]
     with pytest.raises(ArgumentError) as exc:
         run()
-    assert str(exc.value) == f"domain needs finite ends, got a={a!r}, b={b!r}"
+    assert str(exc.value) == f"float domain needs |a|, |b| < 2**1023, got a={a!r}, b={b!r}"
     assert points == []
 
 
@@ -745,16 +764,18 @@ def test_blocked_non_finite_sum_names_the_same_strategy(monkeypatch):
 
 
 def test_underflowing_grid_is_refused_as_before(monkeypatch):
-    # (b - a) / n rounds to 0: np.linspace's grid has degenerate cells
-    h = make_integrand(lambda s: s, length_factor(), "tag")
-    edges = np.linspace(0.0, 4 * 5e-324, 2**10 + 1)
-    with pytest.raises(ArgumentError) as want:
-        riemann_sum(h, TaggedDivision(edges[:-1], edges))
+    # (b - a) / n rounds to 0, so np.linspace's grid would have degenerate
+    # cells: the grid check refuses it before any edge array is made
+    points = []
+    h = make_integrand(lambda s: points.append(s) or s, length_factor(), "tag")
+    a, b = 0.0, 4 * 5e-324
+    no_grid_arrays(monkeypatch)
     for block_cells in (2**16, 64):
         monkeypatch.setattr(integrators, "_BLOCK_CELLS", block_cells)
         with pytest.raises(ArgumentError) as got:
-            rs_integrate(h, 0.0, 4 * 5e-324, _ctrl(1e-9, 10, 10))
-        assert str(got.value) == str(want.value)
+            rs_integrate(h, a, b, _ctrl(1e-9, 10, 10))
+        assert str(got.value) == f"cell width (b - a) / 1024 underflows to 0, got a={a!r}, b={b!r}"
+    assert points == []
 
 
 # --------------------------------------------------------------------------
@@ -1106,14 +1127,21 @@ def test_exact_tag_free_sums_match_the_reference(monkeypatch, run):
 
 def test_overflowing_midpoints_are_still_refused(monkeypatch):
     # near the top of the float range the midpoint of two cut points
-    # overflows; the midpoint-tagged division is refused as before, though
-    # the rule never reads its tag
+    # overflows; every integrator refuses such a domain up front, whether
+    # or not its rule reads the tag, and so does a left-tagged grid
     h = make_integrand(None, length_factor(), "interval-only")
     a, b = 1.0e308, 1.7e308
+    f = lambda s: s
+    runs = [
+        lambda: rs_integrate(h, a, b, _ctrl(1e-9, 4, 6)),
+        lambda: gauge_integrate(h, a, b, _ctrl(1e-9, 4, 6)),
+        lambda: darboux_riemann(f, ExtremaOracle.monotone(f), a, b, _ctrl(1e-9, 4, 6)),
+        lambda: lebesgue_distribution_integrate(identity_distribution(a, b), _ctrl(1e-9, 4, 6)),
+        lambda: make_uniform(a, b, 16, "left"),
+    ]
     for level_sums in (integrators._level_sums, _reference_level_sums):
         monkeypatch.setattr(integrators, "_level_sums", level_sums)
-        with np.errstate(over="ignore"):
-            with pytest.raises(ArgumentError, match="non-finite"):
-                rs_integrate(h, a, b, _ctrl(1e-9, 4, 6))
-            with pytest.raises(ArgumentError, match="non-finite"):
-                gauge_integrate(h, a, b, _ctrl(1e-9, 4, 6))
+        for run in runs:
+            with pytest.raises(ArgumentError) as exc:
+                run()
+            assert str(exc.value) == f"float domain needs |a|, |b| < 2**1023, got a={a!r}, b={b!r}"

@@ -1,6 +1,7 @@
 """The package's export list, its import graph, its inputs, and the names
 the benchmark tracer wraps."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -81,6 +82,60 @@ def test_no_module_reads_the_environment():
         if "environ" in line or "getenv" in line
     ]
     assert reads == []
+
+
+def _top_level(body):
+    """The statements a module runs as it loads, those in if and try blocks
+    included (an `if TYPE_CHECKING:` import is a module-level import)."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, getattr(node, "finalbody", []),
+                          *(handler.body for handler in getattr(node, "handlers", []))):
+                yield from _top_level(block)
+
+
+def _bound_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _loaded_names(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+# Private names that only the benchmark reads.
+_READ_OUTSIDE_THE_PACKAGE = {"catalog._PATH_QUANTITIES"}
+
+
+def test_no_unread_import_or_private_name():
+    # an import its module never reads, or a private module-level name no
+    # module of the package reads, is dead code
+    package = Path(gaugelab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read_anywhere = set().union(*(
+        _loaded_names(tree)
+        | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for tree in trees.values()
+    ))
+    dead = []
+    for module, tree in trees.items():
+        loaded = _loaded_names(tree)
+        for node in _top_level(tree.body):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                dead += [f"{module}: import {alias.name}" for alias in node.names
+                         if (alias.asname or alias.name.split(".")[0]) not in loaded]
+                continue
+            dead += [f"{module}.{name}" for name in _bound_names(node)
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in read_anywhere
+                     and f"{module}.{name}" not in _READ_OUTSIDE_THE_PACKAGE]
+    assert dead == []
 
 
 def test_every_name_the_tracer_wraps_resolves():
