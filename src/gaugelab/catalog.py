@@ -283,7 +283,7 @@ def standard_entries() -> Tuple[CatalogEntry, ...]:
             bounds=(0.0, 1.0),
             build=_h3,
             expected=Expected(conv, 1.0 / 3.0, 1e-6),
-            controller=_ctrl(1.5e-3, 4, 12),
+            controller=_ctrl(1e-5, 4, 12),
         ),
         CatalogEntry(
             name="h4",

@@ -6,8 +6,9 @@ Brownian paths, `series` prints partial sums of the alternating harmonic
 series.  Artifacts are CSV or JSON with fixed schemas; pass --no-timestamp
 to make them byte-identical across runs.
 
-Exit codes: 0 converged / success, 1 usage or contract error, 2 diverged or
-oscillating, 3 inconclusive.
+Exit codes: 0 converged / success, 1 usage or contract error (or a stdout
+closed before the output was written), 2 diverged or oscillating, 3
+inconclusive.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import re
 import shlex
 import sys
@@ -484,7 +486,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def main_cli(argv: Optional[Sequence[str]] = None) -> None:
     try:
-        raise SystemExit(main(argv))
+        code = main(argv)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        raise SystemExit(code)
     except GaugeLabError as exc:
         print(f"gaugelab: error: {exc}", file=sys.stderr)
         raise SystemExit(1) from exc
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): end quietly, as other
+        # command-line tools do, with stdout on devnull so that the flush
+        # at exit raises nothing more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1) from None

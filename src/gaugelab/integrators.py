@@ -11,8 +11,24 @@ independent division strategies and classifies what it sees:
                  persistent gap (the signature of tag sensitivity);
 * inconclusive - the schedule ended without any of the above.
 
-The labels corroborate; only the Darboux integrator, whose upper and lower
-sums genuinely bracket the integral, proves its tolerance.
+`converged` comes from one of two stop rules, tried in this order:
+
+* stable-window - the sums themselves agree and hold still for `window`
+  levels; the estimate is the last level's midpoint, the bound its spread;
+* extrapolated-stable - on float sums only, each strategy's Aitken
+  delta-squared limit (_aitken) stands in for its sum, and the same test
+  runs on the limits; the estimate is their mean, the bound their spread
+  plus the largest move since the level before.  A left-tag sum on a
+  smooth integrand errs by c1/n + c2/n**2 + ..., so its increments halve
+  per level and the limits settle levels before the sums do.
+
+No rule accepts one level's agreement, not even for sums that never depend
+on the division.  rs probes four grid rows (left and midpoint tags on
+uniform grids, left and right tags on irrationally shifted ones), gauge
+five bisection rows (left, midpoint and right tags, and left and right
+tags split at an irrational point).  The labels corroborate; only the
+Darboux integrator, whose upper and lower sums genuinely bracket the
+integral, proves its tolerance.
 """
 
 from __future__ import annotations
@@ -29,6 +45,7 @@ import numpy as np
 from .cells import Gauge, TaggedDivision
 from .divisions import (
     DEFAULT_DEPTH_CAP,
+    FLOAT_SHIFT,
     RefinementSchedule,
     _check_domain,
     _constant_grid,
@@ -45,6 +62,7 @@ from .errors import (
     NonFiniteSumError,
     OracleInconsistencyError,
 )
+from .exact import IRRATIONAL_SHIFT, is_exact_scalar
 from .integrand import BurkillIntegrand, IntervalFactor, increments_of, make_integrand
 from .results import IntegralResult, Status, TraceRow
 
@@ -58,8 +76,10 @@ from .results import IntegralResult, Status, TraceRow
 class Strategy:
     """One division family of a probe: how each piece is cut, and the tag
     selectors in their trial order.  `cuts` is "uniform" or
-    "shifted-uniform" (a grid, tagged by its one selector) or "delta-fine"
-    (gauge-driven bisection, each cell tagged by its first fine selector)."""
+    "shifted-uniform" (a grid, tagged by its one selector), "delta-fine"
+    (gauge-driven bisection, each cell tagged by its first fine selector) or
+    "split-delta-fine" (that bisection on each side of an irrational split
+    point, so that cuts fall off the dyadic points of the piece)."""
 
     name: str
     cuts: str
@@ -70,12 +90,15 @@ RS_STRATEGIES = (
     Strategy("rational-left", "uniform", ("left",)),
     Strategy("rational-mid", "uniform", ("midpoint",)),
     Strategy("shifted-left", "shifted-uniform", ("left",)),
+    Strategy("shifted-right", "shifted-uniform", ("right",)),
 )
 
 GAUGE_STRATEGIES = (
     Strategy("left-tags", "delta-fine", ("left",)),
     Strategy("mid-tags", "delta-fine", ("midpoint",)),
     Strategy("right-tags", "delta-fine", ("right",)),
+    Strategy("split-left", "split-delta-fine", ("left",)),
+    Strategy("split-right", "split-delta-fine", ("right",)),
 )
 
 # Selector orders that always include both endpoints; required when a gauge
@@ -131,19 +154,49 @@ def _abs_value(x) -> float:
     return abs(float(x))
 
 
+# Aitken's step is taken only where the increments shrink by at most this
+# ratio per level: a slowly settling ladder (ratio near 1) extrapolates its
+# noise, and a ratio of 1 or more is no convergence at all.
+_AITKEN_RATIO = 0.75
+
+
+def _aitken(sums) -> Optional[float]:
+    """Aitken's delta-squared limit E_L of a ladder's last three float sums
+    S_{L-2}, S_{L-1}, S_L, or None where it does not exist.
+
+    With d_L = S_L - S_{L-1} and r = d_L / d_{L-1}: E_L = S_L when d_L = 0,
+    and S_L + d_L * r / (1 - r) when r lies in [0, _AITKEN_RATIO], the
+    limit of a sequence whose increments shrink by the ratio r.  Exact sums,
+    ratios outside that range (alternating, slow or growing increments) and
+    a non-finite limit give None."""
+    if len(sums) < 3 or not all(isinstance(x, float) for x in sums[-3:]):
+        return None
+    d_prev, d = sums[-2] - sums[-3], sums[-1] - sums[-2]
+    if d == 0:
+        return sums[-1]
+    if d_prev == 0:
+        return None
+    r = d / d_prev
+    if not 0 <= r <= _AITKEN_RATIO:
+        return None
+    limit = sums[-1] + d * r / (1 - r)
+    return limit if math.isfinite(limit) else None
+
+
 class _Classifier:
     """Incremental status tracking over one run's levels."""
 
-    def __init__(self, ctrl: ConvergenceController, names: Sequence[str], *,
-                 first_level_accept: bool = False):
+    def __init__(self, ctrl: ConvergenceController, names: Sequence[str]):
         self.ctrl = ctrl
         self.names = list(names)
-        self.first_level_accept = first_level_accept
         self.rows: list[TraceRow] = []
         self.history: dict[str, list] = {name: [] for name in self.names}
         self.stable_run = 0
         self.osc_run = 0
         self.growth_runs = {name: 0 for name in self.names}
+        self.limits: Optional[list] = None  # each strategy's E_L, or None
+        self.limits_run = 0
+        self.extrapolated = None  # (estimate, error bound) of extrapolated-stable
         self.decided: Optional[Status] = None
 
     def _record(self, level: int, n: int, sums: dict):
@@ -155,22 +208,36 @@ class _Classifier:
             self.history[name].append(sums[name])
         return row, self.ctrl.tolerance_at(max(_abs_value(v) for v in values))
 
+    def _extrapolated_stable(self) -> bool:
+        """The extrapolated-stable rule: every strategy's Aitken limit E_L
+        and E_{L-1} exists, the E_L agree within the tolerance at max |E_L|,
+        and each moved by no more than that since the last level, for
+        `window` levels in a row.  Records the mean of the E_L as the
+        estimate, and their spread plus the largest move as the bound."""
+        previous, self.limits = self.limits, [_aitken(h) for h in self.history.values()]
+        limits = self.limits
+        if previous is None or None in previous or None in limits:
+            self.limits_run = 0
+            return False
+        tol = self.ctrl.tolerance_at(max(map(abs, limits)))
+        spread = max(limits) - min(limits)
+        moved = max(abs(e - p) for e, p in zip(limits, previous))
+        self.limits_run = self.limits_run + 1 if spread <= tol and moved <= tol else 0
+        if self.limits_run < self.ctrl.window:
+            return False
+        self.extrapolated = sum(limits) / len(limits), spread + moved
+        return True
+
     def observe(self, level: int, n: int, sums: dict) -> Optional[Status]:
         ctrl = self.ctrl
         row, tol = self._record(level, n, sums)
-        spread = row.spread
-        spread_small = spread <= tol
         if len(self.rows) == 1:
-            if self.first_level_accept and spread_small:
-                # Telescoping sums agree across grid families because they
-                # do not depend on the division; at a loose tolerance other
-                # integrands can agree here by coincidence.
-                self.decided = Status.CONVERGED
-            return self.decided
+            return None
+        spread = row.spread
         deltas_small = all(abs(h[-1] - h[-2]) <= tol for h in self.history.values())
 
         # stability
-        if spread_small and deltas_small:
+        if spread <= tol and deltas_small:
             self.stable_run += 1
         else:
             self.stable_run = 0
@@ -190,17 +257,19 @@ class _Classifier:
 
         if self.stable_run >= ctrl.window:
             self.decided = Status.CONVERGED
-            return self.decided
-        if any(run >= ctrl.window for run in self.growth_runs.values()):
+        elif any(run >= ctrl.window for run in self.growth_runs.values()):
             self.decided = Status.DIVERGED
-            return self.decided
+        elif self._extrapolated_stable():
+            self.decided = Status.CONVERGED
         # Oscillation is a negative claim; never exit early for it, more
         # levels only strengthen the evidence.
-        return None
+        return self.decided
 
     def _estimate(self, status: Status):
         if status not in (Status.CONVERGED, Status.INCONCLUSIVE):
             return None, None
+        if self.extrapolated is not None:
+            return self.extrapolated
         last = self.rows[-1]
         if status is Status.CONVERGED:
             return last.midpoint, abs(last.spread)
@@ -452,13 +521,25 @@ def _pairwise(lo: int, hi: int, block_sum):
 _GRID_EDGES = {"uniform": _uniform_edges, "shifted-uniform": _shifted_edges}
 
 
+# The bisection cuts, by name.
+_BISECTION_CUTS = ("delta-fine", "split-delta-fine")
+
+
 def _shared_build(strat: Strategy):
     """Consecutive strategies of one key share their divisions: a grid's
     edges do not depend on its tag rule, and a bisection's cells depend only
-    on the selector set."""
-    if strat.cuts == "delta-fine":
-        return frozenset(strat.selectors)
+    on its cuts and the selector set."""
+    if strat.cuts in _BISECTION_CUTS:
+        return strat.cuts, frozenset(strat.selectors)
     return strat.cuts
+
+
+def _split_point(lo, hi):
+    """lo + theta * (hi - lo), theta the irrational shift of the shifted
+    grids: IRRATIONAL_SHIFT on exact bounds, FLOAT_SHIFT on floats."""
+    if is_exact_scalar(lo) and is_exact_scalar(hi):
+        return lo + IRRATIONAL_SHIFT * (hi - lo)
+    return lo + FLOAT_SHIFT * (hi - lo)
 
 
 def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, known: dict):
@@ -467,10 +548,11 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
 
     A grid strategy cuts a piece into `mesh` cells, built and summed in
     _pairwise blocks; a delta-fine strategy bisects a piece under the gauge
-    `mesh`, one block per piece.  Each strategy adds its pieces' sums left
-    to right.  Strategies of one _shared_build key form a group, and each
-    block is built once per group: read-only edges and one tag column per
-    strategy.  Each strategy's division is made when that strategy is
+    `mesh`, one block per piece, and a split-delta-fine one bisects the two
+    sides of the piece's _split_point, one block per side, and adds them.
+    Each strategy adds its pieces' sums left to right.  Strategies of one
+    _shared_build key form a group, and each block is built once per group:
+    read-only edges and one tag column per strategy.  Each strategy's division is made when that strategy is
     summed.  A fault raises as summing each strategy on its own would: that
     of the first strategy in order that faults, at its first faulting
     block, a refused division or a failed build included.  A group's first
@@ -519,10 +601,10 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
                     faults[k] = exc
             return block_sums
 
-        if group[0].cuts == "delta-fine":
+        if group[0].cuts in _BISECTION_CUTS:
             orders = tuple(strat.selectors for strat in group)
 
-            def piece_sum(lo, hi, gauge):
+            def bisection_sum(lo, hi, gauge):
                 nonlocal cells
                 if not (share and gauge.is_constant):
                     return block_sum(*_delta_fine(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP))
@@ -534,6 +616,13 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
                     edges = _uniform_edges(lo, hi, count, 0, count)
                     (known[grid],) = block_sum(*_grid_columns(edges, rules[:1]))
                 return np.full(1, known[grid], dtype=object)
+
+            if group[0].cuts == "delta-fine":
+                piece_sum = bisection_sum
+            else:
+                def piece_sum(lo, hi, gauge):
+                    m = _split_point(lo, hi)
+                    return bisection_sum(lo, m, gauge) + bisection_sum(m, hi, gauge)
         else:
             grid_edges, rules = _GRID_EDGES[key], [strat.selectors[0] for strat in group]
 
@@ -560,23 +649,18 @@ def rs_integrate(
     """Constant-mesh (Riemann-Stieltjes style) probe of lim sums of h.
 
     Each level builds one division per grid strategy in RS_STRATEGIES with
-    the same cell count and compares the sums.  Strategies of one grid
-    cuts share its edges, built once per level; one division is alive at a
-    time.  Agreement within `ctrl.tolerance_at` across the uniform and
-    shifted grids at the very first level is accepted at once: telescoping
-    sums (constant point factors against additive interval factors) never
-    depended on the division, but at a loose tolerance other integrands can
-    agree there too.
+    the same cell count and compares the sums: left and midpoint tags on the
+    uniform grid, left and right tags on the shifted one.  Strategies of one
+    grid cuts share its edges, built once per level; one division is alive
+    at a time.  Even sums that never depend on the division (telescoping
+    ones) converge by a stop rule, never by one level's agreement.
     """
     ctrl = ctrl or ConvergenceController()
 
     def sums_at(level: int):
         return _level_sums(h, RS_STRATEGIES, [(a, b, ctrl.schedule.cells_for(level))], {})
 
-    classifier = _Classifier(
-        ctrl, [s.name for s in RS_STRATEGIES], first_level_accept=True
-    )
-    return _ladder(ctrl.schedule, sums_at, classifier)
+    return _ladder(ctrl.schedule, sums_at, _Classifier(ctrl, [s.name for s in RS_STRATEGIES]))
 
 
 def gauge_integrate(
@@ -592,23 +676,27 @@ def gauge_integrate(
 
     By default delta_k is the constant (b - a) * 2**-level; a callable
     level -> Gauge can inject anything else (singularity-shrinking gauges,
-    jump-anchoring gauges, ...).  Strategies are delta-fine tag-selector
-    orders handed to the bisection builder.
+    jump-anchoring gauges, ...).  Strategies are tag-selector orders handed
+    to the bisection builder, over the whole of ]a, b] ("delta-fine") or on
+    each side of an irrational split point ("split-delta-fine"): bisecting
+    only at dyadic points of ]a, b] never cuts a rational domain at an
+    irrational point, so without the split rows a Dirichlet increment sums
+    to 0 at every level.
 
     A rule that ignores the tag is summed once per distinct division of
     the run.  Under a constant gauge each strategy's division is a uniform
-    grid: left and right tags need the 2**(level + 1) grid, midpoint tags
-    the 2**level one, which the endpoint tags summed a level before.  So
-    after the first level each level sums one new grid of 2 * 2**level
-    cells where the three strategies would sum 5 * 2**level.
+    grid on each of its pieces: left and right tags take one grid, midpoint
+    tags the grid of half as many cells, which the endpoint tags summed a
+    level before.
     """
     ctrl = ctrl or ConvergenceController()
     if not strategies:
         raise ArgumentError("need at least one tag-selector strategy")
     for strat in strategies:
-        if strat.cuts != "delta-fine":
+        if strat.cuts not in _BISECTION_CUTS:
             raise ArgumentError(
-                f"gauge strategy {strat.name!r} needs cuts 'delta-fine', got {strat.cuts!r}"
+                f"gauge strategy {strat.name!r} needs cuts 'delta-fine' or "
+                f"'split-delta-fine', got {strat.cuts!r}"
             )
     span = float(b) - float(a)
     known = {}

@@ -87,16 +87,38 @@ def test_inconclusive_short_schedule(capsys, tmp_path):
     assert "inconclusive" in capsys.readouterr().out
 
 
-def test_first_level_shortcut_accepts_within_tolerance(capsys):
-    # rs accepts the coarsest level when the grid families agree within
-    # tolerance there, before any stability window: sin(40 s) at tol 0.2
-    # stops after one level of 16 cells
+def test_agreement_needs_a_window_of_levels(capsys):
+    # sin(40 s) at tol 0.2: the grid families agree within tolerance at
+    # the first level, and rs says converged only once the stable window
+    # of three more levels has closed
     rc = main(["integrate", "--method", "rs", "--expr", "sin(40*s)",
                "--tol", "0.2", "--no-timestamp"])
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[1].split()[:2] == ["4", "16"]
-    assert out[2] == "status: converged"
+    assert [line.split()[:2] for line in out[1:5]] == [["4", "16"], ["5", "32"], ["6", "64"],
+                                                       ["7", "128"]]
+    assert out[5] == "status: converged"
+    assert abs(float(out[6].split()[1]) - (1 - math.cos(40)) / 40) <= 0.2
+
+
+def test_gauge_s_dD_is_not_converged(capsys):
+    # s dD over ]0, 1] has no gauge integral: divisions with only rational
+    # cuts sum to 0, while the split rows' irrational cuts tend to 1
+    rc = main(["integrate", "--method", "gauge", "--expr", "s", "--dI", "dD",
+               "--levels", "4:9", "--no-timestamp"])
+    assert rc == 3
+    assert "status: inconclusive" in capsys.readouterr().out.splitlines()
+
+
+def test_rs_aliasing_witness_converges_at_its_value(capsys):
+    # sin^2(32 pi s) sin^2(16 pi s - pi theta) vanishes at every level-4 tag
+    # of the four rs rows; one level's agreement would say converged 0
+    expr = "sin(100.53096491487338*s)^2*sin(50.26548245743669*s-0.6506451422842866)^2"
+    rc = main(["integrate", "--method", "rs", "--expr", expr, "--no-timestamp"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0 and "status: converged" in out
+    estimate = next(float(line.split()[1]) for line in out if line.startswith("estimate:"))
+    assert abs(estimate - 0.25) <= 1e-9
 
 
 class TestIntegrateDispatch:
@@ -815,6 +837,24 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    # `gaugelab ... | head -1`: a reader that has gone away is no error
+    # worth a traceback; the run exits 1 and says nothing
+    src = str(Path(gaugelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader from the start: the first write fails
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "gaugelab", "integrate", "--method", "rs", "--expr", "s^2",
+             "--levels", "4:6"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 class TestSeries:

@@ -30,7 +30,7 @@ from gaugelab.errors import (
     NonFiniteSumError,
     OracleInconsistencyError,
 )
-from gaugelab.exact import QuadExtArray
+from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray
 from gaugelab.integrand import (
     BurkillIntegrand,
     IntervalFactor,
@@ -97,11 +97,13 @@ class TestConvergenceController:
 
 
 class TestRsIntegrate:
-    def test_telescoping_accepts_first_level(self):
+    def test_telescoping_converges_by_the_window_rule(self):
+        # the sums agree at the first level, but agreement at one level is
+        # no convergence: the stable window closes after `window` more
         h = make_integrand(None, increments_of(lambda u: u * u), "interval-only")
         result = rs_integrate(h, 0.0, 1.0)
         assert result.status is Status.CONVERGED
-        assert len(result.trace) == 1
+        assert [row.level for row in result.trace] == [4, 5, 6, 7]
         assert result.estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_smooth_integrand_converges(self):
@@ -119,7 +121,7 @@ class TestRsIntegrate:
         assert first.level == 4 and first.n == 16
         assert first.sum_min <= first.sum_max
         assert set(result.strategy_sums) == {
-            "rational-left", "rational-mid", "shifted-left"
+            "rational-left", "rational-mid", "shifted-left", "shifted-right"
         }
         lengths = {len(v) for v in result.strategy_sums.values()}
         assert lengths == {len(result.trace)}
@@ -160,6 +162,7 @@ class TestRsIntegrate:
             ("rational-left", make_uniform, "left"),
             ("rational-mid", make_uniform, "midpoint"),
             ("shifted-left", make_shifted_uniform, "left"),
+            ("shifted-right", make_shifted_uniform, "right"),
         ):
             assert result.strategy_sums[name] == tuple(
                 riemann_sum(h, build(a, b, row.n, rule)) for row in result.trace
@@ -237,12 +240,14 @@ class TestUndecidedBound:
         assert result.estimate == 3.0 and result.error_bound == 2.0
 
     def test_shared_jump_witness(self):
-        # rs: rational-mid cycles 0, 1, 1, 0 and the last level agrees at 0
+        # rs: rational-mid cycles 0, 1, 1, 0, and the right tags of the
+        # shifted grid take the jump at every level
         h = make_integrand(step_at(0.7), step_distribution([(0.7, 1.0)], 0, 1).increments(), "tag")
         result = rs_integrate(h, 0.0, 1.0)
         assert result.status is Status.INCONCLUSIVE
-        assert result.trace[-1].spread == 0.0
-        assert result.estimate == 0.0 and result.error_bound == 1.0
+        assert result.strategy_sums["shifted-right"][-4:] == (1.0,) * 4
+        assert result.trace[-1].spread == 1.0
+        assert result.estimate == 0.5 and result.error_bound == 1.0
         gauge = gauge_integrate(h, 0.0, 1.0, _ctrl(1e-9, 4, 12))
         assert gauge.status is Status.INCONCLUSIVE and gauge.error_bound == 1.0
 
@@ -302,6 +307,14 @@ class TestGaugeIntegrate:
             previous = result.estimate
         assert previous == pytest.approx(2.0, abs=1e-3 + 1.0 / 8)
 
+    def test_dirichlet_increments_are_not_converged(self):
+        # bisecting at dyadic points only makes rational cuts, where every
+        # Dirichlet increment is 0; the split rows cut off them
+        h = make_integrand(step_at(Fraction(1, 2)), dirichlet_factor(), "tag")
+        result = gauge_integrate(h, Fraction(0), Fraction(1), _ctrl(1e-9, 1, 9))
+        assert result.status is Status.OSCILLATING
+        assert set(result.strategy_sums["left-tags"]) == {0}
+
     def test_levels_past_max_level_are_refused(self, monkeypatch):
         # at level k the constant gauge 2**-k needs 2**k midpoint-tagged
         # cells, but 2**(k + 1) left- or right-tagged ones
@@ -326,7 +339,8 @@ class TestGaugeIntegrate:
     @pytest.mark.parametrize("strategies, message", [
         ((), "need at least one tag-selector strategy"),
         (GAUGE_STRATEGIES[:1] + RS_STRATEGIES[2:],
-         "gauge strategy 'shifted-left' needs cuts 'delta-fine', got 'shifted-uniform'"),
+         "gauge strategy 'shifted-left' needs cuts 'delta-fine' or 'split-delta-fine', "
+         "got 'shifted-uniform'"),
     ])
     def test_strategies_refused_before_any_level(self, strategies, message):
         # a grid row's mesh would be the level's Gauge, not a cell count
@@ -458,7 +472,7 @@ class TestStrategySums:
         h = make_integrand(step_at(Fraction(1, 2)), dirichlet_factor(), "tag")
         result = rs_integrate(h, Fraction(0), Fraction(1), _ctrl(1e-9, 1, 6))
         sums = result.strategy_sums
-        assert set(sums) == {"rational-left", "rational-mid", "shifted-left"}
+        assert set(sums) == {"rational-left", "rational-mid", "shifted-left", "shifted-right"}
         assert len(result.trace) == 6
         for values in zip(*sums.values()):
             assert max(values) - min(values) == 1
@@ -783,18 +797,33 @@ def test_underflowing_grid_is_refused_as_before(monkeypatch):
 # --------------------------------------------------------------------------
 
 
+def _split_sides(lo, hi):
+    """The two sides ]lo, m], ]m, hi] that a split-delta-fine strategy
+    bisects: m lies the irrational fraction theta of the way from lo to hi,
+    IRRATIONAL_SHIFT on exact bounds and FLOAT_SHIFT on floats."""
+    if isinstance(lo, float) or isinstance(hi, float):
+        m = lo + divisions.FLOAT_SHIFT * (hi - lo)
+    else:
+        m = lo + IRRATIONAL_SHIFT * (hi - lo)
+    return (lo, m), (m, hi)
+
+
+_BISECTIONS = ("delta-fine", "split-delta-fine")
+
+
 def _reference_level_sums(h, strategies, pieces, known=None):
     """integrators._level_sums as a naive loop: each strategy in order adds
     up its own sums over the pieces, left to right, each block in order, and
     the first fault raises.  A grid strategy's blocks are _pairwise's, a
-    delta-fine strategy's its pieces.  Strategies of one grid cuts, or
-    delta-fine strategies of one selector set, form a group, and a group's
-    block is built once, when a strategy first needs it.  Every strategy
-    evaluates h itself, whether or not h reads the tag, so the driver's
-    store of shared sums, `known`, is ignored."""
+    delta-fine strategy's its pieces, and a split-delta-fine strategy's the
+    two _split_sides of each piece.  Strategies of one grid cuts, or
+    bisection strategies of one cuts and selector set, form a group, and a
+    group's block is built once, when a strategy first needs it.  Every
+    strategy evaluates h itself, whether or not h reads the tag, so the
+    driver's store of shared sums, `known`, is ignored."""
 
     def group_key(strat):
-        return frozenset(strat.selectors) if strat.cuts == "delta-fine" else strat.cuts
+        return (strat.cuts, frozenset(strat.selectors)) if strat.cuts in _BISECTIONS else strat.cuts
 
     grids = {"uniform": divisions._uniform_edges, "shifted-uniform": divisions._shifted_edges}
     n, sums = 0, {}
@@ -809,7 +838,9 @@ def _reference_level_sums(h, strategies, pieces, known=None):
                 key = (piece, *block)
                 if key not in built:
                     lo, hi, mesh = pieces[piece]
-                    if strat.cuts == "delta-fine":
+                    if strat.cuts in _BISECTIONS:
+                        if block:  # a side of a split piece
+                            lo, hi = _split_sides(lo, hi)[block[0]]
                         orders = tuple(s.selectors for s in group)
                         build = divisions._delta_fine(lo, hi, mesh, orders, DEFAULT_DEPTH_CAP)
                     else:
@@ -824,6 +855,8 @@ def _reference_level_sums(h, strategies, pieces, known=None):
             for piece, (_, _, mesh) in enumerate(pieces):
                 if strat.cuts == "delta-fine":
                     piece_sum = block_sum(piece)
+                elif strat.cuts == "split-delta-fine":
+                    piece_sum = block_sum(piece, 0) + block_sum(piece, 1)
                 else:
                     piece_sum = integrators._pairwise(
                         0, mesh, lambda lo, hi: block_sum(piece, lo, hi))
@@ -1067,22 +1100,45 @@ def _evaluated_cells(monkeypatch, run, level_sums=None):
     return result, cells
 
 
+def _constant_gauge_grids(level):
+    """[(lo, hi, cells)] of each GAUGE_STRATEGIES row's pieces, row by row,
+    under gauge_integrate's default gauge 2**-level over ]0, 1]: each piece
+    is cut into the coarsest grid of 2**k cells whose cells are fine for the
+    row's tag, an endpoint tag needing a cell shorter than the gauge and a
+    midpoint tag half a cell shorter."""
+    delta = 2.0 ** -level
+    grids = []
+    for strat in GAUGE_STRATEGIES:
+        sides = _split_sides(0.0, 1.0) if strat.cuts == "split-delta-fine" else [(0.0, 1.0)]
+        reach = 2 * delta if strat.selectors == ("midpoint",) else delta
+        for lo, hi in sides:
+            k = next(k for k in range(64) if math.ldexp(hi - lo, -k) < reach)
+            grids.append((lo, hi, 2 ** k))
+    return grids
+
+
 def test_tag_free_rule_sums_each_new_grid_once(monkeypatch):
-    # h4 = |I|^2 under gauge's constant gauges: the left and right tags of
-    # level L share one 2^(L+1) grid, which the midpoint tags take at level
-    # L + 1, so 2 * 2^L cells per level are new; the first level's midpoint
-    # tags sum a 2^4 grid of their own.  Summed per strategy: 5 * 2^L.
+    # h4 = |I|^2 under gauge's constant gauges: each piece of each row is a
+    # uniform grid, and a grid one row or level has summed is not summed
+    # again in the run (the left and right tags of a level share theirs,
+    # and the midpoint tags take the endpoint tags' grid of the level
+    # before).  Summed per strategy, every row sums every piece.
     entry = get_entry("h4")
     result, cells = _evaluated_cells(monkeypatch, lambda: run_entry(entry))
     levels = [row.level for row in result.trace]
-    assert levels == list(range(4, 18))
-    assert cells == [2 ** 5, 2 ** 4] + [2 ** (level + 1) for level in levels[1:]]
+    assert levels == list(range(4, levels[-1] + 1))
+    summed, new = set(), []
+    for level in levels:
+        for grid in _constant_gauge_grids(level):
+            if grid not in summed:
+                summed.add(grid)
+                new.append(grid[2])
+    assert cells == new
     # the store lives for one run: a second run does the same work again
     assert _evaluated_cells(monkeypatch, lambda: run_entry(entry))[1] == cells
     unshared, every = _evaluated_cells(monkeypatch, lambda: run_entry(entry),
                                        _reference_level_sums)
-    assert every == [n for level in levels
-                     for n in (2 ** (level + 1), 2 ** level, 2 ** (level + 1))]
+    assert every == [n for level in levels for _, _, n in _constant_gauge_grids(level)]
     assert repr((unshared, unshared.strategy_sums)) == repr((result, result.strategy_sums))
 
 
@@ -1094,8 +1150,7 @@ def test_rule_built_directly_is_summed_by_every_strategy(monkeypatch):
     assert h2.reads_tag and _faulty(get_entry("h4").build(), []).reads_tag
     result, cells = _evaluated_cells(monkeypatch, lambda: run_entry(entry))
     levels = [row.level for row in result.trace]
-    assert cells == [n for level in levels
-                     for n in (2 ** (level + 1), 2 ** level, 2 ** (level + 1))]
+    assert cells == [n for level in levels for _, _, n in _constant_gauge_grids(level)]
     sums = result.strategy_sums
     assert all(left != right for left, right in zip(sums["left-tags"], sums["right-tags"]))
 
