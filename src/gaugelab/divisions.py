@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
@@ -94,10 +95,21 @@ def _check_domain(a, b):
         )
 
 
+_FLOAT64, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _float_rank(x) -> int:
+    """x's place among the floats: consecutive floats have consecutive
+    ranks, and -0.0 and 0.0 the same one."""
+    (bits,) = _INT64.unpack(_FLOAT64.pack(x))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
 def _check_grid(a, b, n) -> int:
     """The cell count n as an int, once ]a, b] is a valid domain, n is in
-    1..2**MAX_LEVEL and a float cell width (b - a) / n does not underflow
-    to 0.  Checked before any array is made."""
+    1..2**MAX_LEVEL, and a float grid's n cut points after a can be distinct
+    floats: its cell width (b - a) / n does not underflow to 0, and ]a, b]
+    holds at least n floats.  Checked before any array is made."""
     try:
         n = operator.index(n)
     except TypeError:
@@ -105,10 +117,15 @@ def _check_grid(a, b, n) -> int:
     if not 1 <= n <= 2 ** MAX_LEVEL:
         raise ArgumentError(f"cell count must be in 1..2**{MAX_LEVEL}, got {n}")
     _check_domain(a, b)
-    if not (is_exact_scalar(a) and is_exact_scalar(b)) and (float(b) - float(a)) / n == 0:
+    if is_exact_scalar(a) and is_exact_scalar(b):
+        return n
+    if (float(b) - float(a)) / n == 0:
         raise ArgumentError(
             f"cell width (b - a) / {n} underflows to 0, got a={_plain(a)!r}, b={_plain(b)!r}"
         )
+    if (floats := _float_rank(b) - _float_rank(a)) < n:
+        raise ArgumentError(f"{n} cells need {n} floats in ]a, b], which holds {floats}, "
+                            f"got a={_plain(a)!r}, b={_plain(b)!r}")
     return n
 
 

@@ -2,38 +2,40 @@
 
 "For every division finer than delta" is not something a program can check,
 so every integrator here runs a ladder of refinement levels under several
-independent division strategies and classifies what it sees:
+independent division strategies.  After each level, _decide tries the stop
+rules on the sums so far, in this order, and the first that fires labels
+the run:
 
-* converged    - strategies agree with each other and with their own
-                 previous level, for a window of consecutive levels;
-* diverged     - some strategy's sums keep growing geometrically;
-* oscillating  - each strategy is internally stable but they disagree by a
-                 persistent gap (the signature of tag sensitivity);
-* inconclusive - the schedule ended without any of the above.
-
-`converged` comes from one of two stop rules, tried in this order:
-
-* stable-window - the sums themselves agree and hold still for `window`
+* stable-window: converged once the sums agree and hold still for `window`
   levels; the estimate is the last level's midpoint, the bound its spread;
-* extrapolated-stable - on float sums only, each strategy's Aitken
-  delta-squared limit (_aitken) stands in for its sum, and the same test
-  runs on the limits; the estimate is their mean, the bound their spread
-  plus the largest move since the level before.  A left-tag sum on a
-  smooth integrand errs by c1/n + c2/n**2 + ..., so its increments halve
-  per level and the limits settle levels before the sums do.
+* growth: diverged once some strategy's |sum| grows by `growth_factor` at
+  each of `window` levels;
+* extrapolated-stable: on float sums only, each strategy's Aitken
+  delta-squared limit (_aitken) stands in for its sum in the stable-window
+  test; the estimate is the limits' mean, the bound their spread plus their
+  largest move since the level before.  A left-tag sum on a smooth
+  integrand errs by c1/n + c2/n**2 + ..., so its increments halve per level
+  and the limits settle levels before the sums do.
+
+At the end of the schedule an undecided run is oscillating if each strategy
+held still for `window` levels while they stayed `oscillation_gap` apart
+(the signature of tag sensitivity), and inconclusive otherwise, bounded by
+every strategy's range over those levels.  Darboux has one rule, bracket:
+its upper and lower sums bracket the integral, so it converges at the first
+level whose U - L is within tolerance, and otherwise keeps its last U - L.
 
 No rule accepts one level's agreement, not even for sums that never depend
 on the division.  rs probes four grid rows (left and midpoint tags on
 uniform grids, left and right tags on irrationally shifted ones), gauge
 five bisection rows (left, midpoint and right tags, and left and right
-tags split at an irrational point).  The labels corroborate; only the
-Darboux integrator, whose upper and lower sums genuinely bracket the
-integral, proves its tolerance.
+tags split at an irrational point).  The labels corroborate; only Darboux
+proves its tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import groupby, starmap
@@ -63,7 +65,7 @@ from .errors import (
     OracleInconsistencyError,
 )
 from .exact import IRRATIONAL_SHIFT, is_exact_scalar
-from .integrand import BurkillIntegrand, IntervalFactor, increments_of, make_integrand
+from .integrand import BurkillIntegrand, IntervalFactor, increments_of, make_integrand, midpoint
 from .results import IntegralResult, Status, TraceRow
 
 
@@ -139,8 +141,13 @@ class ConvergenceController:
                 "tolerances must be finite, with tolerance_abs > 0 and tolerance_rel >= 0; "
                 f"got tolerance_abs={self.tolerance_abs!r}, tolerance_rel={self.tolerance_rel!r}"
             )
-        if self.window < 2:
-            raise ArgumentError("stability window must be >= 2")
+        try:
+            window = operator.index(self.window)
+        except TypeError:
+            window = None
+        if window is None or window < 2:
+            raise ArgumentError(f"stability window must be an integer >= 2, got {self.window!r}")
+        object.__setattr__(self, "window", window)
         if not self.growth_factor > 1:
             raise ArgumentError("growth factor must exceed 1")
         if not self.oscillation_gap > 0:
@@ -150,8 +157,27 @@ class ConvergenceController:
         return self.tolerance_abs + self.tolerance_rel * abs(scale)
 
 
-def _abs_value(x) -> float:
-    return abs(float(x))
+def _tolerance(ctrl: ConvergenceController, row) -> float:
+    """The stability tolerance at a level's largest |sum|."""
+    return ctrl.tolerance_at(max(abs(float(x)) for x in row))
+
+
+def _last_level(status: Status, rows):
+    """`status`, the last level's midpoint (exact where its sums are) as the
+    estimate, and its spread as the bound."""
+    lo, hi = min(rows[-1]), max(rows[-1])
+    return status, lo if lo == hi else midpoint(lo, hi), abs(hi - lo)
+
+
+def _holds(ctrl: ConvergenceController, rows, at_level) -> bool:
+    """at_level(j) at each of the last `window` levels j >= 1, newest first."""
+    last = len(rows) - 1
+    return last >= ctrl.window and all(map(at_level, range(last, last - ctrl.window, -1)))
+
+
+def _still(rows, j, tol) -> bool:
+    """Every strategy's sum moved by at most tol from level j - 1 to j."""
+    return all(abs(x - p) <= tol for x, p in zip(rows[j], rows[j - 1]))
 
 
 # Aitken's step is taken only where the increments shrink by at most this
@@ -183,153 +209,104 @@ def _aitken(sums) -> Optional[float]:
     return limit if math.isfinite(limit) else None
 
 
-class _Classifier:
-    """Incremental status tracking over one run's levels."""
+def _limits(rows, j) -> Optional[list]:
+    """Every strategy's Aitken limit at level j, or None if one has none."""
+    limits = [_aitken(sums) for sums in zip(*rows[j - 2:j + 1])]
+    return None if None in limits else limits
 
-    def __init__(self, ctrl: ConvergenceController, names: Sequence[str]):
-        self.ctrl = ctrl
-        self.names = list(names)
-        self.rows: list[TraceRow] = []
-        self.history: dict[str, list] = {name: [] for name in self.names}
-        self.stable_run = 0
-        self.osc_run = 0
-        self.growth_runs = {name: 0 for name in self.names}
-        self.limits: Optional[list] = None  # each strategy's E_L, or None
-        self.limits_run = 0
-        self.extrapolated = None  # (estimate, error bound) of extrapolated-stable
-        self.decided: Optional[Status] = None
 
-    def _record(self, level: int, n: int, sums: dict):
-        """Append the level's row and sums; return the row and its tolerance."""
-        values = [sums[name] for name in self.names]
-        row = TraceRow(level, n, min(values), max(values))
-        self.rows.append(row)
-        for name in self.names:
-            self.history[name].append(sums[name])
-        return row, self.ctrl.tolerance_at(max(_abs_value(v) for v in values))
+# The stop rules, as the module docstring states them: each reads the rows so
+# far (one sum per strategy) and gives (status, estimate, bound) or None.
+def _stable_window(ctrl: ConvergenceController, rows):
+    def settled(j):
+        tol = _tolerance(ctrl, rows[j])
+        return max(rows[j]) - min(rows[j]) <= tol and _still(rows, j, tol)
 
-    def _extrapolated_stable(self) -> bool:
-        """The extrapolated-stable rule: every strategy's Aitken limit E_L
-        and E_{L-1} exists, the E_L agree within the tolerance at max |E_L|,
-        and each moved by no more than that since the last level, for
-        `window` levels in a row.  Records the mean of the E_L as the
-        estimate, and their spread plus the largest move as the bound."""
-        previous, self.limits = self.limits, [_aitken(h) for h in self.history.values()]
-        limits = self.limits
-        if previous is None or None in previous or None in limits:
-            self.limits_run = 0
-            return False
-        tol = self.ctrl.tolerance_at(max(map(abs, limits)))
-        spread = max(limits) - min(limits)
-        moved = max(abs(e - p) for e, p in zip(limits, previous))
-        self.limits_run = self.limits_run + 1 if spread <= tol and moved <= tol else 0
-        if self.limits_run < self.ctrl.window:
-            return False
-        self.extrapolated = sum(limits) / len(limits), spread + moved
-        return True
+    return _last_level(Status.CONVERGED, rows) if _holds(ctrl, rows, settled) else None
 
-    def observe(self, level: int, n: int, sums: dict) -> Optional[Status]:
-        ctrl = self.ctrl
-        row, tol = self._record(level, n, sums)
-        if len(self.rows) == 1:
+
+def _growth(ctrl: ConvergenceController, rows):
+    def grew(k, j):
+        now, before = abs(float(rows[j][k])), abs(float(rows[j - 1][k]))
+        return now >= ctrl.growth_factor * before and now > ctrl.tolerance_abs and before > 0
+
+    if any(_holds(ctrl, rows, lambda j: grew(k, j)) for k in range(len(rows[-1]))):
+        return Status.DIVERGED, None, None
+    return None
+
+
+def _extrapolated_stable(ctrl: ConvergenceController, rows):
+    last = len(rows) - 1
+    if last < ctrl.window + 2:  # E_{L - window} needs three sums
+        return None
+    newest = newer = _limits(rows, last)
+    for j in range(last - 1, last - 1 - ctrl.window, -1):
+        older = newer and _limits(rows, j)  # None once a level has none
+        if older is None:
             return None
-        spread = row.spread
-        deltas_small = all(abs(h[-1] - h[-2]) <= tol for h in self.history.values())
-
-        # stability
-        if spread <= tol and deltas_small:
-            self.stable_run += 1
-        else:
-            self.stable_run = 0
-        # geometric growth
-        for name in self.names:
-            cur = _abs_value(self.history[name][-1])
-            prev = _abs_value(self.history[name][-2])
-            if cur >= ctrl.growth_factor * prev and cur > ctrl.tolerance_abs and prev > 0:
-                self.growth_runs[name] += 1
-            else:
-                self.growth_runs[name] = 0
-        # per-strategy stable but mutually apart
-        if deltas_small and spread >= ctrl.oscillation_gap:
-            self.osc_run += 1
-        else:
-            self.osc_run = 0
-
-        if self.stable_run >= ctrl.window:
-            self.decided = Status.CONVERGED
-        elif any(run >= ctrl.window for run in self.growth_runs.values()):
-            self.decided = Status.DIVERGED
-        elif self._extrapolated_stable():
-            self.decided = Status.CONVERGED
-        # Oscillation is a negative claim; never exit early for it, more
-        # levels only strengthen the evidence.
-        return self.decided
-
-    def _estimate(self, status: Status):
-        if status not in (Status.CONVERGED, Status.INCONCLUSIVE):
-            return None, None
-        if self.extrapolated is not None:
-            return self.extrapolated
-        last = self.rows[-1]
-        if status is Status.CONVERGED:
-            return last.midpoint, abs(last.spread)
-        # Undecided sums may still move, so the last level's spread proves
-        # nothing: bound by every strategy's range over the last window.
-        recent = self.rows[-self.ctrl.window:]
-        return last.midpoint, max(r.sum_max for r in recent) - min(r.sum_min for r in recent)
-
-    def result(self) -> IntegralResult:
-        status = self.decided
-        if status is None:
-            if self.osc_run >= self.ctrl.window:
-                status = Status.OSCILLATING
-            else:
-                status = Status.INCONCLUSIVE
-        estimate, error_bound = self._estimate(status)
-        return IntegralResult(
-            status=status,
-            estimate=estimate,
-            trace=tuple(self.rows),
-            error_bound=error_bound,
-            strategy_sums={name: tuple(vals) for name, vals in self.history.items()},
-        )
+        tol = ctrl.tolerance_at(max(map(abs, newer)))
+        spread = max(newer) - min(newer)
+        moved = max(abs(e - p) for e, p in zip(newer, older))
+        if not (spread <= tol and moved <= tol):
+            return None
+        if newer is newest:
+            bound = spread + moved
+        newer = older
+    return Status.CONVERGED, sum(newest) / len(newest), bound
 
 
-class _Bracket(_Classifier):
-    """Darboux's rule: lower and upper sums bracket the integral, so the run
-    converges at the first level, the coarsest included, where U - L is
-    within tolerance, with the proven error bound (U - L) / 2."""
-
-    def __init__(self, ctrl: ConvergenceController):
-        super().__init__(ctrl, ("lower", "upper"))
-
-    def observe(self, level: int, n: int, sums: dict) -> Optional[Status]:
-        row, tol = self._record(level, n, sums)
-        if row.spread <= tol:
-            self.decided = Status.CONVERGED
-        return self.decided
-
-    def _estimate(self, status: Status):
-        last = self.rows[-1]
-        if status is not Status.CONVERGED:
-            # the last U - L still brackets the integral
-            return last.midpoint, abs(last.spread)
-        return 0.5 * (last.sum_max + last.sum_min), 0.5 * (last.sum_max - last.sum_min)
+_PROBE_RULES = (_stable_window, _growth, _extrapolated_stable)
 
 
-def _ladder(schedule: RefinementSchedule, sums_at_level, classifier):
-    """The one refinement loop: `sums_at_level(level)` gives (n, {strategy:
-    sum}), the classifier observes it, and a returned status stops early.
-    A non-finite float sum raises before it is classified, as infinity agrees
-    with itself within any tolerance; exact sums are not checked."""
-    for level in schedule.levels():
-        n, sums = sums_at_level(level)
+def _bracket(ctrl: ConvergenceController, rows):
+    lo, hi = min(rows[-1]), max(rows[-1])
+    if hi - lo <= _tolerance(ctrl, rows[-1]):
+        return Status.CONVERGED, 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return None
+
+
+def _decide(ctrl: ConvergenceController, rows, rules):
+    """The decision of the first of `rules` that fires on `rows`, or None."""
+    return next(filter(None, (rule(ctrl, rows) for rule in rules)), None)
+
+
+def _undecided(ctrl: ConvergenceController, rows):
+    """A probe's label when no rule fired by the end of the schedule."""
+
+    def apart(j):
+        tol = _tolerance(ctrl, rows[j])
+        return _still(rows, j, tol) and max(rows[j]) - min(rows[j]) >= ctrl.oscillation_gap
+
+    if _holds(ctrl, rows, apart):
+        return Status.OSCILLATING, None, None
+    recent = rows[-ctrl.window:]
+    status, estimate, _ = _last_level(Status.INCONCLUSIVE, rows)
+    return status, estimate, max(max(row) for row in recent) - min(min(row) for row in recent)
+
+
+def _last_bracket(ctrl: ConvergenceController, rows):
+    """Darboux's label when no level's U - L came within tolerance."""
+    return _last_level(Status.INCONCLUSIVE, rows)
+
+
+def _ladder(ctrl: ConvergenceController, names, sums_at, rules=_PROBE_RULES, undecided=_undecided):
+    """The one refinement loop: `sums_at(level)` gives (n, {strategy: sum}),
+    kept as a row in `names` order; the first rule to fire stops the run,
+    and `undecided` labels it if none does.  A non-finite float sum raises,
+    as infinity agrees with itself within any tolerance."""
+    rows, trace, decision = [], [], None
+    for level in ctrl.schedule.levels():
+        n, sums = sums_at(level)
         for name, value in sums.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise NonFiniteSumError(name, level, value)
-        if classifier.observe(level, n, sums) is not None:
+        rows.append(tuple(sums[name] for name in names))
+        trace.append(TraceRow(level, n, min(rows[-1]), max(rows[-1])))
+        decision = _decide(ctrl, rows, rules)
+        if decision is not None:
             break
-    return classifier.result()
+    status, estimate, error_bound = decision or undecided(ctrl, rows)
+    return IntegralResult(status, estimate, tuple(trace), error_bound, dict(zip(names, zip(*rows))))
 
 
 # --------------------------------------------------------------------------
@@ -660,7 +637,7 @@ def rs_integrate(
     def sums_at(level: int):
         return _level_sums(h, RS_STRATEGIES, [(a, b, ctrl.schedule.cells_for(level))], {})
 
-    return _ladder(ctrl.schedule, sums_at, _Classifier(ctrl, [s.name for s in RS_STRATEGIES]))
+    return _ladder(ctrl, [s.name for s in RS_STRATEGIES], sums_at)
 
 
 def gauge_integrate(
@@ -705,8 +682,7 @@ def gauge_integrate(
         gauge = gauges(level) if gauges else Gauge.constant(span * 2.0 ** (-level))
         return _level_sums(h, strategies, [(a, b, gauge)], known)
 
-    classifier = _Classifier(ctrl, [s.name for s in strategies])
-    return _ladder(ctrl.schedule, sums_at, classifier)
+    return _ladder(ctrl, [s.name for s in strategies], sums_at)
 
 
 def darboux_riemann(
@@ -742,7 +718,7 @@ def darboux_riemann(
         width = vs - us
         return n, {"lower": float(np.sum(lo * width)), "upper": float(np.sum(hi * width))}
 
-    return _ladder(ctrl.schedule, sums_at, _Bracket(ctrl))
+    return _ladder(ctrl, ("lower", "upper"), sums_at, (_bracket,), _last_bracket)
 
 
 def lebesgue_distribution_integrate(
@@ -779,5 +755,4 @@ def lebesgue_distribution_integrate(
             (lo, hi, jump_anchoring_gauge(anchors, ceiling)) for lo, hi, anchors in pieces
         ], {})
 
-    classifier = _Classifier(ctrl, [s.name for s in ANCHORED_STRATEGIES])
-    return _ladder(ctrl.schedule, sums_at, classifier)
+    return _ladder(ctrl, [s.name for s in ANCHORED_STRATEGIES], sums_at)

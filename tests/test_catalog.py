@@ -109,6 +109,23 @@ class TestEntryTable:
             err = abs(float(out.estimate) - float(e.expected.value))
             assert err <= e.expected.tolerance
 
+    @pytest.mark.parametrize("name", [
+        pytest.param(n, marks=pytest.mark.xfail(strict=True, reason=(
+            "the extrapolated bound assumes a steady increment ratio; this "
+            "ladder's drifts, so the error 2.87e-4 exceeds the bound 1.45e-4 "
+            "(CHANGES.md, FOUND line on the extrapolated bound)"))) if n == "inv_sqrt" else n
+        for n in entry_names()
+        if get_entry(n).kind != "path" and get_entry(n).expected.status is Status.CONVERGED
+        and get_entry(n).expected.value is not None
+    ])
+    def test_estimate_within_its_own_bound(self, name):
+        e = get_entry(name)
+        out = run_entry(e)
+        assert out.status is Status.CONVERGED
+        value = float(e.expected.value)
+        err = abs(float(out.estimate) - value)
+        assert err <= float(out.error_bound) + math.ulp(value), (err, out.error_bound)
+
     def test_kind_and_regime_follow_method_and_bounds(self):
         groups = {}
         for name in entry_names():

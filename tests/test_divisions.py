@@ -800,6 +800,43 @@ class TestGridEdges:
             )
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(a=hst.floats(min_value=-1e3, max_value=1e3), floats=hst.integers(1, 40),
+           n=hst.integers(1, 100))
+    @example(a=1.0, floats=2, n=3)
+    @example(a=-1.0, floats=2, n=2)  # a binade boundary inside ]a, b]
+    def test_grid_finer_than_the_floats_is_refused(self, a, floats, n):
+        # n cut points after a need n distinct floats in ]a, b]: a grid
+        # with fewer is refused by name, and is never one whose cut points
+        # come out strictly increasing; any other grid builds as before
+        b = a
+        for _ in range(floats):
+            b = math.nextafter(b, math.inf)
+        for body, whole in ((_uniform_edges, _linspace_like_edges),
+                            (_shifted_edges, _whole_shifted_edges)):
+            want = whole(a, b, n)
+            if n <= floats:
+                _same_points(body(a, b, n, 0, n), want)
+                continue
+            assert not np.all(np.diff(want) > 0)
+            with pytest.raises(ArgumentError) as got:
+                body(a, b, n, 0, n)
+            if (b - a) / n == 0:  # the underflow rule comes first
+                assert str(got.value).startswith(f"cell width (b - a) / {n} underflows")
+            else:
+                assert str(got.value) == (f"{n} cells need {n} floats in ]a, b], "
+                                          f"which holds {floats}, got a={a!r}, b={b!r}")
+
+    def test_float_count_refusal_makes_no_array(self, monkeypatch):
+        a, b = 1.0, 1.0 + 2.0 ** -40  # 4096 floats in ]a, b]
+        no_grid_arrays(monkeypatch)
+        for build in (lambda: _uniform_edges(a, b, 8192, 0, 8192),
+                      lambda: _shifted_edges(a, b, 8192, 4096, 8192),
+                      lambda: make_uniform(a, b, 4097, "left")):
+            with pytest.raises(ArgumentError, match="which holds 4096"):
+                build()
+
+
 # --------------------------------------------------------------------------
 # One bisection shared by the selector orders of one selector set
 # --------------------------------------------------------------------------

@@ -83,6 +83,18 @@ class TestConvergenceController:
         with pytest.raises(ArgumentError):
             ConvergenceController(growth_factor=0.9)
 
+    @pytest.mark.parametrize("window", [3.0, 2.5, "3", None, True, 1])
+    def test_window_must_be_an_integer_of_at_least_two(self, window):
+        # a float window used to pass, and an undecided run then died on
+        # its last level slicing the sums by it
+        with pytest.raises(ArgumentError) as got:
+            ConvergenceController(window=window)
+        assert str(got.value) == f"stability window must be an integer >= 2, got {window!r}"
+
+    def test_window_is_read_as_an_int(self):
+        ctrl = ConvergenceController(window=np.int64(4))
+        assert type(ctrl.window) is int and ctrl.window == 4
+
     @pytest.mark.parametrize("field", ["tolerance_abs", "tolerance_rel"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_tolerances_must_be_finite(self, field, value):
@@ -216,28 +228,33 @@ class TestUndecidedBound:
 
     @staticmethod
     def classify(columns, ctrl=None):
-        classifier = integrators._Classifier(ctrl or _ctrl(1e-6), list(columns))
-        for level, sums in enumerate(zip(*columns.values())):
-            assert classifier.observe(level, 2 ** level, dict(zip(columns, sums))) is None
-        return classifier.result()
+        """(status, estimate, error bound) of the columns' sums once the
+        schedule ends, and the last level's spread; no prefix decides."""
+        ctrl = ctrl or _ctrl(1e-6)
+        rows = list(zip(*columns.values()))
+        for k in range(1, len(rows) + 1):
+            assert integrators._decide(ctrl, rows[:k], integrators._PROBE_RULES) is None
+        return (*integrators._undecided(ctrl, rows), max(rows[-1]) - min(rows[-1]))
 
     def test_periodic_sums(self):
         # the cycle rational-mid runs through on a jump shared by f and g
-        result = self.classify({"left": [0.0] * 8, "mid": [0.0, 1.0, 1.0, 0.0] * 2})
-        assert result.status is Status.INCONCLUSIVE
-        assert result.trace[-1].spread == 0.0
-        assert result.estimate == 0.0 and result.error_bound == 1.0
+        status, estimate, bound, spread = self.classify(
+            {"left": [0.0] * 8, "mid": [0.0, 1.0, 1.0, 0.0] * 2})
+        assert status is Status.INCONCLUSIVE
+        assert spread == 0.0
+        assert estimate == 0.0 and bound == 1.0
 
     def test_sign_alternating_sums(self):
         sums = [(-1) ** k * 0.5 for k in range(9)]
-        result = self.classify({"a": sums, "b": sums})
-        assert result.status is Status.INCONCLUSIVE
-        assert result.estimate == 0.5 and result.error_bound == 1.0
+        status, estimate, bound, _ = self.classify({"a": sums, "b": sums})
+        assert status is Status.INCONCLUSIVE
+        assert estimate == 0.5 and bound == 1.0
 
     def test_fewer_levels_than_the_window_use_every_level(self):
-        result = self.classify({"a": [1.0, 3.0], "b": [2.0, 3.0]}, _ctrl(1e-6, window=5))
-        assert result.status is Status.INCONCLUSIVE
-        assert result.estimate == 3.0 and result.error_bound == 2.0
+        status, estimate, bound, _ = self.classify(
+            {"a": [1.0, 3.0], "b": [2.0, 3.0]}, _ctrl(1e-6, window=5))
+        assert status is Status.INCONCLUSIVE
+        assert estimate == 3.0 and bound == 2.0
 
     def test_shared_jump_witness(self):
         # rs: rational-mid cycles 0, 1, 1, 0, and the right tags of the
@@ -790,6 +807,26 @@ def test_underflowing_grid_is_refused_as_before(monkeypatch):
             rs_integrate(h, a, b, _ctrl(1e-9, 10, 10))
         assert str(got.value) == f"cell width (b - a) / 1024 underflows to 0, got a={a!r}, b={b!r}"
     assert points == []
+
+
+def test_grid_finer_than_the_floats_is_refused_by_name(monkeypatch):
+    # ]1, 1 + 2**-40] holds 4096 floats: rs's level 13 and gauge's level 12,
+    # whose endpoint tags take the 2**13 grid, would cut at points that round
+    # onto each other, and used to fail on a degenerate cell after the edge
+    # array was built
+    h = make_integrand(lambda s: s * s, length_factor(), "tag")
+    a, b = 1.0, 1.0 + 2.0 ** -40
+    want = f"8192 cells need 8192 floats in ]a, b], which holds 4096, got a={a!r}, b={b!r}"
+    ctrl = ConvergenceController(tolerance_abs=1e-300, tolerance_rel=0)
+    for run, level in ((rs_integrate, 13), (gauge_integrate, 12)):
+        with pytest.raises(ArgumentError) as got:
+            run(h, a, b, ctrl)
+        assert str(got.value) == want
+        with monkeypatch.context() as patch:
+            no_grid_arrays(patch)
+            with pytest.raises(ArgumentError) as got:
+                run(h, a, b, _ctrl(1e-300, level, level))
+        assert str(got.value) == want
 
 
 # --------------------------------------------------------------------------

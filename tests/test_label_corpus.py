@@ -37,6 +37,7 @@ from gaugelab.integrators import (
     step_distribution,
 )
 from gaugelab.results import Status
+from test_catalog_golden import replay
 
 TOL = 1e-6
 CTRL = ConvergenceController(tolerance_abs=TOL, schedule=RefinementSchedule(4, 18))
@@ -189,14 +190,9 @@ def test_row(run, row):
 
 
 def _ladder(sums, tol=1e-6):
-    """The result _Classifier gives for one strategy's sums, fed level by
-    level until it decides."""
+    """The replay of one strategy's sums."""
     ctrl = ConvergenceController(tolerance_abs=tol, schedule=RefinementSchedule(0, 26))
-    classifier = integrators._Classifier(ctrl, ["only"])
-    for level, value in enumerate(sums):
-        if classifier.observe(level, 2 ** level, {"only": value}) is not None:
-            break
-    return classifier.result()
+    return replay(ctrl, [sums])
 
 
 def _geometric(ratio, levels=20):
@@ -232,11 +228,23 @@ def test_geometric_ladder_stops_at_its_limit():
     sums = _geometric(0.5, levels=20)
     result = _ladder(sums)
     assert result.status is Status.CONVERGED
-    assert len(result.trace) == 6  # E from the third sum, a pair from the fourth
+    assert result.levels == 6  # E from the third sum, a pair from the fourth
     assert result.estimate == pytest.approx(2.0, abs=1e-12)
     assert result.error_bound <= 1e-12
     # the raw sums alone would run until they moved less than 1e-6
     assert abs(sums[5] - sums[4]) > 1e-6
+
+
+def test_stable_window_is_tried_before_the_extrapolated_rule():
+    # both rules fire first at the sixth sum: the raw increments fall below
+    # 1e-6 from the fourth sum on, and the limits are 2 from the third
+    sums = [2 - 6e-6 * 2.0 ** -k for k in range(12)]
+    ctrl = ConvergenceController(tolerance_abs=1e-6, schedule=RefinementSchedule(0, 26))
+    rows = [(x,) for x in sums[:6]]
+    assert integrators._stable_window(ctrl, rows) and integrators._extrapolated_stable(ctrl, rows)
+    result = _ladder(sums)
+    assert result.levels == 6
+    assert result.estimate == sums[5] and result.error_bound == 0.0
 
 
 def test_limit_formula():
@@ -262,4 +270,4 @@ def test_exact_sums_keep_the_stable_window():
     result = _ladder(sums, tol=1e-9)
     assert result.status is Status.CONVERGED
     assert isinstance(result.estimate, Fraction)
-    assert len(result.trace) > 6
+    assert result.levels > 6
