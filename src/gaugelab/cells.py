@@ -38,6 +38,48 @@ def _is_end_view(t: np.ndarray, e: np.ndarray) -> bool:
     return offset == 0 or offset == e.strides[0]
 
 
+def _refused(t, lo, hi, exact: bool, bounds=None, tags_inside: bool = False):
+    """None when the cells (t, lo, hi) make valid divisions, else (k, the
+    ArgumentError that TaggedDivision refuses segment k's division with) for
+    the first segment k that is refused.
+
+    Segment k is the cells bounds[k]..bounds[k+1] - 1 of one division, in
+    order, with lo its edges[:-1] and hi its edges[1:]; bounds None is one
+    segment of every cell.  Strictly increasing edges between finite ends
+    are finite, and so are tags inside their cells: a check of each
+    segment's two ends and three passes over all the cells prove every
+    division valid, and `tags_inside` (tags known to lie in their cells)
+    skips the two tag passes.  Only a refusal is scanned segment by
+    segment, and for non-finite values, so that each division is refused
+    for the first reason in the order of _refusal."""
+    segments = [(0, len(t))] if bounds is None else list(zip(bounds, bounds[1:]))
+    ends_finite = exact or all(math.isfinite(lo[i]) and math.isfinite(hi[j - 1])
+                               for i, j in segments)
+    if ends_finite and (lo < hi).all() and (
+        tags_inside or ((lo <= t).all() and (t <= hi).all())
+    ):
+        return None
+    for k, (i, j) in enumerate(segments):
+        message = _refusal(t[i:j], lo[i:j], hi[i:j], exact)
+        if message:
+            return k, ArgumentError(message)
+    return None
+
+
+def _refusal(t, lo, hi, exact: bool) -> Optional[str]:
+    """Why the division of these cells is refused, or None."""
+    if not exact and not (np.all(np.isfinite(t)) and np.all(np.isfinite(lo))
+                          and np.all(np.isfinite(hi))):
+        return "division contains non-finite values"
+    if not np.all(lo < hi):
+        i = int(np.argmin(lo < hi))
+        return f"degenerate cell ]{_plain(lo[i])!r}, {_plain(hi[i])!r}]"
+    if not (np.all(lo <= t) and np.all(t <= hi)):
+        i = int(np.argmin((lo <= t) & (t <= hi)))
+        return f"tag {_plain(t[i])!r} outside cell closure [{_plain(lo[i])!r}, {_plain(hi[i])!r}]"
+    return None
+
+
 class TaggedDivision:
     """A tagged division of ]a, b]: cut points a = x0 < x1 < ... < xn = b
     and one tag per cell.
@@ -95,30 +137,13 @@ class TaggedDivision:
             raise ArgumentError(
                 f"division needs n >= 1 tags and n + 1 edges, got shapes {t.shape} and {e.shape}"
             )
-        lo, hi = e[:-1], e[1:]
-        # Strictly increasing edges between finite ends are finite, and so
-        # are tags inside their cells: three passes prove the division valid.
         # A tag column that is lo or hi itself needs only the edge pass: its
         # two tag comparisons then read lo <= lo and lo <= hi (or lo <= hi
-        # and hi <= hi), true wherever lo < hi is, NaN excluded.  Only a
-        # refused division is scanned for non-finite values, so that it is
-        # refused for the first reason in the order below.
-        ends_finite = self.exact or (math.isfinite(e[0]) and math.isfinite(e[-1]))
-        if ends_finite and (lo < hi).all() and (
-            (not self.exact and _is_end_view(t, e)) or ((lo <= t).all() and (t <= hi).all())
-        ):
-            return
-        if not self.exact and not (np.all(np.isfinite(t)) and np.all(np.isfinite(e))):
-            raise ArgumentError("division contains non-finite values")
-        if not np.all(lo < hi):
-            i = int(np.argmin(lo < hi))
-            raise ArgumentError(f"degenerate cell ]{_plain(lo[i])!r}, {_plain(hi[i])!r}]")
-        if not (np.all(lo <= t) and np.all(t <= hi)):
-            i = int(np.argmin((lo <= t) & (t <= hi)))
-            raise ArgumentError(
-                f"tag {_plain(t[i])!r} outside cell closure "
-                f"[{_plain(lo[i])!r}, {_plain(hi[i])!r}]"
-            )
+        # and hi <= hi), true wherever lo < hi is, NaN excluded.
+        refused = _refused(t, e[:-1], e[1:], self.exact,
+                           tags_inside=not self.exact and _is_end_view(t, e))
+        if refused:
+            raise refused[1]
 
     def __repr__(self) -> str:
         a, b = self.edges[[0, -1]].tolist()

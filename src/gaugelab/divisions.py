@@ -14,7 +14,7 @@ import numpy as np
 from .cells import Gauge, TaggedDivision
 from .errors import MAX_LEVEL, ArgumentError, GaugeTooDemandingError, IntegrandEvalError, _plain
 from . import exact
-from .exact import IRRATIONAL_SHIFT, is_exact_scalar
+from .exact import is_exact_scalar
 from .integrand import BurkillIntegrand, midpoint
 
 # Tag rules of the grid builders, and the tag selectors of gauge-driven
@@ -152,11 +152,10 @@ def _uniform_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
     n = _check_grid(a, b, n)
     a, b, column = _regime(a, b)
     if column is not _float_column:
-        edges = a + (b - a) * (column(np.arange(lo, hi + 1)) * Fraction(1, n))
-    else:
-        edges = np.arange(lo, hi + 1, dtype=float)
-        edges *= (b - a) / n
-        edges += a
+        return exact.grid(a, b, n, lo, hi, shifted=False)
+    edges = np.arange(lo, hi + 1, dtype=float)
+    edges *= (b - a) / n
+    edges += a
     if hi == n:
         edges[-1] = b
     return edges
@@ -169,15 +168,13 @@ def _shifted_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
     n = _check_grid(a, b, n)
     a, b, column = _regime(a, b)
     if column is not _float_column:
-        j = column(np.arange(lo, hi + 1))
-        edges = a + (b - a) * ((j + IRRATIONAL_SHIFT) * Fraction(1, n))
-    else:
-        # a + (b - a) * ((j + FLOAT_SHIFT) / n), evaluated in place
-        edges = np.arange(lo, hi + 1, dtype=float)
-        edges += FLOAT_SHIFT
-        edges /= n
-        edges *= b - a
-        edges += a
+        return exact.grid(a, b, n, lo, hi, shifted=True)
+    # a + (b - a) * ((j + FLOAT_SHIFT) / n), evaluated in place
+    edges = np.arange(lo, hi + 1, dtype=float)
+    edges += FLOAT_SHIFT
+    edges /= n
+    edges *= b - a
+    edges += a
     if lo == 0:
         edges[0] = a
     if hi == n:
@@ -317,15 +314,23 @@ def _interleave(x, y):
 
 def _assemble(accepted, end, column):
     """(read-only edges, tag columns) of the accepted cells, put in order by
-    position key and closed by `end`, the right end as a 1-element array.
-    np.concatenate gives exact cells as `object` arrays, which `column`
-    makes columns again."""
-    keys, lefts, *columns = (np.concatenate(parts) for parts in zip(*accepted))
+    position key and closed by `end`, the right end as a 1-element array."""
+    keys, lefts, *columns = map(_concatenate, zip(*accepted))
     # each depth adds an ascending run of keys, which a stable sort merges
     order = np.argsort(keys, kind="stable")
-    edges = column(np.concatenate((lefts[order], end)))
+    edges = column(_concatenate((lefts[order], end)))
     edges.setflags(write=False)
     return edges, [column(tags[order]) for tags in columns]
+
+
+def _concatenate(parts):
+    """The arrays end to end: exact columns on their integer numerators
+    (exact.concatenate); numpy arrays, or exact columns beside an `object`
+    array (tags np.where picked), through np.concatenate, whose `object`
+    result `column` makes a column again."""
+    if any(isinstance(p, np.ndarray) for p in parts):
+        return np.concatenate(parts)
+    return exact.concatenate(parts)
 
 
 def _check_orders(a, b, orders, depth_cap: int):
@@ -415,7 +420,7 @@ def bisect_refine(division: TaggedDivision, tag_rule: str = "left") -> TaggedDiv
 
 
 def riemann_sum(h: BurkillIntegrand, division: TaggedDivision) -> object:
-    """Sum h over the division's cells.
+    """Sum h over the division's cells: _segment_sums of its one segment.
 
     h is evaluated once on the whole (tags, lefts, rights) arrays.  A float
     division sums the values pairwise into a float; an exact one sums their
@@ -424,21 +429,47 @@ def riemann_sum(h: BurkillIntegrand, division: TaggedDivision) -> object:
     regime).  A fault raises IntegrandEvalError naming the first cell whose
     own evaluation fails.  Deterministic for identical inputs.
     """
-    tags, lefts, rights = division.tags, division.lefts, division.rights
+    columns = division.tags, division.lefts, division.rights
     try:
-        values = h(tags, lefts, rights)
-    except Exception:
-        i, cell_exc = _first_failing_cell(h, tags, lefts, rights)
-        if cell_exc is None:
-            raise
-        raise IntegrandEvalError(tags[i], lefts[i], rights[i], cell_exc) from cell_exc
-    values = exact.exact_or_objects(values) if division.exact else np.asarray(values, dtype=float)
+        (total,) = _segment_sums(h, *columns, division.exact, (0, division.n))
+    except Exception as exc:
+        raise _named_fault(h, *columns, exc)[1]
+    return total
+
+
+def _segment_sums(h: BurkillIntegrand, tags, lefts, rights, is_exact: bool, bounds) -> list:
+    """Each segment's sum of h, where segment k is the cells
+    bounds[k]..bounds[k+1] - 1 of the columns: the divisions of a level
+    laid end to end, or one division's cells.
+
+    h is called once, on the whole columns, and each segment adds its slice
+    of the values as riemann_sum adds a division's: np.sum of a contiguous
+    slice is np.sum of its copy, bit for bit, and exact sums are exact.
+    Raises what h raises; _named_fault names the cell."""
+    values = h(tags, lefts, rights)
+    values = exact.exact_or_objects(values) if is_exact else np.asarray(values, dtype=float)
     if values.shape != tags.shape:
         values = np.broadcast_to(values, tags.shape)
-    if not division.exact:
-        return float(np.sum(values))
+    segments = zip(bounds, bounds[1:])
+    if not is_exact:
+        return [float(np.add.reduce(values[i:j])) for i, j in segments]
     # float values that left the exact regime add as Python's sum from 0
-    return sum(values.tolist()) if isinstance(values, np.ndarray) else values.sum()
+    if isinstance(values, np.ndarray):
+        return [sum(values[i:j].tolist()) for i, j in segments]
+    return [values[i:j].sum() for i, j in segments]
+
+
+def _named_fault(h: BurkillIntegrand, tags, lefts, rights, exc: Exception):
+    """(i, error) for the fault `exc` of h on whole columns: i the first
+    cell whose own evaluation fails and error the IntegrandEvalError naming
+    it, caused by that cell's exception; (None, exc) if no cell fails on
+    its own."""
+    i, cell_exc = _first_failing_cell(h, tags, lefts, rights)
+    if cell_exc is None:
+        return None, exc
+    error = IntegrandEvalError(tags[i], lefts[i], rights[i], cell_exc)
+    error.__cause__ = cell_exc
+    return i, error
 
 
 def _first_failing_cell(h: BurkillIntegrand, tags, lefts, rights):

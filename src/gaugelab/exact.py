@@ -265,12 +265,15 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, QuadExtScalar)) and not isinstance(x, bool)
 
 
-def __getattr__(name):
-    # QuadExtArray and exact_or_objects load with their module on first use,
-    # and are module attributes from then on
-    if name in ("QuadExtArray", "exact_or_objects"):
-        from ._columns import QuadExtArray, exact_or_objects
+_COLUMN_NAMES = ("QuadExtArray", "concatenate", "exact_or_objects", "grid")
 
-        globals().update(QuadExtArray=QuadExtArray, exact_or_objects=exact_or_objects)
+
+def __getattr__(name):
+    # the column names load with their module on first use, and are module
+    # attributes from then on
+    if name in _COLUMN_NAMES:
+        from . import _columns
+
+        globals().update({n: getattr(_columns, n) for n in _COLUMN_NAMES})
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import groupby, starmap
@@ -44,7 +45,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cells import Gauge, TaggedDivision
+from . import exact
+from .cells import Gauge, _refused
 from .divisions import (
     DEFAULT_DEPTH_CAP,
     FLOAT_SHIFT,
@@ -52,11 +54,12 @@ from .divisions import (
     _check_domain,
     _constant_grid,
     _delta_fine,
-    _grid_columns,
+    _named_fault,
+    _segment_sums,
     _shifted_edges,
+    _tag_points,
     _uniform_edges,
     make_uniform,
-    riemann_sum,
 )
 from .errors import (
     ArgumentError,
@@ -471,8 +474,9 @@ def singularity_gauge(ceiling: float, at_origin: float, origin: float = 0.0) -> 
 # --------------------------------------------------------------------------
 
 
-# Cells per block of an rs level: a level is built and summed block by
-# block, so its edges, tags and integrand values stay cache-sized.
+# Cells per batch of a level: a level's cells are checked, evaluated and
+# summed at most this many at a time (a larger division alone), so their
+# columns and values stay cache-sized.
 _BLOCK_CELLS = 2 ** 16
 
 # numpy adds up to this many float64 values in one unrolled loop, so its
@@ -492,6 +496,22 @@ def _pairwise(lo: int, hi: int, block_sum):
         return block_sum(lo, hi)
     half = n // 2 - n // 2 % 8
     return _pairwise(lo, lo + half, block_sum) + _pairwise(lo + half, hi, block_sum)
+
+
+class _Sums(tuple):
+    """A group's sums before the level is evaluated: one tree per strategy,
+    a segment id or a pair (x, y) that reads x + y.  Adding two adds them
+    elementwise, so they add up as the sums they stand for would."""
+
+    def __add__(self, other):
+        return _Sums(zip(self, other))
+
+
+def _total(tree, sums):
+    """The sum a tree stands for, added as it pairs the segments' sums."""
+    if isinstance(tree, tuple):
+        return _total(tree[0], sums) + _total(tree[1], sums)
+    return sums[tree]
 
 
 # The grid cuts, by name: cut points lo..hi of an n-cell grid over ]a, b].
@@ -519,102 +539,234 @@ def _split_point(lo, hi):
     return lo + FLOAT_SHIFT * (hi - lo)
 
 
+class _Level:
+    """One level's segments, checked, evaluated and summed a batch at a
+    time.  A segment is the cells of one division, or of one block of it,
+    with the tags one strategy (its owner) sums it over; `sums[i]` is
+    segment i's sum once its batch has run.
+
+    Segments are added in build order and batched end to end, at most
+    _BLOCK_CELLS cells a batch (a larger segment alone), and a batch is one
+    cell check and one call of h over the concatenated columns
+    (_batch_sums).  `fault` is (strategy, error, refused) for the earliest
+    strategy in order known to fault, at its first faulting segment, or at
+    a build refused after its segments so far (`refused`), which one of
+    those segments still pre-empts.  A strategy at or after it no longer
+    decides the level's fault: its segments are dropped, and a batch that
+    faults runs again without them."""
+
+    def __init__(self, h: BurkillIntegrand):
+        self.h = h
+        self.sums = []
+        self.pending = []  # (owner, tags, edges, segment id), in build order
+        self.cells = 0
+        self.fault = None
+
+    def alive(self, s: int) -> bool:
+        f = self.fault
+        return f is None or s < f[0] or (s == f[0] and f[2])
+
+    def known(self, value) -> int:
+        """A segment whose sum is known without evaluating h."""
+        self.sums.append(value)
+        return len(self.sums) - 1
+
+    def segment(self, owner: int, tags, edges) -> int:
+        cells = len(edges) - 1
+        if self.pending and self.cells + cells > _BLOCK_CELLS:
+            self.flush()
+        self.sums.append(None)
+        self.pending.append((owner, tags, edges, len(self.sums) - 1))
+        self.cells += cells
+        return len(self.sums) - 1
+
+    def refuse(self, owner: int, error: Exception):
+        """`owner`'s next build raised `error`, after every segment it
+        added so far."""
+        if self.alive(owner):
+            self.fault = owner, error, True
+
+    def flush(self):
+        batch, self.pending, self.cells = self.pending, [], 0
+        while batch := [seg for seg in batch if self.alive(seg[0])]:
+            sums, fault = _batch_sums(self.h, batch)
+            if fault is None:
+                for seg, value in zip(batch, sums):
+                    self.sums[seg[3]] = value
+                return
+            k, error = fault
+            self.fault = batch[k][0], error, False
+
+
+def _batch_sums(h: BurkillIntegrand, batch):
+    """(each segment's sum, None), or (None, (k, error)) for the first
+    segment k of the batch that faults and what summing it on its own as a
+    TaggedDivision raises: the refusal of an invalid division
+    (cells._refused), or h's fault at the first cell whose own evaluation
+    fails (divisions._named_fault).  h is called once, on the segments
+    before the first invalid one."""
+    bounds = [0]
+    for _, _, edges, _ in batch:
+        bounds.append(bounds[-1] + len(edges) - 1)
+    is_exact = not isinstance(batch[0][2], np.ndarray)
+    if len(batch) == 1:
+        (_, tags, edges, _), = batch
+        columns = tags, edges[:-1], edges[1:]
+    else:
+        # the three columns as thirds of one concatenation
+        join = exact.concatenate if is_exact else np.concatenate
+        n = bounds[-1]
+        joined = join([t for _, t, _, _ in batch] + [e[:-1] for _, _, e, _ in batch]
+                      + [e[1:] for _, _, e, _ in batch])
+        columns = joined[:n], joined[n:2 * n], joined[2 * n:]
+    refused = _refused(*columns, is_exact, bounds)
+    valid = len(batch) if refused is None else refused[0]
+    if valid:
+        end = bounds[valid]
+        if refused is not None:
+            columns = [c[:end] for c in columns]
+        try:
+            sums = _segment_sums(h, *columns, is_exact, bounds[:valid + 1])
+        except Exception as exc:  # noqa: BLE001 - named, then raised by the caller
+            i, error = _named_fault(h, *columns, exc)
+            return None, (0 if i is None else bisect_right(bounds, i) - 1, error)
+    return (sums, None) if refused is None else (None, refused)
+
+
 def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, known: dict):
     """(cells, {strategy: sum}) of one level over the (lo, hi, mesh)
     pieces, the one driver of rs, gauge and Lebesgue sums.
 
-    A grid strategy cuts a piece into `mesh` cells, built and summed in
-    _pairwise blocks; a delta-fine strategy bisects a piece under the gauge
-    `mesh`, one block per piece, and a split-delta-fine one bisects the two
-    sides of the piece's _split_point, one block per side, and adds them.
-    Each strategy adds its pieces' sums left to right.  Strategies of one
-    _shared_build key form a group, and each block is built once per group:
-    read-only edges and one tag column per strategy.  Each strategy's division is made when that strategy is
-    summed.  A fault raises as summing each strategy on its own would: that
-    of the first strategy in order that faults, at its first faulting
-    block, a refused division or a failed build included.  A group's first
-    strategy is summed before the others, so its fault raises at once and
-    nothing more is built.
+    A grid strategy cuts a piece into `mesh` cells, in _pairwise blocks; a
+    delta-fine strategy bisects a piece under the gauge `mesh`, one block
+    per piece, and a split-delta-fine one bisects the two sides of the
+    piece's _split_point, one block per side.  Each strategy adds its block
+    sums as its tree pairs them, and its pieces' sums left to right.
+    Strategies of one _shared_build key form a group, and each block is
+    built once per group: read-only edges and one tag column per strategy.
+    Under a constant gauge a bisection is the uniform grid that
+    _constant_grid finds, and each such grid of at most _BLOCK_CELLS cells
+    is built once per level: gauge's left and right tags share one, and
+    its split rows both split grids.
+
+    The level is one pass: every group's blocks are built in order, and
+    their segments (a block with one strategy's tags) are laid end to end
+    in build order, checked, evaluated and summed a _Level batch
+    at a time, so a level of up to _BLOCK_CELLS cells makes one cell check
+    and one call of h.  A fault raises as summing each strategy on its own
+    would: that of the first strategy in order that faults, at its first
+    faulting block, a refused division or a failed build included.  A
+    faulting level may have built blocks that summing each strategy in
+    turn would not have reached.
 
     A rule that ignores the tag (`h.reads_tag` False) sums alike over every
-    tagging of one division, so it is summed once per distinct division.
-    Within a group it is summed over the first strategy's tags of each
-    block, and that sum is every strategy's of the group (rs's
-    rational-left and rational-mid).  Its piece sums over the uniform grid
-    a constant gauge gives go into `known`, keyed by (cuts, lo, hi, cells),
-    and a later group of this level with that key takes the sum from there,
-    or of a later level when the caller keeps `known` for the run, as
-    gauge_integrate does: gauge's right tags take the left tags' grid, and
-    its midpoint tags the grid the left tags summed a level before.  The
-    tags' own check is skipped with the sum: every tag is valid on valid
-    edges, as a domain that passes divisions._check_domain has only finite
-    midpoints.  A stored sum is one that raised nothing, so a fault still
-    raises where summing each strategy on its own raises it first."""
+    tagging of one division, so it is summed once per distinct division:
+    over the first strategy's tags of each block, and that sum is every
+    strategy's of the group (rs's rational-left and rational-mid).  A grid
+    has one segment per level, and its sum goes into `known`, keyed by
+    (edges, lo, hi, cells, first, last cut); a grid in `known` is not
+    built at all, so a caller that keeps `known` for the run, as
+    gauge_integrate does, sums each grid once: gauge's right tags take the
+    left tags' grid, and its midpoint tags the grid the left tags summed a
+    level before.  The other tags' check is skipped with the sum: every tag
+    is valid on valid edges, as a domain that passes
+    divisions._check_domain has only finite midpoints.  A stored sum is one
+    that raised nothing, so a fault still raises where summing each
+    strategy on its own raises it first."""
     share = not h.reads_tag
-    n, sums = 0, {}
-    kept = None  # the last block's edges
+    level = _Level(h)
+    grids = {}  # grid key -> its read-only edges, for a constant gauge's grids
+    shared = {}  # grid key -> its tag-free segment, this level
+    n, trees, first = 0, [], 0  # first: the index of the group's first strategy
+
+    def build(key):
+        edges = key[0](*key[1:])
+        edges.setflags(write=False)
+        return edges
+
+    def segments(edges, columns):
+        """The group's segments on one block: one per tag column, None for
+        a strategy that no longer decides the level, or the first column's
+        alone for a tag-free rule."""
+        if share:
+            return _Sums([level.segment(first, columns[0], edges)])
+        return _Sums(level.segment(first + k, tags, edges) if level.alive(first + k) else None
+                     for k, tags in enumerate(columns))
+
+    def grid(key, rules, keep):
+        """The group's segments on the grid block `key`, tagged by `rules`;
+        `keep` keeps its edges for later groups of the level."""
+        if share:
+            if key in known:
+                return _Sums([level.known(known[key])])
+            if key not in shared:
+                edges = build(key)
+                (shared[key],) = segments(edges, [_tag_points(rules[0], edges[:-1], edges[1:])])
+            return _Sums([shared[key]])
+        edges = grids.get(key)
+        if edges is None:
+            edges = build(key)
+            if keep:
+                grids[key] = edges
+        return segments(edges, [_tag_points(rule, edges[:-1], edges[1:]) for rule in rules])
+
     for key, group in groupby(strategies, key=_shared_build):
         group = list(group)
-        width = 1 if share else len(group)  # the tag columns summed
-        faults = {}  # index in the group -> that strategy's first fault
+        if not level.alive(first):
+            break
+        width = 1 if share else len(group)
         cells = 0
-
-        def block_sum(edges, columns):
-            nonlocal cells, kept
-            # A block's edges are freed only once the next block is built:
-            # freed first, they let glibc's malloc trim the heap, and the
-            # next block faults its pages in again.
-            kept = edges
-            cells += len(edges) - 1
-            block_sums = np.zeros(width, dtype=object)
-            for k, tags in enumerate(columns[:width]):
-                if k in faults:
-                    continue
-                try:
-                    block_sums[k] = riemann_sum(h, TaggedDivision(tags, edges))
-                except Exception as exc:  # noqa: BLE001 - an earlier strategy may fault later
-                    if k == 0:
-                        raise
-                    faults[k] = exc
-            return block_sums
 
         if group[0].cuts in _BISECTION_CUTS:
             orders = tuple(strat.selectors for strat in group)
 
-            def bisection_sum(lo, hi, gauge):
+            def side(lo, hi, gauge):
                 nonlocal cells
-                if not (share and gauge.is_constant):
-                    return block_sum(*_delta_fine(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP))
-                count, rules = _constant_grid(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP)
-                grid = ("delta-fine", lo, hi, count)
-                if grid in known:
+                if not level.alive(first):
+                    return _Sums([None] * width)
+                if gauge.is_constant:
+                    count, rules = _constant_grid(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP)
                     cells += count
-                else:
-                    edges = _uniform_edges(lo, hi, count, 0, count)
-                    (known[grid],) = block_sum(*_grid_columns(edges, rules[:1]))
-                return np.full(1, known[grid], dtype=object)
+                    return grid((_uniform_edges, lo, hi, count, 0, count), rules,
+                                count <= _BLOCK_CELLS)
+                edges, columns = _delta_fine(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP)
+                cells += len(edges) - 1
+                return segments(edges, columns)
 
             if group[0].cuts == "delta-fine":
-                piece_sum = bisection_sum
+                piece_trees = side
             else:
-                def piece_sum(lo, hi, gauge):
+                def piece_trees(lo, hi, gauge):
                     m = _split_point(lo, hi)
-                    return bisection_sum(lo, m, gauge) + bisection_sum(m, hi, gauge)
+                    return side(lo, m, gauge) + side(m, hi, gauge)
         else:
-            grid_edges, rules = _GRID_EDGES[key], [strat.selectors[0] for strat in group]
+            edges_of, rules = _GRID_EDGES[key], [strat.selectors[0] for strat in group]
 
-            def piece_sum(lo, hi, mesh):
-                return _pairwise(0, mesh, lambda i, j: block_sum(
-                    *_grid_columns(grid_edges(lo, hi, mesh, i, j), rules[:width])))
+            def piece_trees(lo, hi, mesh):
+                nonlocal cells
+                cells += mesh
 
-        group_sums = reduce(add, starmap(piece_sum, pieces)).tolist()
-        if faults:
-            raise faults[min(faults)]
-        if share:
-            group_sums *= len(group)
-        sums.update(zip((strat.name for strat in group), group_sums))
+                def block(i, j):
+                    if not level.alive(first):
+                        return _Sums([None] * width)
+                    return grid((edges_of, lo, hi, mesh, i, j), rules, False)
+
+                return _pairwise(0, mesh, block)
+
+        try:
+            group_trees = reduce(add, starmap(piece_trees, pieces))
+        except Exception as exc:  # noqa: BLE001 - an earlier strategy may fault first
+            level.refuse(first, exc)
+            break
+        trees += group_trees * len(group) if share else group_trees
         n = max(n, cells)
-    return n, sums
+        first += len(group)
+    level.flush()
+    if level.fault:
+        raise level.fault[1]
+    for key, i in shared.items():
+        known[key] = level.sums[i]
+    return n, {strat.name: _total(tree, level.sums) for strat, tree in zip(strategies, trees)}
 
 
 def rs_integrate(
@@ -669,6 +821,10 @@ def gauge_integrate(
     ctrl = ctrl or ConvergenceController()
     if not strategies:
         raise ArgumentError("need at least one tag-selector strategy")
+    names = [strat.name for strat in strategies]
+    if len(set(names)) < len(names):
+        duplicates = sorted({name for name in names if names.count(name) > 1})
+        raise ArgumentError(f"gauge strategies need distinct names, got {duplicates} twice or more")
     for strat in strategies:
         if strat.cuts not in _BISECTION_CUTS:
             raise ArgumentError(

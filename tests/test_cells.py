@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from gaugelab.cells import Gauge, TaggedDivision, _is_end_view
+from gaugelab.cells import Gauge, TaggedDivision, _is_end_view, _refused
 from gaugelab.divisions import delta_fine_division
 from gaugelab.errors import ArgumentError, GaugeContractError, ScalarRegimeError, _plain
 from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray
@@ -216,6 +216,33 @@ class TestValidationMatchesFivePasses:
     def test_non_finite_values_are_named_first(self, tags, edges):
         with pytest.raises(ArgumentError, match="non-finite"):
             TaggedDivision(tags, edges)
+
+
+class TestBatchCheck:
+    # divisions laid end to end, as a level's batch is, are refused at the
+    # first division TaggedDivision refuses, with its message
+    @settings(max_examples=60, deadline=None)
+    @given(divisions=hst.lists(_divisions(), min_size=1, max_size=4))
+    def test_refuses_the_first_refused_division_alike(self, divisions):
+        # one regime per batch, the first division's
+        exact = not isinstance(divisions[0][1][0], float)
+        divisions = [d for d in divisions if isinstance(d[1][0], float) != exact]
+        columns = [[QuadExtArray(c) if exact else np.asarray(c, dtype=float) for c in d]
+                   for d in divisions]
+        want = None
+        for k, (tags, edges) in enumerate(columns):
+            try:
+                TaggedDivision(tags, edges)
+            except ArgumentError as exc:
+                want = k, str(exc)
+                break
+        joined = [np.concatenate(parts) if not exact else QuadExtArray(
+            [x for part in parts for x in part.tolist()])
+            for parts in ([t for t, _ in columns], [e[:-1] for _, e in columns],
+                          [e[1:] for _, e in columns])]
+        bounds = np.cumsum([0] + [len(t) for t, _ in columns]).tolist()
+        got = _refused(*joined, exact, bounds)
+        assert (None if got is None else (got[0], str(got[1]))) == want
 
 
 class TestEndViews:

@@ -1272,3 +1272,36 @@ class TestAgainstTheEarlierCode:
         )
         _evaluated_once(got_calls, want_calls)
         return edges
+
+
+def test_exact_assembly_matches_the_object_array_path(monkeypatch):
+    # an exact bisection's accepted cells are joined on their integer
+    # numerators; np.concatenate on `object` arrays gave the same columns
+    a, b = Fraction(0), Fraction(1)
+    gauge = Gauge.from_function(lambda s: (s - Fraction(1, 3)) * (s - Fraction(1, 3))
+                                + Fraction(1, 64), name="dip")
+    edges, columns = divisions._delta_fine(a, b, gauge, (("left", "right"), ("right", "left")),
+                                           divisions.DEFAULT_DEPTH_CAP)
+
+    def old_assemble(accepted, end, column):
+        keys, lefts, *cols = (np.concatenate(parts) for parts in zip(*accepted))
+        order = np.argsort(keys, kind="stable")
+        return column(np.concatenate((lefts[order], end))), [column(t[order]) for t in cols]
+
+    accepted = []
+    real = divisions._assemble
+
+    def spy(parts, end, column):
+        accepted.append((list(parts), end, column))
+        return real(parts, end, column)
+
+    monkeypatch.setattr(divisions, "_assemble", spy)
+    divisions._delta_fine(a, b, gauge, (("left", "right"), ("right", "left")),
+                          divisions.DEFAULT_DEPTH_CAP)
+    (parts, end, column), = accepted
+    want_edges, want_columns = old_assemble(parts, end, column)
+    got_edges, got_columns = real(parts, end, column)
+    for got, want in zip([got_edges, *got_columns], [want_edges, *want_columns]):
+        assert isinstance(got, QuadExtArray)
+        assert repr(got.tolist()) == repr(want.tolist())
+    assert len(edges) > 20
