@@ -467,47 +467,6 @@ def concatenate(columns) -> QuadExtArray:
     return _column(join([x.A for x in columns]), B, d, kind, m)
 
 
-def grid(a, b, n: int, lo: int, hi: int, shifted: bool) -> QuadExtArray:
-    """Cut points lo..hi of the n-cell grid over ]a, b], a and b exact, as
-    the column arithmetic a + (b - a) * (j * Fraction(1, n)) gives them,
-    element for element of the same value and kind, with j + theta in
-    place of j when `shifted` (theta = (sqrt(2) - 1) / 2) and the grid's
-    ends set to a and b.  Each numerator is c0 + c1 * j, made on an integer
-    column in one pass."""
-    (a0, a1, da, ka), (b0, b1, db, kb) = _scalar_parts(a), _scalar_parts(b)
-    d = math.lcm(da, db)
-    a0, a1, b0, b1 = a0 * (d // da), a1 * (d // da), b0 * (d // db), b1 * (d // db)
-    t0, t1 = b0 - a0, b1 - a1
-    if shifted:
-        # (a + (b - a) * (2j - 1 + sqrt(2)) / (2n)) * 2nd, split into parts
-        d *= 2 * n
-        coefficients = (2 * n * a0 - t0 + 2 * t1, 2 * t0), (2 * n * a1 + t0 - t1, 2 * t1)
-        ends = {0: (a0 * 2 * n, a1 * 2 * n, ka), n: (b0 * 2 * n, b1 * 2 * n, kb)}
-        kind = _QUAD
-    else:
-        d *= n
-        coefficients = (a0 * n, t0), (a1 * n, t1)
-        ends = {n: (b0 * n, b1 * n, kb)}  # the formula gives b, of b's kind
-        kind = max(ka, kb, _FRACTION)
-    ends = {j: end for j, end in ends.items() if lo <= j <= hi}
-    m = max([abs(c0) + abs(c1) * max(hi, 1) for c0, c1 in coefficients]
-            + [max(abs(e0), abs(e1)) for e0, e1, _ in ends.values()])
-    j = np.arange(lo, hi + 1, dtype=np.int64 if _fits(m) else object)
-    A, B = (c0 + c1 * j for c0, c1 in coefficients)
-    if coefficients[1] == (0, 0) and all(e1 == 0 for _, e1, _ in ends.values()):
-        B = None
-    if any(k != kind for _, _, k in ends.values()):
-        kind = np.full(j.shape, kind, np.int8)
-    for at, (e0, e1, k) in ends.items():
-        i = at - lo
-        A[i] = e0
-        if B is not None:
-            B[i] = e1
-        if not isinstance(kind, int):
-            kind[i] = k
-    return _column(A, B, d, kind, m)
-
-
 def exact_or_objects(values):
     """The QuadExtArray of exact values, or the `object` array of values that
     Python arithmetic took out of the exact regime (a binary float times an

@@ -14,7 +14,7 @@ import numpy as np
 from .cells import Gauge, TaggedDivision
 from .errors import MAX_LEVEL, ArgumentError, GaugeTooDemandingError, IntegrandEvalError, _plain
 from . import exact
-from .exact import is_exact_scalar
+from .exact import IRRATIONAL_SHIFT, is_exact_scalar
 from .integrand import BurkillIntegrand, midpoint
 
 # Tag rules of the grid builders, and the tag selectors of gauge-driven
@@ -152,10 +152,11 @@ def _uniform_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
     n = _check_grid(a, b, n)
     a, b, column = _regime(a, b)
     if column is not _float_column:
-        return exact.grid(a, b, n, lo, hi, shifted=False)
-    edges = np.arange(lo, hi + 1, dtype=float)
-    edges *= (b - a) / n
-    edges += a
+        edges = a + (b - a) * (column(np.arange(lo, hi + 1)) * Fraction(1, n))
+    else:
+        edges = np.arange(lo, hi + 1, dtype=float)
+        edges *= (b - a) / n
+        edges += a
     if hi == n:
         edges[-1] = b
     return edges
@@ -168,13 +169,15 @@ def _shifted_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
     n = _check_grid(a, b, n)
     a, b, column = _regime(a, b)
     if column is not _float_column:
-        return exact.grid(a, b, n, lo, hi, shifted=True)
-    # a + (b - a) * ((j + FLOAT_SHIFT) / n), evaluated in place
-    edges = np.arange(lo, hi + 1, dtype=float)
-    edges += FLOAT_SHIFT
-    edges /= n
-    edges *= b - a
-    edges += a
+        j = column(np.arange(lo, hi + 1))
+        edges = a + (b - a) * ((j + IRRATIONAL_SHIFT) * Fraction(1, n))
+    else:
+        # a + (b - a) * ((j + FLOAT_SHIFT) / n), evaluated in place
+        edges = np.arange(lo, hi + 1, dtype=float)
+        edges += FLOAT_SHIFT
+        edges /= n
+        edges *= b - a
+        edges += a
     if lo == 0:
         edges[0] = a
     if hi == n:

@@ -265,7 +265,7 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, QuadExtScalar)) and not isinstance(x, bool)
 
 
-_COLUMN_NAMES = ("QuadExtArray", "concatenate", "exact_or_objects", "grid")
+_COLUMN_NAMES = ("QuadExtArray", "concatenate", "exact_or_objects")
 
 
 def __getattr__(name):

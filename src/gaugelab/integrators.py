@@ -499,16 +499,19 @@ def _pairwise(lo: int, hi: int, block_sum):
 
 
 class _Sums(tuple):
-    """A group's sums before the level is evaluated: one tree per strategy,
-    a segment id or a pair (x, y) that reads x + y.  Adding two adds them
-    elementwise, so they add up as the sums they stand for would."""
+    """A group's sums on one piece before the level is evaluated: one tree
+    per strategy, a segment id or a pair (x, y) that reads x + y.  Adding
+    two adds them elementwise, so they add up as the sums they stand for
+    would."""
 
     def __add__(self, other):
         return _Sums(zip(self, other))
 
 
 def _total(tree, sums):
-    """The sum a tree stands for, added as it pairs the segments' sums."""
+    """The sum a tree stands for, added as it pairs the segments' sums.  A
+    tree is one piece's: _pairwise's blocks or a split's two sides, a few
+    levels deep."""
     if isinstance(tree, tuple):
         return _total(tree[0], sums) + _total(tree[1], sums)
     return sums[tree]
@@ -656,8 +659,10 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
     and one call of h.  A fault raises as summing each strategy on its own
     would: that of the first strategy in order that faults, at its first
     faulting block, a refused division or a failed build included.  A
-    faulting level may have built blocks that summing each strategy in
-    turn would not have reached.
+    bisection under a gauge function is built only once the level so far
+    is summed, so the gauge is called exactly where summing each strategy
+    in turn calls it; a faulting level may build grids past the fault,
+    which calls nothing of the caller's.
 
     A rule that ignores the tag (`h.reads_tag` False) sums alike over every
     tagging of one division, so it is summed once per distinct division:
@@ -722,6 +727,11 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
 
             def side(lo, hi, gauge):
                 nonlocal cells
+                if not gauge.is_constant:
+                    # a gauge function is called only where summing each
+                    # strategy in turn calls it: once the blocks before are
+                    # summed and none of them stops the level
+                    level.flush()
                 if not level.alive(first):
                     return _Sums([None] * width)
                 if gauge.is_constant:
@@ -754,10 +764,12 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
                 return _pairwise(0, mesh, block)
 
         try:
-            group_trees = reduce(add, starmap(piece_trees, pieces))
+            piece_sums = list(starmap(piece_trees, pieces))
         except Exception as exc:  # noqa: BLE001 - an earlier strategy may fault first
             level.refuse(first, exc)
             break
+        # each strategy's piece trees, in piece order
+        group_trees = list(zip(*piece_sums))
         trees += group_trees * len(group) if share else group_trees
         n = max(n, cells)
         first += len(group)
@@ -766,7 +778,9 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
         raise level.fault[1]
     for key, i in shared.items():
         known[key] = level.sums[i]
-    return n, {strat.name: _total(tree, level.sums) for strat, tree in zip(strategies, trees)}
+    # pieces add left to right, a loop however many there are
+    return n, {strat.name: reduce(add, (_total(tree, level.sums) for tree in parts))
+               for strat, parts in zip(strategies, trees)}
 
 
 def rs_integrate(

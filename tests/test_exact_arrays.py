@@ -285,3 +285,20 @@ def test_column_code_loads_on_first_exact_use():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["False", "True"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(columns=hst.lists(hst.tuples(hst.lists(_scalars(), min_size=2, max_size=6),
+                                    hst.sampled_from([slice(None), slice(1, None),
+                                                      slice(None, -1)])),
+                         min_size=1, max_size=4))
+def test_concatenate_keeps_every_element(columns):
+    # columns, or the edge slices a level batch joins, end to end on their
+    # integer numerators over a common denominator: each element keeps its
+    # value and type, as the columns' own elements read
+    from gaugelab import exact
+
+    parts = [QuadExtArray(values)[cut] for values, cut in columns]
+    got = exact.concatenate(parts)
+    assert isinstance(got, QuadExtArray)
+    _same(got.tolist(), [x for part in parts for x in part.tolist()])

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import groupby
 
 import numpy as np
@@ -935,21 +936,6 @@ def _driver_and_reference(run):
     return got
 
 
-def _same_builds(outcome, got_calls, want_calls):
-    """The driver's gauge calls are the reference's: the same, in the same
-    order, for a run that returns.  A level that faults builds its blocks
-    before it evaluates them, so it may build past the block where the
-    reference stops: the reference's calls are then a prefix of the
-    driver's, and the driver's extra calls are all of one level, the
-    faulting one (a call's last item is its points, the one before its
-    level)."""
-    if not isinstance(outcome, tuple) or not isinstance(outcome[0], type):
-        assert got_calls == want_calls
-        return
-    assert got_calls[:len(want_calls)] == want_calls
-    assert len({call[-2] for call in got_calls[len(want_calls):]}) <= 1
-
-
 _KINDS = hst.sets(hst.sampled_from(TAG_RULES), min_size=1).map(sorted)
 _WINDOWS = hst.lists(
     hst.tuples(hst.floats(0.0, 1.0), hst.sampled_from([1e-3, 1e-2, 5e-2])).map(
@@ -958,14 +944,18 @@ _WINDOWS = hst.lists(
 )
 
 
-def _wave(form, windows, kinds, spike):
+def _wave(form, windows, kinds, spike, exact=False):
     """A wave over the cells, faulting in the [lo, hi] windows and infinite
     within 1e-3 of `spike` (unless None).  Form "tag" reads the tag and
     faults at tags of the `kinds`, as _faulty does; the forms
     "interval-only", "left-endpoint" and "midpoint" are make_integrand's
-    rules that ignore the tag, and fault where they sample the wave."""
+    rules that ignore the tag, and fault where they sample the wave.  An
+    `exact` wave is the polynomial x^2 - x, which stays in the exact regime
+    on exact cells (windows then exact too, spike None)."""
 
     def wave(x):
+        if exact:
+            return x * x - x
         values = np.sin(7.0 * x)
         return values if spike is None else np.where(np.abs(x - spike) < 1e-3, np.inf, values)
 
@@ -985,23 +975,72 @@ def _wave(form, windows, kinds, spike):
 
 
 _FORMS = hst.sampled_from(["tag", "interval-only", "left-endpoint", "midpoint"])
+_EXACT_WINDOWS = _WINDOWS.map(lambda windows: [(Fraction(lo), Fraction(hi)) for lo, hi in windows])
+
+
+def _refusing(mp, builder, first_level, cells_of_level):
+    """Patch the grid builder `builder` ("uniform" or "shifted-uniform") of
+    the driver and of the reference to refuse every grid from `first_level`
+    on (never when None), as an unbuildable grid is refused."""
+    real = integrators._GRID_EDGES[builder]
+
+    def edges(a, b, n, lo, hi):
+        if first_level is not None and n >= cells_of_level(first_level):
+            raise ArgumentError(f"refused {builder} grid of {n} cells")
+        return real(a, b, n, lo, hi)
+
+    mp.setitem(integrators._GRID_EDGES, builder, edges)
+    mp.setattr(divisions, {"uniform": "_uniform_edges",
+                           "shifted-uniform": "_shifted_edges"}[builder], edges)
 
 
 @settings(max_examples=40, deadline=None)
 @given(form=_FORMS, windows=_WINDOWS, kinds=_KINDS, start=hst.integers(6, 10),
-       spike=hst.none() | hst.floats(0.0, 1.0))
+       spike=hst.none() | hst.floats(0.0, 1.0), refused=hst.none() | hst.integers(6, 10))
 @example(  # rational-mid faults in the first block, rational-left in a later one
     form="tag", windows=[(0.0012, 0.0018), (0.9, 0.95)], kinds=["left", "midpoint"], start=10,
-    spike=None,
+    spike=None, refused=None,
 )
 @example(  # the shared uniform grid faults in a later block, the shifted one too
     form="left-endpoint", windows=[(0.9, 0.95)], kinds=["left"], start=10, spike=None,
+    refused=None,
 )
-def test_driver_matches_reference_on_rs(form, windows, kinds, start, spike):
-    # levels of 64 to 1024 cells, 1 to 16 blocks; a spike gives an inf sum
+@example(  # rational-mid faults in the uniform grid's last block, not yet
+    # summed when the shifted grid, the later strategies', is refused
+    form="tag", windows=[(0.95, 0.99)], kinds=["midpoint"], start=10, spike=None, refused=10,
+)
+def test_driver_matches_reference_on_rs(form, windows, kinds, start, spike, refused):
+    # levels of 64 to 1024 cells, 1 to 16 blocks; a spike gives an inf sum,
+    # and from level `refused` on the shifted grid is refused
     h = _wave(form, windows, kinds, spike)
     ctrl = _ctrl(1e-15, start, 10, growth_factor=4.0)
-    (got, _), (want, _) = _driver_and_reference(lambda mp, calls: rs_integrate(h, 0.0, 1.0, ctrl))
+
+    def run(mp, calls):
+        _refusing(mp, "shifted-uniform", refused, ctrl.schedule.cells_for)
+        return rs_integrate(h, 0.0, 1.0, ctrl)
+
+    (got, _), (want, _) = _driver_and_reference(run)
+    assert got == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(form=_FORMS, windows=_EXACT_WINDOWS, kinds=_KINDS, start=hst.integers(6, 8),
+       refused=hst.none() | hst.integers(6, 8))
+@example(  # rational-mid faults in the uniform grid's last block, not yet
+    # summed when the shifted grid, the later strategies', is refused
+    form="tag", windows=[(Fraction(95, 100), Fraction(99, 100))], kinds=["midpoint"], start=8,
+    refused=8,
+)
+def test_driver_matches_reference_on_exact_rs(form, windows, kinds, start, refused):
+    # the exact regime: levels of 64 to 256 exact cells, 1 to 4 blocks
+    h = _wave(form, windows, kinds, None, exact=True)
+    ctrl = _ctrl(1e-15, start, 8, growth_factor=4.0)
+
+    def run(mp, calls):
+        _refusing(mp, "shifted-uniform", refused, ctrl.schedule.cells_for)
+        return rs_integrate(h, Fraction(0), Fraction(1), ctrl)
+
+    (got, _), (want, _) = _driver_and_reference(run)
     assert got == want
 
 
@@ -1058,7 +1097,27 @@ def test_driver_matches_reference_on_anchored_lebesgue(
 
     (got, got_calls), (want, want_calls) = _driver_and_reference(run)
     assert got == want
-    _same_builds(got, got_calls, want_calls)
+    assert got_calls == want_calls
+
+
+def _pole_gauges(calls, pole, gauge_fault):
+    """level -> a gauge function, 2**-level + |s - pole| / 4, recording
+    each call in `calls` as (level, points).  A gauge fault is (first
+    level, first call): from that level on, the calls of a level after the
+    first-call-th give width 0."""
+
+    def gauges(level):
+        count = []
+
+        def fn(s):
+            calls.append((level, repr(s.tolist())))
+            count.append(1)
+            faulty = level >= gauge_fault[0] and len(count) > gauge_fault[1]
+            return (0.0 if faulty else 1.0) * (2.0 ** -level + np.abs(s - pole) / 4)
+
+        return Gauge.from_function(fn)
+
+    return gauges
 
 
 @settings(max_examples=40, deadline=None)
@@ -1082,23 +1141,13 @@ def test_driver_matches_reference_on_shared_orders(orders, windows, kinds, pole,
     h = _faulty(make_integrand(lambda s: s, length_factor(), "tag"), windows, kinds)
 
     def run(mp, calls):
-        def gauges(level):
-            count = []
-
-            def fn(s):
-                calls.append((level, repr(s.tolist())))
-                count.append(1)
-                faulty = level >= gauge_fault[0] and len(count) > gauge_fault[1]
-                return (0.0 if faulty else 1.0) * (2.0 ** -level + np.abs(s - pole) / 4)
-
-            return Gauge.from_function(fn)
-
-        return gauge_integrate(h, 0.0, 1.0, _ctrl(1e-15, 3, 7), gauges=gauges,
+        return gauge_integrate(h, 0.0, 1.0, _ctrl(1e-15, 3, 7),
+                               gauges=_pole_gauges(calls, pole, gauge_fault),
                                strategies=strategies)
 
     (got, got_calls), (want, want_calls) = _driver_and_reference(run)
     assert got == want
-    _same_builds(got, got_calls, want_calls)
+    assert got_calls == want_calls
 
 
 _DELTA_FINE = (*GAUGE_STRATEGIES, *ANCHORED_STRATEGIES,
@@ -1131,6 +1180,119 @@ def test_driver_matches_reference_on_constant_gauges(
     (got, _), (want, _) = _driver_and_reference(
         lambda mp, calls: gauge_integrate(h, 0.0, 1.0, ctrl, strategies=strategies))
     assert got == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    form=_FORMS,
+    strategies=hst.lists(hst.sampled_from(_DELTA_FINE), min_size=1, max_size=4, unique=True),
+    windows=_EXACT_WINDOWS,
+    kinds=_KINDS,
+    start=hst.integers(3, 6),
+)
+@example(  # gauge's five rows on exact grids and split grids
+    form="tag", strategies=list(GAUGE_STRATEGIES), windows=[], kinds=["left"], start=3,
+)
+def test_driver_matches_reference_on_exact_constant_gauges(form, strategies, windows, kinds, start):
+    # the default constant gauges on exact bounds: grids of up to 64 cells,
+    # split at an irrational point
+    h = _wave(form, windows, kinds, None, exact=True)
+    ctrl = _ctrl(1e-15, start, 6, growth_factor=4.0)
+    (got, _), (want, _) = _driver_and_reference(
+        lambda mp, calls: gauge_integrate(h, Fraction(0), Fraction(1), ctrl,
+                                          strategies=strategies))
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    strategies=hst.lists(hst.sampled_from(_DELTA_FINE), min_size=2, max_size=4, unique=True),
+    windows=_WINDOWS,
+    kinds=_KINDS,
+    pole=hst.floats(0.0, 1.0),
+    gauge_fault=hst.tuples(hst.integers(3, 7), hst.integers(0, 100)),
+)
+@example(  # split-left faults on its second side at level 3, after its five
+    # gauge calls there; the right tags' bisection, a later strategy's whose
+    # gauge would then give 0, is never made
+    strategies=[GAUGE_STRATEGIES[3], GAUGE_STRATEGIES[2]], windows=[(0.5, 1.0)], kinds=["left"],
+    pole=0.5, gauge_fault=(3, 5),
+)
+def test_driver_matches_reference_on_gauge_functions(strategies, windows, kinds, pole,
+                                                     gauge_fault):
+    # rows of different cuts and selector sets under one gauge function a
+    # level, each row a bisection (two for a split row) of its own
+    h = _faulty(make_integrand(lambda s: s, length_factor(), "tag"), windows, kinds)
+
+    def run(mp, calls):
+        return gauge_integrate(h, 0.0, 1.0, _ctrl(1e-15, 3, 7),
+                               gauges=_pole_gauges(calls, pole, gauge_fault),
+                               strategies=strategies)
+
+    (got, got_calls), (want, want_calls) = _driver_and_reference(run)
+    assert got == want
+    assert got_calls == want_calls
+
+
+def _exact_anchoring(anchors, ceiling, calls, tag, fault):
+    """jump_anchoring_gauge on exact points: the distance to the nearest
+    anchor, at most `ceiling`, and `ceiling` at an anchor.  Each call is
+    recorded in `calls` as (*tag, points); fault(count) True makes the
+    count-th call's widths 0."""
+    count = []
+
+    def fn(s):
+        calls.append((*tag, repr(s.tolist())))
+        count.append(1)
+        dist = reduce(np.minimum, [abs(s - p) for p in anchors])
+        widths = np.where(dist == 0, ceiling, np.minimum(dist, ceiling))
+        return 0 * widths if fault(len(count)) else widths
+
+    return Gauge.from_function(fn)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    interior=hst.lists(hst.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(3, 5)]),
+                       max_size=2, unique=True),
+    strategies=hst.lists(hst.sampled_from(_DELTA_FINE), min_size=1, max_size=3, unique=True),
+    windows=_EXACT_WINDOWS,
+    kinds=_KINDS,
+    gauge_fault=hst.tuples(hst.integers(0, 2), hst.integers(3, 6), hst.integers(0, 6)),
+)
+@example(  # right-first faults in the second piece, and the third is built after
+    interior=[Fraction(1, 4), Fraction(3, 5)], strategies=list(ANCHORED_STRATEGIES),
+    windows=[(Fraction(2, 5), Fraction(17, 40))], kinds=["right"], gauge_fault=(2, 6, 0),
+)
+def test_driver_matches_reference_on_exact_anchored_pieces(
+    interior, strategies, windows, kinds, gauge_fault
+):
+    # lebesgue_distribution_integrate's anchored levels in the exact regime:
+    # the pieces between interior jumps, each under its own gauge function
+    # anchoring its jumps (or its ends); a gauge fault is (piece, first
+    # level, first call) after which that piece's gauge gives width 0
+    edges = [Fraction(0), *sorted(interior), Fraction(1)]
+    pieces = [(lo, hi, tuple(p for p in interior if lo <= p <= hi) or (lo, hi))
+              for lo, hi in zip(edges, edges[1:])]
+    h = _faulty(BurkillIntegrand("s ds", lambda s, u, v: s * (v - u)), windows, kinds)
+    names = [strat.name for strat in strategies]
+
+    def run(mp, calls):
+        def sums_at(level):
+            faulty_piece, first_level, first_call = gauge_fault
+            return integrators._level_sums(h, strategies, [
+                (lo, hi, _exact_anchoring(
+                    anchors, Fraction(1, 2 ** level), calls, (piece, level),
+                    lambda count, piece=piece: (piece == faulty_piece and level >= first_level
+                                                and count > first_call)))
+                for piece, (lo, hi, anchors) in enumerate(pieces)
+            ], {})
+
+        return integrators._ladder(_ctrl(1e-15, 3, 6), names, sums_at)
+
+    (got, got_calls), (want, want_calls) = _driver_and_reference(run)
+    assert got == want
+    assert got_calls == want_calls
 
 
 def _evaluated_cells(monkeypatch, run, level_sums=None):
@@ -1269,3 +1431,13 @@ def test_strategies_that_share_a_name_are_refused():
     same = (Strategy("x", "delta-fine", ("left",)), Strategy("x", "delta-fine", ("right",)))
     with pytest.raises(ArgumentError, match=r"distinct names, got \['x'\]"):
         gauge_integrate(h, 0.0, 1.0, ctrl, strategies=same)
+
+
+def test_many_jumps_sum_piece_by_piece():
+    # 1200 jumps make 1201 anchored pieces a level, whose sums are added
+    # left to right: as many additions as pieces, none nested in another
+    jumps = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 1200))
+    g = step_distribution([(float(p), 1.0 / len(jumps)) for p in jumps], 0.0, 1.0)
+    result = lebesgue_distribution_integrate(g, _ctrl(1e-12, 3, 4))
+    # right-first tags every jump, so its sums are the jumps' mean
+    assert result.strategy_sums["right-first"][-1] == pytest.approx(np.mean(jumps), abs=1e-12)
