@@ -186,10 +186,6 @@ class Gauge:
     def is_constant(self) -> bool:
         return self._constant is not None
 
-    @property
-    def constant_value(self):
-        return self._constant
-
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Widths at an array of points in one call; a scalar width
         broadcasts, widths of any other shape than the points' raise

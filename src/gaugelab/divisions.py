@@ -129,17 +129,11 @@ def _check_grid(a, b, n) -> int:
     return n
 
 
-def _grid_columns(edges, tag_rules):
-    """(edges, the tag column of each rule) of grid `edges`.  The edges
-    become read-only, so left and right tags can be views of them."""
-    edges.setflags(write=False)
-    return edges, [_tag_points(rule, edges[:-1], edges[1:]) for rule in tag_rules]
-
-
 def _grid_division(edges, tag_rule: str) -> TaggedDivision:
-    """The division of grid `edges` tagged by tag_rule."""
-    edges, (tags,) = _grid_columns(edges, (tag_rule,))
-    return TaggedDivision(tags, edges)
+    """The division of grid `edges` tagged by tag_rule.  The edges become
+    read-only, so left and right tags can be views of them."""
+    edges.setflags(write=False)
+    return TaggedDivision(_tag_points(tag_rule, edges[:-1], edges[1:]), edges)
 
 
 def _uniform_edges(a, b, n: int, lo: int, hi: int) -> np.ndarray:
@@ -336,62 +330,27 @@ def _concatenate(parts):
     return exact.concatenate(parts)
 
 
-def _check_orders(a, b, orders, depth_cap: int):
-    _check_domain(a, b)
-    if depth_cap < 0:
-        raise ArgumentError(f"depth cap must be >= 0, got {depth_cap}")
-    for selectors in orders:
-        if not selectors:
-            raise ArgumentError("need at least one tag selector")
-        for selector in selectors:
-            if selector not in TAG_RULES:
-                raise ArgumentError(f"unknown tag selector {selector!r}")
-    if len({frozenset(selectors) for selectors in orders}) > 1:
-        raise ArgumentError("shared bisection needs selector orders of one selector set")
+def _check_selectors(selectors):
+    if not selectors:
+        raise ArgumentError("need at least one tag selector")
+    for selector in selectors:
+        if selector not in TAG_RULES:
+            raise ArgumentError(f"unknown tag selector {selector!r}")
 
 
 def _delta_fine(a, b, gauge: Gauge, orders, depth_cap: int):
     """(read-only edges, one tag column per order) of the delta-fine
     division of ]a, b] shared by `orders`, selector orders of one selector
-    set.  A constant-gauge grid deeper than MAX_LEVEL, or a bisection that
-    would keep more than 2**MAX_LEVEL cells open, raises
-    GaugeTooDemandingError before it is allocated."""
-    if not gauge.is_constant:
-        _check_orders(a, b, orders, depth_cap)
-        return _delta_fine_batched(a, b, gauge, orders, depth_cap)
-    cells, rules = _constant_grid(a, b, gauge, orders, depth_cap)
-    return _grid_columns(_uniform_edges(a, b, cells, 0, cells), rules)
-
-
-def _constant_grid(a, b, gauge: Gauge, orders, depth_cap: int):
-    """(cells, the tag rule of each order) of the uniform grid that is the
-    delta-fine division of ]a, b] under the constant `gauge`, found without
-    building it.  Refuses what _delta_fine refuses, in the same order.  The
-    depth is found by trying k = 0, 1, ... up to min(depth_cap, MAX_LEVEL) + 1,
-    at most MAX_LEVEL + 2 comparisons."""
-    _check_orders(a, b, orders, depth_cap)
-    # Bisection would accept every cell at the smallest depth at which some
-    # selector is fine, so that uniform grid is the division; each order
-    # tags it with its first selector fine there.  A midpoint tag needs half
-    # a cell shorter than delta, an endpoint tag a whole one: an endpoint
-    # tag is fine from the least k with below(k), a midpoint tag one depth
-    # earlier.  Scaling by 2**-k is exact in the exact regime and correctly
-    # rounded in floats, where float * Fraction(1, 2**k) is span * 2.0**-k:
-    # ldexp gives the same float without building the Fraction.
-    depth_cap = min(depth_cap, MAX_LEVEL)
-    span, delta = b - a, gauge.constant_value
-    if isinstance(span, float) and isinstance(delta, float):
-        def below(k):
-            return math.ldexp(span, -k) < delta
-    else:
-        def below(k):
-            return span * Fraction(1, 1 << k) < delta
-    k = next((k for k in range(depth_cap + 2) if below(k)), depth_cap + 2)
-    depth = max(k - ("midpoint" in orders[0]), 0)
-    if depth > depth_cap:
-        raise GaugeTooDemandingError(a, b, depth_cap)
-    fine = {s for s in orders[0] if below(depth + (s == "midpoint"))}
-    return 2 ** depth, [next(s for s in order if s in fine) for order in orders]
+    set.  A bisection that would keep more than 2**MAX_LEVEL cells open
+    raises GaugeTooDemandingError before it is allocated."""
+    _check_domain(a, b)
+    if depth_cap < 0:
+        raise ArgumentError(f"depth cap must be >= 0, got {depth_cap}")
+    for selectors in orders:
+        _check_selectors(selectors)
+    if len({frozenset(selectors) for selectors in orders}) > 1:
+        raise ArgumentError("shared bisection needs selector orders of one selector set")
+    return _delta_fine_batched(a, b, gauge, orders, depth_cap)
 
 
 def delta_fine_division(

@@ -27,9 +27,10 @@ level whose U - L is within tolerance, and otherwise keeps its last U - L.
 No rule accepts one level's agreement, not even for sums that never depend
 on the division.  rs probes four grid rows (left and midpoint tags on
 uniform grids, left and right tags on irrationally shifted ones), gauge
-five bisection rows (left, midpoint and right tags, and left and right
-tags split at an irrational point).  The labels corroborate; only Darboux
-proves its tolerance.
+five rows (left, midpoint and right tags, and left and right tags split at
+an irrational point), bisected under its gauges or, under its default
+constant gauge, the uniform grids that bisection makes.  The labels
+corroborate; only Darboux proves its tolerance.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from itertools import groupby, starmap
 from operator import add
@@ -45,14 +47,14 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import exact
+from . import divisions, exact
 from .cells import Gauge, _refused
 from .divisions import (
     DEFAULT_DEPTH_CAP,
     FLOAT_SHIFT,
     RefinementSchedule,
     _check_domain,
-    _constant_grid,
+    _check_selectors,
     _delta_fine,
     _named_fault,
     _segment_sums,
@@ -63,9 +65,11 @@ from .divisions import (
 )
 from .errors import (
     ArgumentError,
+    GaugeTooDemandingError,
     MonotonicityError,
     NonFiniteSumError,
     OracleInconsistencyError,
+    _plain,
 )
 from .exact import IRRATIONAL_SHIFT, is_exact_scalar
 from .integrand import BurkillIntegrand, IntervalFactor, increments_of, make_integrand, midpoint
@@ -527,11 +531,12 @@ _BISECTION_CUTS = ("delta-fine", "split-delta-fine")
 
 def _shared_build(strat: Strategy):
     """Consecutive strategies of one key share their divisions: a grid's
-    edges do not depend on its tag rule, and a bisection's cells depend only
-    on its cuts and the selector set."""
-    if strat.cuts in _BISECTION_CUTS:
-        return strat.cuts, frozenset(strat.selectors)
-    return strat.cuts
+    edges do not depend on its tag rule, and a bisection's cells (or its
+    grid's under the default gauge) depend only on its cuts and the
+    selector set."""
+    if strat.cuts in _GRID_EDGES:
+        return strat.cuts
+    return strat.cuts, frozenset(strat.selectors)
 
 
 def _split_point(lo, hi):
@@ -540,6 +545,56 @@ def _split_point(lo, hi):
     if is_exact_scalar(lo) and is_exact_scalar(hi):
         return lo + IRRATIONAL_SHIFT * (hi - lo)
     return lo + FLOAT_SHIFT * (hi - lo)
+
+
+# gauge_integrate's default gauge at level L is the constant (b - a) * 2**-L,
+# and under a constant gauge a bisection accepts every cell of a side at the
+# least depth at which a selector of the set is fine: its division is the
+# side's uniform grid of that depth, each order tagging it with its first
+# fine selector.  An endpoint tag is fine on cells shorter than the gauge,
+# a midpoint tag on cells shorter than twice it, a depth sooner (but not
+# before depth 0).  So the default run cuts grid rows (_default_rows): by
+# their cuts, each side's least depth for endpoint tags, less L.  On the
+# whole piece it is L + 1; the split point lies FLOAT_SHIFT ~ 0.207 of the
+# way along, so on its two sides it is L - 2 and L (at least 0).
+_DEFAULT_GRIDS = {"delta-fine grid": (1,), "split-delta-fine grid": (-2, 0)}
+
+
+def _default_rows(strategies: Sequence[Strategy], a, b):
+    """The gauge strategies as grid rows over ]a, b] under the default
+    gauge.  A float split point is rounded, and on a domain of a few floats
+    it can fall outside the eighth to a quarter of the way along that
+    _DEFAULT_GRIDS needs; such a domain is refused."""
+    _check_domain(a, b)
+    rows = [Strategy(s.name, f"{s.cuts} grid", s.selectors) for s in strategies]
+    if any(s.cuts == "split-delta-fine" for s in strategies) and not (
+            is_exact_scalar(a) and is_exact_scalar(b)):
+        u, m, v = (Fraction(float(x)) for x in (a, _split_point(a, b), b))
+        if not (v - u) / 8 < m - u < (v - u) / 4:
+            raise ArgumentError(f"float domain ]{_plain(a)!r}, {_plain(b)!r}] is too "
+                                f"narrow to split at {FLOAT_SHIFT!r} of the way along")
+    return rows
+
+
+def _grids(cuts: str, orders, lo, hi, mesh):
+    """((cut points, lo', hi', cells), each order's tag rule) of each grid
+    that a row of grid cuts `cuts` cuts the piece ]lo, hi] into.  A
+    "uniform" or "shifted-uniform" row cuts it into `mesh` cells; a
+    _DEFAULT_GRIDS row, mesh = 2**L, cuts each side as its bisection under
+    the gauge (hi - lo) / mesh would, which refuses a side deeper than
+    divisions.MAX_LEVEL once it reaches it."""
+    if cuts in _GRID_EDGES:
+        yield (_GRID_EDGES[cuts], lo, hi, mesh), [order[0] for order in orders]
+        return
+    offsets, level = _DEFAULT_GRIDS[cuts], mesh.bit_length() - 1
+    ends = (lo, hi) if len(offsets) == 1 else (lo, _split_point(lo, hi), hi)
+    for u, v, offset in zip(ends, ends[1:], offsets):
+        endpoint = max(level + offset, 0)
+        depth = max(endpoint - ("midpoint" in orders[0]), 0)
+        if depth > divisions.MAX_LEVEL:
+            raise GaugeTooDemandingError(u, v, divisions.MAX_LEVEL)
+        rules = [order[0] if depth == endpoint else "midpoint" for order in orders]
+        yield (_uniform_edges, u, v, 2 ** depth), rules
 
 
 class _Level:
@@ -640,17 +695,16 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
     """(cells, {strategy: sum}) of one level over the (lo, hi, mesh)
     pieces, the one driver of rs, gauge and Lebesgue sums.
 
-    A grid strategy cuts a piece into `mesh` cells, in _pairwise blocks; a
-    delta-fine strategy bisects a piece under the gauge `mesh`, one block
-    per piece, and a split-delta-fine one bisects the two sides of the
-    piece's _split_point, one block per side.  Each strategy adds its block
-    sums as its tree pairs them, and its pieces' sums left to right.
-    Strategies of one _shared_build key form a group, and each block is
-    built once per group: read-only edges and one tag column per strategy.
-    Under a constant gauge a bisection is the uniform grid that
-    _constant_grid finds, and each such grid of at most _BLOCK_CELLS cells
-    is built once per level: gauge's left and right tags share one, and
-    its split rows both split grids.
+    A grid strategy cuts a piece into the _grids of its cuts, `mesh` cells
+    or, for a row of gauge_integrate's default gauge, the grid of each side
+    that the bisection under that gauge would make, each in _pairwise
+    blocks; a delta-fine strategy bisects a piece under the gauge `mesh`,
+    one block per piece, and a split-delta-fine one bisects the two sides
+    of the piece's _split_point, one block per side.  Each strategy adds
+    its block sums as its tree pairs them, and its pieces' sums left to
+    right.  Strategies of one _shared_build key form a group, and each
+    block is built once per group: read-only edges and one tag column per
+    strategy.
 
     The level is one pass: every group's blocks are built in order, and
     their segments (a block with one strategy's tags) are laid end to end
@@ -668,26 +722,20 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
     tagging of one division, so it is summed once per distinct division:
     over the first strategy's tags of each block, and that sum is every
     strategy's of the group (rs's rational-left and rational-mid).  A grid
-    has one segment per level, and its sum goes into `known`, keyed by
-    (edges, lo, hi, cells, first, last cut); a grid in `known` is not
+    block is summed once per level, and its sum goes into `known`, keyed by
+    (edges, lo, hi, cells, first, last cut); a block in `known` is not
     built at all, so a caller that keeps `known` for the run, as
     gauge_integrate does, sums each grid once: gauge's right tags take the
-    left tags' grid, and its midpoint tags the grid the left tags summed a
-    level before.  The other tags' check is skipped with the sum: every tag
-    is valid on valid edges, as a domain that passes
-    divisions._check_domain has only finite midpoints.  A stored sum is one
-    that raised nothing, so a fault still raises where summing each
-    strategy on its own raises it first."""
+    left tags' grid, its midpoint tags the grid the left tags summed a
+    level before, and split-right the grids of split-left.  The other tags'
+    check is skipped with the sum: every tag is valid on valid edges, as a
+    domain that passes divisions._check_domain has only finite midpoints.
+    A stored sum is one that raised nothing, so a fault still raises where
+    summing each strategy on its own raises it first."""
     share = not h.reads_tag
     level = _Level(h)
-    grids = {}  # grid key -> its read-only edges, for a constant gauge's grids
     shared = {}  # grid key -> its tag-free segment, this level
     n, trees, first = 0, [], 0  # first: the index of the group's first strategy
-
-    def build(key):
-        edges = key[0](*key[1:])
-        edges.setflags(write=False)
-        return edges
 
     def segments(edges, columns):
         """The group's segments on one block: one per tag column, None for
@@ -698,47 +746,38 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
         return _Sums(level.segment(first + k, tags, edges) if level.alive(first + k) else None
                      for k, tags in enumerate(columns))
 
-    def grid(key, rules, keep):
-        """The group's segments on the grid block `key`, tagged by `rules`;
-        `keep` keeps its edges for later groups of the level."""
-        if share:
-            if key in known:
-                return _Sums([level.known(known[key])])
-            if key not in shared:
-                edges = build(key)
-                (shared[key],) = segments(edges, [_tag_points(rules[0], edges[:-1], edges[1:])])
+    def grid(key, rules):
+        """The group's segments on the grid block `key`, tagged by `rules`."""
+        if not level.alive(first):
+            return _Sums([None] * width)
+        if share and key in known:
+            return _Sums([level.known(known[key])])
+        if share and key in shared:
             return _Sums([shared[key]])
-        edges = grids.get(key)
-        if edges is None:
-            edges = build(key)
-            if keep:
-                grids[key] = edges
-        return segments(edges, [_tag_points(rule, edges[:-1], edges[1:]) for rule in rules])
+        edges = key[0](*key[1:])
+        edges.setflags(write=False)
+        sums = segments(edges, [_tag_points(rule, edges[:-1], edges[1:]) for rule in rules[:width]])
+        if share:
+            (shared[key],) = sums
+        return sums
 
     for key, group in groupby(strategies, key=_shared_build):
         group = list(group)
         if not level.alive(first):
             break
         width = 1 if share else len(group)
+        orders = tuple(strat.selectors for strat in group)
         cells = 0
 
         if group[0].cuts in _BISECTION_CUTS:
-            orders = tuple(strat.selectors for strat in group)
-
             def side(lo, hi, gauge):
                 nonlocal cells
-                if not gauge.is_constant:
-                    # a gauge function is called only where summing each
-                    # strategy in turn calls it: once the blocks before are
-                    # summed and none of them stops the level
-                    level.flush()
+                # the gauge is called only where summing each strategy in
+                # turn calls it: once the blocks before are summed and none
+                # of them stops the level
+                level.flush()
                 if not level.alive(first):
                     return _Sums([None] * width)
-                if gauge.is_constant:
-                    count, rules = _constant_grid(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP)
-                    cells += count
-                    return grid((_uniform_edges, lo, hi, count, 0, count), rules,
-                                count <= _BLOCK_CELLS)
                 edges, columns = _delta_fine(lo, hi, gauge, orders, DEFAULT_DEPTH_CAP)
                 cells += len(edges) - 1
                 return segments(edges, columns)
@@ -750,18 +789,13 @@ def _level_sums(h: BurkillIntegrand, strategies: Sequence[Strategy], pieces, kno
                     m = _split_point(lo, hi)
                     return side(lo, m, gauge) + side(m, hi, gauge)
         else:
-            edges_of, rules = _GRID_EDGES[key], [strat.selectors[0] for strat in group]
-
             def piece_trees(lo, hi, mesh):
                 nonlocal cells
-                cells += mesh
-
-                def block(i, j):
-                    if not level.alive(first):
-                        return _Sums([None] * width)
-                    return grid((edges_of, lo, hi, mesh, i, j), rules, False)
-
-                return _pairwise(0, mesh, block)
+                sides = []
+                for side, rules in _grids(group[0].cuts, orders, lo, hi, mesh):
+                    cells += side[3]
+                    sides.append(_pairwise(0, side[3], lambda i, j: grid((*side, i, j), rules)))
+                return reduce(add, sides)
 
         try:
             piece_sums = list(starmap(piece_trees, pieces))
@@ -817,20 +851,23 @@ def gauge_integrate(
 ) -> IntegralResult:
     """Gauge-fine probe: sums over delta_k-fine divisions, delta_k shrinking.
 
-    By default delta_k is the constant (b - a) * 2**-level; a callable
-    level -> Gauge can inject anything else (singularity-shrinking gauges,
-    jump-anchoring gauges, ...).  Strategies are tag-selector orders handed
-    to the bisection builder, over the whole of ]a, b] ("delta-fine") or on
-    each side of an irrational split point ("split-delta-fine"): bisecting
-    only at dyadic points of ]a, b] never cuts a rational domain at an
-    irrational point, so without the split rows a Dirichlet increment sums
-    to 0 at every level.
+    Strategies are tag-selector orders handed to the bisection builder,
+    over the whole of ]a, b] ("delta-fine") or on each side of an
+    irrational split point ("split-delta-fine"): bisecting only at dyadic
+    points of ]a, b] never cuts a rational domain at an irrational point,
+    so without the split rows a Dirichlet increment sums to 0 at every
+    level.  A callable level -> Gauge sets delta_k (singularity-shrinking
+    gauges, jump-anchoring gauges, ...), and each level bisects under it.
 
-    A rule that ignores the tag is summed once per distinct division of
-    the run.  Under a constant gauge each strategy's division is a uniform
-    grid on each of its pieces: left and right tags take one grid, midpoint
-    tags the grid of half as many cells, which the endpoint tags summed a
-    level before.
+    By default delta_k is the constant (b - a) * 2**-k, under which the
+    gauge integral is the Riemann integral and every bisection is a uniform
+    grid, so the run is a mesh probe: each strategy becomes a grid row once
+    (_DEFAULT_GRIDS).  On ]a, b] endpoint tags take 2**(k + 1) cells and
+    midpoint tags 2**k; on the split sides endpoint tags take 2**(k - 2)
+    and 2**k cells, midpoint tags half as many, and no side less than one.
+    A rule that ignores the tag is summed once per distinct grid of the
+    run: left and right tags share one, and midpoint tags take the one the
+    endpoint tags summed a level before.
     """
     ctrl = ctrl or ConvergenceController()
     if not strategies:
@@ -845,14 +882,15 @@ def gauge_integrate(
                 f"gauge strategy {strat.name!r} needs cuts 'delta-fine' or "
                 f"'split-delta-fine', got {strat.cuts!r}"
             )
-    span = float(b) - float(a)
+        _check_selectors(strat.selectors)
+    rows = strategies if gauges else _default_rows(strategies, a, b)
     known = {}
 
     def sums_at(level: int):
-        gauge = gauges(level) if gauges else Gauge.constant(span * 2.0 ** (-level))
-        return _level_sums(h, strategies, [(a, b, gauge)], known)
+        mesh = gauges(level) if gauges else 2 ** level
+        return _level_sums(h, rows, [(a, b, mesh)], known)
 
-    return _ladder(ctrl, [s.name for s in strategies], sums_at)
+    return _ladder(ctrl, names, sums_at)
 
 
 def darboux_riemann(

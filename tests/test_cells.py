@@ -261,7 +261,7 @@ class TestEndViews:
 class TestGauge:
     def test_constant(self):
         g = Gauge.constant(0.25)
-        assert g.is_constant and g.constant_value == 0.25
+        assert g.is_constant
         assert g.evaluate_batch(np.array([0.7])).tolist() == [0.25]
 
     def test_function_gauge(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from gaugelab import divisions
+from gaugelab import divisions, integrators
 from gaugelab.catalog import dirichlet_factor, get_entry, step_at
 from gaugelab.cells import Gauge, TaggedDivision
 from gaugelab.divisions import (
@@ -35,7 +35,7 @@ from gaugelab.errors import (
 )
 from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray, QuadExtScalar
 from gaugelab.expr import as_function, parse
-from gaugelab.integrators import ANCHORED_STRATEGIES, jump_anchoring_gauge
+from gaugelab.integrators import ANCHORED_STRATEGIES, Strategy, jump_anchoring_gauge
 from gaugelab.integrand import (
     BurkillIntegrand,
     increments_of,
@@ -277,20 +277,21 @@ class TestDeltaFineDivision:
         assert is_fine(d, Gauge.constant(Fraction(3, 10)))
 
     def test_constant_gauge_deeper_than_max_level_is_refused(self, monkeypatch):
-        # a 1e-15 gauge would need 2**50 cells: refused before allocating
+        # a constant gauge is bisected like any other: a 1e-15 gauge keeps
+        # every cell open, and the bisection stops at the depth whose split
+        # would open more than a MAX_LEVEL grid, naming its first open cell
+        monkeypatch.setattr(divisions, "MAX_LEVEL", 4)
         with pytest.raises(GaugeTooDemandingError) as err:
             delta_fine_division(0.0, 1.0, Gauge.constant(1e-15))
-        assert (err.value.lo, err.value.hi, err.value.depth) == (0.0, 1.0, MAX_LEVEL)
-        monkeypatch.setattr(divisions, "MAX_LEVEL", 4)
+        assert (err.value.lo, err.value.hi, err.value.depth) == (0.0, 1 / 16, 4)
         gauge = Gauge.constant(2.0 ** -4.5)
         # midpoint tags are fine at depth 4, endpoint tags only at depth 5
         assert delta_fine_division(0.0, 1.0, gauge, ("midpoint",)).n == 16
         assert delta_fine_division(0.0, 1.0, gauge, ("left", "midpoint")).n == 16
-        monkeypatch.setattr(divisions, "_uniform_edges", None)  # never reached
         for selectors in (("left",), ("right", "left")):
             with pytest.raises(GaugeTooDemandingError) as err:
                 delta_fine_division(0.0, 1.0, gauge, selectors)
-            assert str(err.value).endswith("no fine tag for ]0.0, 1.0] within depth 4")
+            assert str(err.value).endswith("no fine tag for ]0.0, 0.0625] within depth 4")
 
     def test_bisection_keeps_at_most_a_max_level_grid_open(self, monkeypatch):
         monkeypatch.setattr(divisions, "MAX_LEVEL", 4)
@@ -944,19 +945,10 @@ class TestSharedBisection:
         (0.0, 1.0, 0.3),
         (Fraction(0), Fraction(1), Fraction(3, 10)),
     ], ids=["float", "exact"])
-    def test_constant_gauges_share_one_uniform_grid(
-        self, monkeypatch, orders, n, rules, a, b, delta
-    ):
-        grids = []
-
-        def counted(*args):
-            grids.append(args)
-            return _uniform_edges(*args)
-
+    def test_constant_gauges_share_one_uniform_grid(self, orders, n, rules, a, b, delta):
         gauge = Gauge.constant(delta)
-        monkeypatch.setattr(divisions, "_uniform_edges", counted)
         edges, columns = _delta_fine(a, b, gauge, orders, DEFAULT_DEPTH_CAP)
-        assert len(grids) == 1 and not edges.flags.writeable
+        assert not edges.flags.writeable
         for order, rule, tags in zip(orders, rules, columns):
             want = make_uniform(a, b, n, rule)
             _same_points(want.edges, edges)
@@ -974,31 +966,50 @@ class TestSharedBisection:
 
 
 # --------------------------------------------------------------------------
-# Constant-gauge depth and bisection step against the code they replaced
+# Default grid rows and bisection step against naive references
 # --------------------------------------------------------------------------
 #
-# The depth search starts from the exponents of span and delta where it
-# built a Fraction per depth and selector, and the bisection step makes
-# fewer numpy calls (an endpoint tag's fineness is one comparison of its
-# cell's length) and evaluates each width once; both must pick the same
-# cells and tags and make the same refusals, and the bisection must evaluate
-# the points the earlier code evaluated.  The two references below are the
-# earlier code, kept as it ran; the bisection also logs its gauge calls.
+# gauge_integrate's default rows cut the grids a table gives for each level
+# (integrators._grids), where the bisection under the default gauge would
+# search for the least fine depth; the bisection step makes fewer numpy
+# calls than it first did (an endpoint tag's fineness is one comparison of
+# its cell's length) and evaluates each width once.  Each must pick the
+# cells and tags and make the refusals of its reference below: an exact
+# least-depth search, and the bisection step as it first ran, which also
+# logs its gauge calls.
 
 
-def _fraction_depth_columns(a, b, delta, orders, depth_cap):
-    """(edges, tag columns) of the constant-gauge grid chosen with Fraction
-    arithmetic, or GaugeTooDemandingError."""
-    depth_cap = min(depth_cap, MAX_LEVEL)
-    span = b - a
-    for depth in range(depth_cap + 1):
+def _exact(x):
+    """x as an exact scalar: a float as its Fraction, an exact scalar as is."""
+    return Fraction(x) if isinstance(x, float) else x
+
+
+def _split_sides(lo, hi):
+    """The two sides ]lo, m], ]m, hi] that a split-delta-fine strategy
+    bisects: m lies the irrational fraction theta of the way from lo to hi,
+    IRRATIONAL_SHIFT on exact bounds and FLOAT_SHIFT on floats."""
+    if isinstance(lo, float) or isinstance(hi, float):
+        m = lo + FLOAT_SHIFT * (hi - lo)
+    else:
+        m = lo + IRRATIONAL_SHIFT * (hi - lo)
+    return (lo, m), (m, hi)
+
+
+def _least_fine_grid(lo, hi, delta, orders):
+    """(cells, each order's tag rule) of the coarsest of the grids of 1, 2,
+    4, ... cells over ]lo, hi] that is fine under the constant gauge delta
+    for some selector of the orders' set, found by trying each depth in
+    exact arithmetic: an endpoint tag needs cells shorter than delta, a
+    midpoint tag half cells.  Each order tags it with its first fine
+    selector."""
+    span = _exact(hi) - _exact(lo)
+    depth = 0
+    while True:
         fine = {s for s in orders[0]
-                if span * Fraction(1, 1 << (depth + (s == "midpoint"))) < delta}
+                if span * Fraction(1, 2 ** (depth + (s == "midpoint"))) < delta}
         if fine:
-            rules = [next(s for s in order if s in fine) for order in orders]
-            edges = divisions._uniform_edges(a, b, 2 ** depth, 0, 2 ** depth)
-            return divisions._grid_columns(edges, rules)
-    raise GaugeTooDemandingError(a, b, depth_cap)
+            return 2 ** depth, [next(s for s in order if s in fine) for order in orders]
+        depth += 1
 
 
 def _reference_bisection(a, b, gauge, orders, depth_cap, calls):
@@ -1068,33 +1079,26 @@ def _same_build_or_refusal(build, reference):
 
 
 @hst.composite
-def _span_and_delta(draw):
-    """Float bounds a < b, normal or subnormal apart, and a float delta on,
-    just off, or anywhere near a strict boundary span * 2**-k."""
-    if draw(hst.booleans()):
-        a = 0.0
-        b = draw(hst.floats(min_value=5e-324, max_value=1e-300))  # subnormal spans
-    else:
-        a = draw(hst.floats(min_value=-1e3, max_value=1e3))
-        b = a + draw(hst.floats(min_value=1e-12, max_value=1e3))
+def _float_domains(draw):
+    """Float bounds a < b: a subnormal span, a span of 1 to 64 floats, or
+    one from 1e-12 to 1e3."""
+    kind = draw(hst.sampled_from(["subnormal", "floats", "wide"]))
+    if kind == "subnormal":
+        return 0.0, draw(hst.floats(min_value=5e-324, max_value=1e-300))
+    a = draw(hst.floats(min_value=-1e3, max_value=1e3))
+    if kind == "floats":
+        b = a
+        for _ in range(draw(hst.integers(min_value=1, max_value=64))):
+            b = math.nextafter(b, math.inf)
+        return a, b
+    b = a + draw(hst.floats(min_value=1e-12, max_value=1e3))
     assume(a < b)
-    span = b - a
-    boundary = math.ldexp(span, -draw(hst.integers(min_value=0, max_value=MAX_LEVEL + 3)))
-    delta = draw(hst.sampled_from([
-        boundary,
-        math.nextafter(boundary, math.inf),
-        math.nextafter(boundary, 0.0),
-        boundary * draw(hst.floats(min_value=0.5, max_value=2.0)),
-    ]))
-    assume(delta > 0.0)
-    return a, b, delta
+    return a, b
 
 
 @hst.composite
-def _exact_span_and_delta(draw):
-    """Exact bounds a < b, from 2**-60 to 2**40 apart and rational or not,
-    and an exact delta on, just off, or anywhere near a strict boundary
-    span * 2**-k."""
+def _exact_domains(draw):
+    """Exact bounds a < b, from 2**-60 to 2**40 apart, rational or not."""
     a = draw(_fractions)
     if draw(hst.booleans()):
         a = a + IRRATIONAL_SHIFT
@@ -1102,60 +1106,71 @@ def _exact_span_and_delta(draw):
     span *= Fraction(2) ** draw(hst.integers(min_value=-60, max_value=40))
     if draw(hst.booleans()):
         span *= 1 + IRRATIONAL_SHIFT
-    boundary = span * Fraction(1, 2 ** draw(hst.integers(min_value=0, max_value=MAX_LEVEL + 3)))
-    nudge = boundary * Fraction(1, 2**70)
-    delta = draw(hst.sampled_from([
-        boundary,
-        boundary + nudge,
-        boundary - nudge,
-        boundary * draw(hst.fractions(min_value=Fraction(1, 2), max_value=2)),
-        boundary * (1 + IRRATIONAL_SHIFT),
-        draw(hst.integers(min_value=1, max_value=4)),
-    ]))
-    return a, a + span, delta
+    return a, a + span
+
+
+def _grid_rows_cut_the_least_fine_grid(domain, cuts, orders, level):
+    """Each side's grid of a default row is the least fine one for the
+    default gauge (b - a) * 2**-level, the bisection's division under it; a
+    side past MAX_LEVEL is refused, and so is a float domain whose split
+    point rounds off the table's reach (an eighth to a quarter of the way
+    along)."""
+    a, b = domain
+    delta = (_exact(b) - _exact(a)) * Fraction(1, 2 ** level)
+    sides = _split_sides(a, b) if cuts.startswith("split-") else [(a, b)]
+    strategy = Strategy("row", cuts.removesuffix(" grid"), orders[0])
+    if len(sides) == 2 and isinstance(a, float):
+        u, m, v = map(Fraction, (a, sides[0][1], b))
+        if not (v - u) / 8 < m - u < (v - u) / 4:
+            with pytest.raises(ArgumentError, match="too narrow to split"):
+                integrators._default_rows([strategy], a, b)
+            return
+    assert integrators._default_rows([strategy], a, b)[0].cuts == cuts
+    got = integrators._grids(cuts, orders, a, b, 2 ** level)
+    for lo, hi in sides:
+        cells, rules = _least_fine_grid(lo, hi, delta, orders)
+        if cells > 2 ** MAX_LEVEL:
+            with pytest.raises(GaugeTooDemandingError) as err:
+                next(got)
+            assert (err.value.lo, err.value.hi, err.value.depth) == (lo, hi, MAX_LEVEL)
+            return
+        (_, *side), got_rules = next(got)
+        assert (*side, got_rules) == (lo, hi, cells, rules)
+    assert next(got, None) is None
 
 
 class TestAgainstTheEarlierCode:
-    @settings(max_examples=300, deadline=None)
+    # a default row's depth, against the one Fraction arithmetic finds
+    # trying each depth in turn
+    @settings(max_examples=200, deadline=None)
     @given(
-        domain=_span_and_delta(),
+        domain=_float_domains(),
+        cuts=hst.sampled_from(["delta-fine grid", "split-delta-fine grid"]),
         orders=_orders,
-        depth_cap=hst.integers(min_value=0, max_value=MAX_LEVEL + 4),
+        level=hst.integers(min_value=0, max_value=MAX_LEVEL),
     )
-    @example(domain=(0.0, 1.0, 2.0 ** -4), orders=(("left",),), depth_cap=60)
-    @example(domain=(0.0, 1.0, 2.0 ** -5), orders=(("midpoint",),), depth_cap=60)
-    @example(domain=(0.0, 5e-324, 5e-324), orders=(("midpoint", "left"),), depth_cap=60)
-    @example(domain=(0.0, 1.0, 2.0 ** -30), orders=(("left",),), depth_cap=60)
-    def test_float_depth_search_picks_the_fraction_depth(self, domain, orders, depth_cap):
-        a, b, delta = domain
-        with pytest.MonkeyPatch.context() as mp:
-            # a stand-in grid that records the cell count, so a depth of 26
-            # allocates no 2**26 cells; the tags still show each order's rule
-            mp.setattr(divisions, "_uniform_edges",
-                       lambda a, b, n, lo, hi: np.array([float(n), n + 1.0]))
-            _same_build_or_refusal(
-                lambda: _delta_fine(a, b, Gauge.constant(delta), orders, depth_cap),
-                lambda: _fraction_depth_columns(a, b, delta, orders, depth_cap),
-            )
+    @example(domain=(0.0, 1.0), cuts="delta-fine grid", orders=(("left",),), level=MAX_LEVEL)
+    @example(  # one cell below the split point, fine for every selector
+        domain=(0.0, 1.0), cuts="split-delta-fine grid", orders=(("left", "midpoint"),), level=2,
+    )
+    @example(  # a split point rounded to a quarter of the way along
+        domain=(1e3, 1e3 + 8 * 2.0 ** -43), cuts="split-delta-fine grid",
+        orders=(("left",),), level=0,
+    )
+    def test_float_depth_search_picks_the_fraction_depth(self, domain, cuts, orders, level):
+        _grid_rows_cut_the_least_fine_grid(domain, cuts, orders, level)
 
     @settings(max_examples=150, deadline=None)
     @given(
-        domain=_exact_span_and_delta(),
+        domain=_exact_domains(),
+        cuts=hst.sampled_from(["delta-fine grid", "split-delta-fine grid"]),
         orders=_orders,
-        depth_cap=hst.integers(min_value=0, max_value=MAX_LEVEL + 4),
+        level=hst.integers(min_value=0, max_value=MAX_LEVEL),
     )
-    @example(domain=(Fraction(0), Fraction(1), Fraction(1, 16)), orders=(("left",),), depth_cap=60)
-    @example(domain=(Fraction(0), Fraction(1), Fraction(1, 32)), orders=(("midpoint",),),
-             depth_cap=60)
-    def test_exact_depth_search_picks_the_fraction_depth(self, domain, orders, depth_cap):
-        a, b, delta = domain
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(divisions, "_uniform_edges",
-                       lambda a, b, n, lo, hi: np.array([float(n), n + 1.0]))
-            _same_build_or_refusal(
-                lambda: _delta_fine(a, b, Gauge.constant(delta), orders, depth_cap),
-                lambda: _fraction_depth_columns(a, b, delta, orders, depth_cap),
-            )
+    @example(domain=(Fraction(0), Fraction(1, 10)), cuts="delta-fine grid",
+             orders=(("right",),), level=7)
+    def test_exact_depth_search_picks_the_fraction_depth(self, domain, cuts, orders, level):
+        _grid_rows_cut_the_least_fine_grid(domain, cuts, orders, level)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -31,7 +31,7 @@ from gaugelab.errors import (
     NonFiniteSumError,
     OracleInconsistencyError,
 )
-from gaugelab.exact import IRRATIONAL_SHIFT, QuadExtArray
+from gaugelab.exact import QuadExtArray
 from gaugelab.integrand import (
     BurkillIntegrand,
     IntervalFactor,
@@ -60,7 +60,7 @@ from gaugelab.integrators import (
 )
 from gaugelab.results import Status, TraceRow
 from gaugelab.stochastic import path_from_function
-from test_divisions import is_fine, no_grid_arrays
+from test_divisions import _exact, _least_fine_grid, _split_sides, is_fine, no_grid_arrays
 
 
 def _ctrl(tol=1e-9, start=4, stop=22, **kw):
@@ -342,6 +342,19 @@ class TestGaugeIntegrate:
             gauge_integrate(h, 0.0, 1.0, _ctrl(1e-15, 4, 6))
         assert str(err.value) == "gauge too demanding: no fine tag for ]0.0, 1.0] within depth 6"
 
+    def test_exact_domain_takes_the_grids_of_its_exact_width(self, monkeypatch):
+        # the default gauge is (b - a) * 2**-L in the domain's own regime:
+        # on ]0, 1/10], whose float width 0.1 lies above 1/10, endpoint tags
+        # still take 2**(L + 1) cells
+        h = make_integrand(lambda s: s, length_factor(), "tag")
+        a, b = Fraction(0), Fraction(1, 10)
+        result, cells = _evaluated_cells(
+            monkeypatch, lambda: gauge_integrate(h, a, b, _ctrl(1e-15, 4, 7)))
+        levels = [4, 5, 6, 7]
+        assert [row.n for row in result.trace] == [2 ** (level + 1) for level in levels]
+        assert cells == [n for level in levels for _, _, n in _constant_gauge_grids(level, a, b)]
+        assert cells[:3] == [32, 16, 32]
+
     def test_custom_gauges_respected(self):
         h = make_integrand(None, length_factor(), "interval-only")
         seen = []
@@ -359,6 +372,8 @@ class TestGaugeIntegrate:
         (GAUGE_STRATEGIES[:1] + RS_STRATEGIES[2:],
          "gauge strategy 'shifted-left' needs cuts 'delta-fine' or 'split-delta-fine', "
          "got 'shifted-uniform'"),
+        ((Strategy("top-tags", "delta-fine", ("left", "top")),), "unknown tag selector 'top'"),
+        ((Strategy("no-tags", "split-delta-fine", ()),), "need at least one tag selector"),
     ])
     def test_strategies_refused_before_any_level(self, strategies, message):
         # a grid row's mesh would be the level's Gauge, not a cell count
@@ -835,17 +850,6 @@ def test_grid_finer_than_the_floats_is_refused_by_name(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-def _split_sides(lo, hi):
-    """The two sides ]lo, m], ]m, hi] that a split-delta-fine strategy
-    bisects: m lies the irrational fraction theta of the way from lo to hi,
-    IRRATIONAL_SHIFT on exact bounds and FLOAT_SHIFT on floats."""
-    if isinstance(lo, float) or isinstance(hi, float):
-        m = lo + divisions.FLOAT_SHIFT * (hi - lo)
-    else:
-        m = lo + IRRATIONAL_SHIFT * (hi - lo)
-    return (lo, m), (m, hi)
-
-
 _BISECTIONS = ("delta-fine", "split-delta-fine")
 
 
@@ -854,50 +858,63 @@ def _reference_level_sums(h, strategies, pieces, known=None):
     up its own sums over the pieces, left to right, each block in order, and
     the first fault raises.  A grid strategy's blocks are _pairwise's, a
     delta-fine strategy's its pieces, and a split-delta-fine strategy's the
-    two _split_sides of each piece.  Strategies of one grid cuts, or
-    bisection strategies of one cuts and selector set, form a group, and a
-    group's block is built once, when a strategy first needs it.  Every
-    strategy evaluates h itself, whether or not h reads the tag, so the
-    driver's store of shared sums, `known`, is ignored."""
+    two _split_sides of each piece.  A row of gauge_integrate's default
+    gauge, cuts "delta-fine grid" or "split-delta-fine grid" over a piece
+    of mesh 2**L, is its bisection under the constant gauge (b - a) * 2**-L:
+    on each side the _least_fine_grid, summed whole.  Strategies of one
+    grid cuts, or bisection strategies of one cuts and selector set, form a
+    group, and a group's block is built once, when a strategy first needs
+    it.  Every strategy evaluates h itself, whether or not h reads the tag,
+    so the driver's store of shared sums, `known`, is ignored."""
 
     def group_key(strat):
-        return (strat.cuts, frozenset(strat.selectors)) if strat.cuts in _BISECTIONS else strat.cuts
+        return strat.cuts if strat.cuts in grids else (strat.cuts, frozenset(strat.selectors))
 
     grids = {"uniform": divisions._uniform_edges, "shifted-uniform": divisions._shifted_edges}
     n, sums = 0, {}
     for _, group in groupby(strategies, key=group_key):
         group = list(group)
+        orders = tuple(s.selectors for s in group)
         built = {}
         for k, strat in enumerate(group):
             cells = 0
+            split = strat.cuts.startswith("split-")
 
             def block_sum(piece, *block):
                 nonlocal cells
                 key = (piece, *block)
                 if key not in built:
                     lo, hi, mesh = pieces[piece]
-                    if strat.cuts in _BISECTIONS:
-                        if block:  # a side of a split piece
-                            lo, hi = _split_sides(lo, hi)[block[0]]
-                        orders = tuple(s.selectors for s in group)
-                        build = divisions._delta_fine(lo, hi, mesh, orders, DEFAULT_DEPTH_CAP)
-                    else:
+                    if split:  # a side of a split piece
+                        lo, hi = _split_sides(lo, hi)[block[0]]
+                    if strat.cuts in grids:
                         edges = grids[strat.cuts](lo, hi, mesh, *block)
-                        build = divisions._grid_columns(edges, [s.selectors[0] for s in group])
-                    built[key] = build
+                        rules = [order[0] for order in orders]
+                    elif strat.cuts.endswith(" grid"):
+                        a, b, _ = pieces[piece]
+                        delta = (_exact(b) - _exact(a)) * Fraction(1, mesh)
+                        count, rules = _least_fine_grid(lo, hi, delta, orders)
+                        edges = divisions._uniform_edges(lo, hi, count, 0, count)
+                    else:
+                        edges, columns = divisions._delta_fine(lo, hi, mesh, orders,
+                                                               DEFAULT_DEPTH_CAP)
+                    if strat.cuts not in _BISECTIONS:
+                        columns = [divisions._tag_points(rule, edges[:-1], edges[1:])
+                                   for rule in rules]
+                    built[key] = edges, columns
                 edges, columns = built[key]
                 cells += len(edges) - 1
                 return riemann_sum(h, TaggedDivision(columns[k], edges))
 
             total = None
             for piece, (_, _, mesh) in enumerate(pieces):
-                if strat.cuts == "delta-fine":
-                    piece_sum = block_sum(piece)
-                elif strat.cuts == "split-delta-fine":
+                if split:
                     piece_sum = block_sum(piece, 0) + block_sum(piece, 1)
-                else:
+                elif strat.cuts in grids:
                     piece_sum = integrators._pairwise(
                         0, mesh, lambda lo, hi: block_sum(piece, lo, hi))
+                else:
+                    piece_sum = block_sum(piece)
                 total = piece_sum if total is None else total + piece_sum
             sums[strat.name] = total
             n = max(n, cells)
@@ -1317,20 +1334,16 @@ def _evaluated_cells(monkeypatch, run, level_sums=None):
     return result, cells
 
 
-def _constant_gauge_grids(level):
+def _constant_gauge_grids(level, a=0.0, b=1.0):
     """[(lo, hi, cells)] of each GAUGE_STRATEGIES row's pieces, row by row,
-    under gauge_integrate's default gauge 2**-level over ]0, 1]: each piece
-    is cut into the coarsest grid of 2**k cells whose cells are fine for the
-    row's tag, an endpoint tag needing a cell shorter than the gauge and a
-    midpoint tag half a cell shorter."""
-    delta = 2.0 ** -level
+    under gauge_integrate's default gauge (b - a) * 2**-level over ]a, b]:
+    each piece's _least_fine_grid for the row's tag."""
+    delta = (_exact(b) - _exact(a)) * Fraction(1, 2 ** level)
     grids = []
     for strat in GAUGE_STRATEGIES:
-        sides = _split_sides(0.0, 1.0) if strat.cuts == "split-delta-fine" else [(0.0, 1.0)]
-        reach = 2 * delta if strat.selectors == ("midpoint",) else delta
-        for lo, hi in sides:
-            k = next(k for k in range(64) if math.ldexp(hi - lo, -k) < reach)
-            grids.append((lo, hi, 2 ** k))
+        sides = _split_sides(a, b) if strat.cuts == "split-delta-fine" else [(a, b)]
+        grids += [(lo, hi, _least_fine_grid(lo, hi, delta, [strat.selectors])[0])
+                  for lo, hi in sides]
     return grids
 
 

@@ -16,6 +16,8 @@ its own error bound.
   tags, so its sums depend on the tags at every level.
 * Smooth rows, which the extrapolated stop settles well before the raw sums
   move less than the tolerance.
+* A step distribution that `lebesgue` settles only in its anchored phase,
+  the one caller of gauge-function bisection that no catalog entry reaches.
 """
 
 import math
@@ -30,9 +32,11 @@ from gaugelab.catalog import step_at
 from gaugelab.divisions import RefinementSchedule
 from gaugelab.integrand import BurkillIntegrand, increments_of, length_factor, make_integrand
 from gaugelab.integrators import (
+    ANCHORED_STRATEGIES,
     ConvergenceController,
     _aitken,
     gauge_integrate,
+    lebesgue_distribution_integrate,
     rs_integrate,
     step_distribution,
 )
@@ -182,6 +186,18 @@ _LABELS = {
 @pytest.mark.parametrize("row", sorted(_ROWS))
 def test_row(run, row):
     assert _check(run, *_ROWS[row]).status is _LABELS[row, run]
+
+
+def test_anchored_phase_settles_a_step_distribution():
+    # the mean of jumps at 1/3 and sqrt(2) - 1: the constant-mesh probe
+    # does not settle by level 18, so the jumps anchor tags, and every
+    # anchored sum is then the jump sum
+    jumps = [(1 / 3, 0.5), (math.sqrt(2) - 1, 0.25)]
+    result = lebesgue_distribution_integrate(step_distribution(jumps, 0.0, 1.0), CTRL)
+    assert list(result.strategy_sums) == [s.name for s in ANCHORED_STRATEGIES]
+    assert result.status is Status.CONVERGED
+    assert result.estimate == pytest.approx(sum(p * m for p, m in jumps), abs=1e-12)
+    assert result.error_bound == 0.0
 
 
 # --------------------------------------------------------------------------
